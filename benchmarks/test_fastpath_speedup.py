@@ -1,13 +1,16 @@
 """Translated fast-path speedup benchmarks (PR 8 tentpole acceptance).
 
-Two bars, both paired with bit-identity checks against the interpreter:
+Two bars, both paired with bit-identity checks against the interpreter
+(``VM.fastpath = False``, the oracle seam):
 
 * a fault-free golden run of a scalar-dominant kernel must be at least
   10x faster under block translation.  Scalar ALU loops are where the
   interpreter's per-instruction decode/dispatch overhead dominates, so
   this is the regime the translator was built for.
 * an end-to-end stratified wavetoy campaign must beat the interpreter
-  by at least 2x while producing identical per-trial records.  The
+  by at least 2x while producing identical per-trial records.  Both
+  sides run every trial from block 0 (``prepare_replay`` returning
+  ``None``), so the ratio isolates translation from prefix replay.  The
   whole-campaign ratio is bounded well below the scalar figure because
   most of wavetoy's cycle budget is vectorized numpy work, FPU traffic
   and the MPI layer - costs both modes share (EXPERIMENTS.md E19 breaks
@@ -22,6 +25,7 @@ import pytest
 
 from repro.cpu.assembler import Program
 from repro.cpu.vm import VM
+from repro.engine import checkpoint
 from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
 from repro.memory.process import ProcessImage
@@ -130,15 +134,12 @@ CAMPAIGN_N = max(4, min(BENCH_CAMPAIGN_N, 16))
 
 def run_campaign(fastpath: bool) -> tuple[float, object]:
     campaign = Campaign.from_registry("wavetoy", nprocs=2, seed=7)
-    t0 = time.perf_counter()
-    result = campaign.run(
-        CAMPAIGN_REGIONS,
-        CAMPAIGN_N,
-        jobs=1,
-        fastpath=fastpath,
-        stratify=True,
-    )
-    return time.perf_counter() - t0, result
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(VM, "fastpath", fastpath)
+        mp.setattr(checkpoint, "prepare_replay", lambda ctx, fault: None)
+        t0 = time.perf_counter()
+        result = campaign.run(CAMPAIGN_REGIONS, CAMPAIGN_N, jobs=1, stratify=True)
+        return time.perf_counter() - t0, result
 
 
 def fingerprint(result) -> list:

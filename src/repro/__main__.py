@@ -463,7 +463,7 @@ def cmd_campaign_run(args) -> int:
             reproduce_command,
         )
 
-        context = campaign.execution_context(fastpath=args.fastpath)
+        context = campaign.execution_context()
         artifacts = RunArtifacts(
             args.artifacts,
             {
@@ -483,7 +483,6 @@ def cmd_campaign_run(args) -> int:
     def progress(event):
         print(format_progress(event), file=sys.stderr)
 
-    stride = None if args.no_checkpoint else args.checkpoint_stride
     t0 = time.time()
     try:
         result = campaign.run(
@@ -497,8 +496,6 @@ def cmd_campaign_run(args) -> int:
             progress=progress if args.log_interval else None,
             metrics=metrics,
             trace=collector,
-            checkpoint_stride=stride,
-            fastpath=args.fastpath,
             prune_masked=args.prune_masked,
             stratify=args.stratify,
             telemetry=telemetry,
@@ -613,12 +610,9 @@ def cmd_campaign_serve_work(args) -> int:
         print(exc.args[0], file=sys.stderr)
         return 2
     regions = _parse_regions(args.regions)
-    stride = None if args.no_checkpoint else args.checkpoint_stride
     t0 = time.time()
     with campaign.engine(
         store=args.store,
-        checkpoint_stride=stride,
-        fastpath=args.fastpath,
         prune_masked=args.prune_masked,
         telemetry=TelemetryHub(),
     ) as engine:
@@ -1059,15 +1053,6 @@ def main(argv: list[str] | None = None) -> int:
                       "manifest.json, events.jsonl, metrics.jsonl, "
                       "summary.json, report.html, reproduce.sh "
                       "(regenerable later via 'report DIR')")
-    crun.add_argument("--checkpoint-stride", type=int, default=16,
-                      dest="checkpoint_stride", metavar="BLOCKS",
-                      help="replay the recorded golden prefix up to the "
-                      "last checkpoint (every BLOCKS blocks) before each "
-                      "injection instant (default 16)")
-    crun.add_argument("--no-checkpoint", action="store_true",
-                      dest="no_checkpoint",
-                      help="disable golden-prefix replay; every trial "
-                      "executes from block 0")
     crun.add_argument("--prune-masked", action="store_true",
                       dest="prune_masked",
                       help="consult the static masking oracle before "
@@ -1079,11 +1064,6 @@ def main(argv: list[str] | None = None) -> int:
                       "allocate trials by observed per-stratum "
                       "variance, importance-weight the rates back to "
                       "unbiased region estimates")
-    crun.add_argument("--fastpath", default=False,
-                      action=argparse.BooleanOptionalAction,
-                      help="execute trials through the translated "
-                      "dual-mode block engine; outcomes are "
-                      "bit-identical to the interpreter (default off)")
     crun.set_defaults(fn=cmd_campaign_run)
     cstat = camp_sub.add_parser("status", help="summarize a result store")
     cstat.add_argument("--store", required=True,
@@ -1140,22 +1120,11 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="SECONDS",
                         help="keep answering idle workers' polls this "
                         "long after completion (default 3)")
-    cserve.add_argument("--checkpoint-stride", type=int, default=16,
-                        dest="checkpoint_stride", metavar="BLOCKS",
-                        help="workers replay the golden prefix at this "
-                        "stride, as in campaign run (default 16)")
-    cserve.add_argument("--no-checkpoint", action="store_true",
-                        dest="no_checkpoint",
-                        help="disable golden-prefix replay on workers")
     cserve.add_argument("--prune-masked", action="store_true",
                         dest="prune_masked",
                         help="tally provably-masked faults as correct "
                         "on the coordinator; only unproven trials are "
                         "leased out")
-    cserve.add_argument("--fastpath", default=False,
-                        action=argparse.BooleanOptionalAction,
-                        help="workers execute through the translated "
-                        "dual-mode block engine (default off)")
     cserve.set_defaults(fn=cmd_campaign_serve_work)
     cwork = camp_sub.add_parser(
         "work",

@@ -382,14 +382,26 @@ def _vfill(vm, i: Insn) -> None:
     dst.fill(fpu.to_double(fpu.read_st(0)))
 
 
+def _vbin_ufunc(i: Insn):
+    """The ufunc behind a VBIN/VBINS sub-opcode.  A corrupted sub-opcode
+    is SIGILL, raised after the operand views so their SIGSEGVs win."""
+    try:
+        return VBIN_UFUNC[i.subop]
+    except KeyError:
+        raise SimIllegalInstruction(
+            f"undefined {i.op.name} subop {i.subop}"
+        ) from None
+
+
 def _vbin(vm, i: Insn) -> None:
     regs, space = vm.regs, vm.space
     n = regs.get(i.r4)
     a = space.vector_f64(regs.get(i.r2), n)
     b = space.vector_f64(regs.get(i.r3), n)
     dst = space.vector_f64(regs.get(i.r1), n, True)
+    ufunc = _vbin_ufunc(i)
     with np.errstate(all="ignore"):
-        VBIN_UFUNC[i.subop](a, b, out=dst)
+        ufunc(a, b, out=dst)
 
 
 def _vbins(vm, i: Insn) -> None:
@@ -398,8 +410,9 @@ def _vbins(vm, i: Insn) -> None:
     a = space.vector_f64(regs.get(i.r2), n)
     dst = space.vector_f64(regs.get(i.r1), n, True)
     s = fpu.to_double(fpu.read_st(0))
+    ufunc = _vbin_ufunc(i)
     with np.errstate(all="ignore"):
-        VBIN_UFUNC[i.subop](a, s, out=dst)
+        ufunc(a, s, out=dst)
 
 
 def _vaxpy(vm, i: Insn) -> None:
@@ -472,10 +485,10 @@ VECTOR_LEN_FIELD = {
     Op.VRED: "r2",
 }
 
-#: Opcodes that can raise a simulated fault (or a decoder-shaped
-#: KeyError for a corrupted VBIN/VBINS sub-opcode) partway through
-#: execution.  The translator plants exact machine state (eip, partial
-#: clock/retirement) before each of these.
+#: Opcodes that can raise a simulated fault partway through execution
+#: (a corrupted VBIN/VBINS/VRED sub-opcode is SIGILL).  The translator
+#: plants exact machine state (eip, partial clock/retirement) before
+#: each of these.
 CAN_RAISE = frozenset(
     {
         Op.HLT,

@@ -25,8 +25,8 @@ calls), before a vector instruction with a dynamic entry cost (see
 above — the split makes it the *first* instruction of its unit, where
 entry-time cost is exact again), and before an instruction the
 translator cannot reproduce (a corrupted VBIN/VBINS/VRED sub-opcode,
-whose exact interpreter behaviour — including the bare ``KeyError`` of
-a missing ufunc — is left to the interpreter).
+whose SIGILL — raised after the operand views, so their SIGSEGVs come
+first — is left to the interpreter).
 
 Every generated unit takes the caller's *budget*: the distance (in
 blocks) to the nearest observer horizon — the next ``schedule_hook``

@@ -55,6 +55,11 @@ _PRIMED_TEXT: dict[tuple[bytes, int], dict] = {}
 class VM:
     """One virtual CPU bound to one process image."""
 
+    #: Run translated units wherever no observer needs per-instruction
+    #: state.  Always on; tests set it False to reach the interpreter,
+    #: the oracle the translated engine is proven bit-identical to.
+    fastpath = True
+
     def __init__(self, image: ProcessImage) -> None:
         self.image = image
         self.space = image.address_space
@@ -73,9 +78,6 @@ class VM:
         #: (:mod:`repro.detectors.cfcheck`); called per retired
         #: instruction with (addr, insn, next_eip).
         self.cf_checker = None
-        #: Opt-in translated fast path (set by the engine from
-        #: ``--fastpath``); observers can still force interpretation.
-        self.fastpath = False
         #: Fastpath accounting, harvested into campaign metrics.
         self.fastpath_stats = {
             "translated_units": 0,
@@ -112,28 +114,6 @@ class VM:
 
     def pending_hooks(self) -> int:
         return len(self._hooks)
-
-    # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-    def capture_state(self) -> tuple:
-        """Picklable CPU-side state (registers, FPU, clock, retirement
-        counter).  Memory and pending hooks are captured separately: the
-        image belongs to the snapshot layer and hooks are per-trial
-        wiring armed *after* a restore."""
-        return (
-            self.regs.capture_state(),
-            self.fpu.capture_state(),
-            self.clock.blocks,
-            self.instructions_retired,
-        )
-
-    def restore_state(self, state: tuple) -> None:
-        regs, fpu, blocks, insns = state
-        self.regs.restore_state(regs)
-        self.fpu.restore_state(fpu)
-        self.clock.restore(blocks)
-        self.instructions_retired = insns
 
     # ------------------------------------------------------------------
     # stack helpers (operate through the *register-file* ESP, so a

@@ -19,7 +19,6 @@ from repro.engine.budgets import (
 from repro.engine.checkpoint import (
     CheckpointStore,
     GoldenRecording,
-    MachineSnapshot,
     ReplayPlan,
     plan_replay,
     record_golden,
@@ -68,7 +67,6 @@ __all__ = [
     "round_budget",
     "CheckpointStore",
     "GoldenRecording",
-    "MachineSnapshot",
     "ReplayPlan",
     "plan_replay",
     "record_golden",

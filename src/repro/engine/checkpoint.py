@@ -37,12 +37,13 @@ switch round is the round in which the rank's received-byte counter
 first passes the target byte.
 
 **Stride.**  The recording itself is stride-independent (it stores
-every call); ``checkpoint_stride`` is applied at restore time by
-quantizing the switch round down to the last round boundary at which
-the golden block clock crossed a multiple of ``stride`` blocks
+every call); the stride is applied at restore time by quantizing the
+switch round down to the last round boundary at which the golden block
+clock crossed a multiple of ``stride`` blocks
 (:func:`quantize_switch_round`).  ``stride=1`` replays everything it
 safely can; larger strides trade replay coverage for coarser restore
-points, exactly like an on-disk checkpoint interval would.
+points, exactly like an on-disk checkpoint interval would.  Trials
+replay at :data:`STRIDE`.
 
 **Drift guards.**  Every elided call asserts the recorded function
 name, normalized arguments, start clock and start retirement count
@@ -50,20 +51,15 @@ against the live machine; any mismatch raises
 :class:`~repro.errors.CheckpointDesync`, which the simulator re-raises
 out of the trial instead of classifying it as a Crash.
 
-:class:`MachineSnapshot` is the complementary full-state container: a
-picklable capture of every deterministic machine field of a paused job
-(used by the snapshot round-trip property suite, and for debugging
-desyncs).  :class:`CheckpointStore` caches one golden recording per
-``(app, JobConfig)`` key so serial drivers and every forked worker
+:class:`CheckpointStore` caches one golden recording per
+``(factory, JobConfig)`` key so serial drivers and every forked worker
 share a single recording.
 """
 
 from __future__ import annotations
 
-import hashlib
-import pickle
+import functools
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -73,6 +69,9 @@ from repro.mpi.simulator import Job
 
 _U32 = 0xFFFF_FFFF
 
+#: Checkpoint interval in golden blocks at which every trial replays.
+STRIDE = 16
+
 #: Fixed order of the writable segments a kernel call can touch; delta
 #: records index into this tuple.  Text is read/execute-only to the VM
 #: (a store there faults), so it never needs diffing.
@@ -81,10 +80,6 @@ _RW_SEGMENT_COUNT = 4
 
 def _rw_segments(image) -> tuple:
     return (image.data, image.bss, image.heap_segment, image.stack_segment)
-
-
-def _all_segments(image) -> tuple:
-    return (image.text,) + _rw_segments(image)
 
 
 def _norm_function(function) -> str | int:
@@ -416,30 +411,25 @@ def install_replay(job: Job, plan: ReplayPlan) -> None:
 
 
 def prepare_replay(ctx, fault: FaultSpec) -> ReplayPlan | None:
-    """Resolve the context's recording (from its shipped copy or the
-    process-wide store) and plan this trial's replay.  Returns ``None``
-    when checkpointing is off or nothing can be replayed."""
-    stride = getattr(ctx, "checkpoint_stride", None)
-    if stride is None:
+    """Plan this trial's replay of the context's golden recording at
+    :data:`STRIDE`.  Returns ``None`` when the context carries no
+    recording or nothing can be replayed."""
+    if ctx.checkpoint is None:
         return None
-    recording = ctx.checkpoint
-    if recording is None:
-        recording = default_store().get(ctx)
-        ctx.checkpoint = recording
-    return plan_replay(recording, fault, stride)
+    return plan_replay(ctx.checkpoint, fault, STRIDE)
 
 
 # ----------------------------------------------------------------------
 # recording cache
 # ----------------------------------------------------------------------
 class CheckpointStore:
-    """In-memory cache of golden recordings keyed per ``(app, JobConfig)``.
+    """In-memory cache of golden recordings keyed per
+    ``(factory, JobConfig)``.
 
     One recording serves every trial of every region of a campaign:
     the driver attaches it to the execution context *before* the
     executor pickles the context, so fork workers receive it exactly
-    once; direct ``execute_trial`` callers fall back to this
-    process-wide cache.
+    once.
     """
 
     def __init__(self) -> None:
@@ -447,9 +437,19 @@ class CheckpointStore:
 
     @staticmethod
     def key_for(context) -> tuple:
+        # Keyed on the factory, not the app name: two factories of one
+        # application (``MoldynApp(checksums=True)`` and ``=False``)
+        # build different programs under an equal ``JobConfig``.
+        factory = context.factory
+        if isinstance(factory, functools.partial):
+            factory = (
+                factory.func,
+                repr(factory.args),
+                tuple(sorted((k, repr(v)) for k, v in factory.keywords.items())),
+            )
         cfg = context.config
         params = tuple(sorted((k, repr(v)) for k, v in cfg.app_params.items()))
-        return (context.app, cfg.nprocs, cfg.seed, cfg.eager_threshold, params)
+        return (factory, cfg.nprocs, cfg.seed, cfg.eager_threshold, params)
 
     def get(self, context) -> GoldenRecording:
         key = self.key_for(context)
@@ -470,157 +470,3 @@ _DEFAULT_STORE = CheckpointStore()
 
 def default_store() -> CheckpointStore:
     return _DEFAULT_STORE
-
-
-# ----------------------------------------------------------------------
-# full-state snapshots
-# ----------------------------------------------------------------------
-@dataclass
-class RankSnapshot:
-    """Deterministic machine state of one rank, picklable."""
-
-    vm: tuple  #: VM.capture_state()
-    #: ``(bytes, version)`` per segment, in text/data/bss/heap/stack order.
-    segments: tuple[tuple[bytes, int], ...]
-    heap_free: tuple
-    heap_live: tuple  #: sorted (addr, ChunkInfo) pairs
-    heap_mpi_depth: int
-    heap_high_water: int
-    heap_in_use: int
-    stack_esp: int
-    stack_ebp: int
-    channel: tuple  #: ChannelEndpoint.capture_state()
-    adi_seq: int
-    adi_messages_control: int
-    adi_messages_data: int
-    rng_state: dict
-
-
-@dataclass
-class MachineSnapshot:
-    """Complete deterministic state of a paused job.
-
-    Capture between scheduler rounds, pickle it anywhere, and
-    :meth:`restore` it onto the *same live job* to rewind every machine
-    field in place (generator frames keep their references to the
-    mutated objects, so execution resumes bit-identically).  In-flight
-    MPI match state (posted receives, unexpected queues) lives in
-    ``Request`` objects aliased by generator locals and is therefore
-    owned by the generators themselves - it is deliberately not part of
-    the snapshot, which is exactly why restore targets the same job.
-    """
-
-    rounds: int
-    current_rank: int
-    stdout: tuple[str, ...]
-    stderr: tuple[str, ...]
-    outputs: tuple[tuple[str, Any], ...]
-    ranks: tuple[RankSnapshot, ...]
-
-    @classmethod
-    def capture(cls, job: Job) -> "MachineSnapshot":
-        ranks = []
-        for r in range(job.config.nprocs):
-            image = job.images[r]
-            adi = job.adis[r]
-            heap = image.heap
-            ranks.append(
-                RankSnapshot(
-                    vm=job.vms[r].capture_state(),
-                    segments=tuple(
-                        (seg.buf.tobytes(), seg.version)
-                        for seg in _all_segments(image)
-                    ),
-                    heap_free=tuple(heap._free),
-                    heap_live=tuple(sorted(heap._live.items())),
-                    heap_mpi_depth=heap._mpi_depth,
-                    heap_high_water=heap.high_water,
-                    heap_in_use=heap.in_use,
-                    stack_esp=image.stack.esp,
-                    stack_ebp=image.stack.ebp,
-                    channel=job.endpoints[r].capture_state(),
-                    adi_seq=adi._seq,
-                    adi_messages_control=adi.messages_control,
-                    adi_messages_data=adi.messages_data,
-                    rng_state=job.contexts[r].rng.bit_generator.state,
-                )
-            )
-        return cls(
-            rounds=job.rounds,
-            current_rank=job._current_rank,
-            stdout=tuple(job.stdout),
-            stderr=tuple(job.stderr),
-            outputs=tuple(job.outputs.items()),
-            ranks=tuple(ranks),
-        )
-
-    def restore(self, job: Job) -> None:
-        """Rewind ``job``'s machine state in place (see class docs)."""
-        if len(self.ranks) != job.config.nprocs:
-            raise ValueError(
-                f"snapshot has {len(self.ranks)} ranks, job has "
-                f"{job.config.nprocs}"
-            )
-        for r, snap in enumerate(self.ranks):
-            image = job.images[r]
-            job.vms[r].restore_state(snap.vm)
-            for seg, (blob, version) in zip(_all_segments(image), snap.segments):
-                seg.buf[:] = np.frombuffer(blob, dtype=np.uint8)
-                seg.version = version
-            heap = image.heap
-            heap._free = list(snap.heap_free)
-            heap._live = dict(snap.heap_live)
-            heap._mpi_depth = snap.heap_mpi_depth
-            heap.high_water = snap.heap_high_water
-            heap.in_use = snap.heap_in_use
-            image.stack.esp = snap.stack_esp
-            image.stack.ebp = snap.stack_ebp
-            job.endpoints[r].restore_state(snap.channel)
-            adi = job.adis[r]
-            adi._seq = snap.adi_seq
-            adi.messages_control = snap.adi_messages_control
-            adi.messages_data = snap.adi_messages_data
-            job.contexts[r].rng.bit_generator.state = snap.rng_state
-        job.rounds = self.rounds
-        job._current_rank = self.current_rank
-        # Mutate the existing console/output containers in place:
-        # JobResult aliases them.
-        job.stdout[:] = self.stdout
-        job.stderr[:] = self.stderr
-        job.outputs.clear()
-        job.outputs.update(self.outputs)
-
-    def digest(self) -> str:
-        """Stable content hash of the captured state (for equivalence
-        assertions in the round-trip suite)."""
-        canonical = (
-            self.rounds,
-            self.current_rank,
-            self.stdout,
-            self.stderr,
-            self.outputs,
-            tuple(
-                (
-                    snap.vm,
-                    snap.segments,
-                    snap.heap_free,
-                    snap.heap_live,
-                    snap.heap_mpi_depth,
-                    snap.heap_high_water,
-                    snap.heap_in_use,
-                    snap.stack_esp,
-                    snap.stack_ebp,
-                    snap.channel,
-                    snap.adi_seq,
-                    snap.adi_messages_control,
-                    snap.adi_messages_data,
-                    sorted(
-                        (k, repr(v)) for k, v in snap.rng_state.items()
-                    ),
-                )
-                for snap in self.ranks
-            ),
-        )
-        return hashlib.sha256(
-            pickle.dumps(canonical, protocol=4)
-        ).hexdigest()

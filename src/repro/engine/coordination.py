@@ -52,7 +52,7 @@ from repro.injection.faults import Region
 
 #: Version stamped into the ``/manifest`` and ``/work`` payloads and
 #: checked by workers before executing anything.
-WORK_SCHEMA_VERSION = 1
+WORK_SCHEMA_VERSION = 2
 
 #: Default trials per leased batch.
 DEFAULT_BATCH_SIZE = 8
@@ -216,10 +216,10 @@ class CampaignCoordinator:
     """Partitions one campaign into leased batches and folds results.
 
     Wraps a fully configured :class:`~repro.engine.driver.CampaignEngine`
-    (sampler, store, telemetry hub, prune oracle, fastpath/checkpoint
-    flags): the coordinator does everything the local driver does except
-    execute - trials proven masked are tallied synthetically, stored
-    trials are resumed, and only the rest are served to workers.
+    (sampler, store, telemetry hub, prune oracle): the coordinator does
+    everything the local driver does except execute - trials proven
+    masked are tallied synthetically, stored trials are resumed, and
+    only the rest are served to workers.
 
     The fold is idempotent by trial key, so requeued batches delivered
     twice (once by the presumed-dead worker, once by its replacement)
@@ -319,8 +319,6 @@ class CampaignCoordinator:
             "app_params": dict(self.engine.app_params),
             "seed": self.engine.seed,
             "config_seed": ctx.config.seed,
-            "checkpoint_stride": ctx.checkpoint_stride,
-            "fastpath": ctx.fastpath,
             "regions": [r.value for r in self._specs_by_region],
             "trials": self.trials,
             "batches": len(self._batches),
@@ -605,11 +603,7 @@ class WorkerClient:
             app_params=manifest.get("app_params") or {},
             seed=int(manifest["seed"]),
         )
-        return campaign.engine(
-            jobs=self.jobs,
-            checkpoint_stride=manifest.get("checkpoint_stride"),
-            fastpath=bool(manifest.get("fastpath", False)),
-        )
+        return campaign.engine(jobs=self.jobs)
 
     def _check_specs(self, engine, specs: list[TrialSpec]) -> None:
         """A leased spec must match the worker's rebuilt execution

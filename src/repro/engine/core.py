@@ -54,17 +54,11 @@ class ExecutionContext:
     #: activates exactly the observability scope these request.
     trace: bool = False
     collect_metrics: bool = False
-    #: Golden-prefix replay stride in blocks (``None`` = checkpointing
-    #: off, the default - existing callers are untouched).
-    checkpoint_stride: int | None = None
-    #: Execute via translated basic blocks wherever no observer needs
-    #: per-instruction state (``--fastpath``).  Off by default; trial
-    #: outcomes are bit-identical either way.
-    fastpath: bool = False
-    #: The shared :class:`~repro.engine.checkpoint.GoldenRecording`.
-    #: Deliberately *kept* by ``__getstate__``: the driver attaches it
-    #: before the executor pickles the context, so every fork worker
-    #: receives the one recording exactly once.
+    #: The shared :class:`~repro.engine.checkpoint.GoldenRecording`
+    #: whose prefix every trial replays (``None``: trials run from
+    #: block 0).  Deliberately *kept* by ``__getstate__``: the driver
+    #: attaches it before the executor pickles the context, so every
+    #: fork worker receives the one recording exactly once.
     checkpoint: object | None = field(default=None, repr=False, compare=False)
     _resolved_compare: Callable | None = field(
         default=None, repr=False, compare=False
@@ -124,7 +118,6 @@ class ExecutionContext:
             eager_threshold=self.config.eager_threshold,
             round_limit=self.round_limit,
             block_limit=self.block_limit,
-            fastpath=self.fastpath,
             app_params=dict(self.config.app_params),
         )
 
@@ -139,8 +132,6 @@ class ExecutionContext:
             "eager_threshold": self.config.eager_threshold,
             "round_limit": self.round_limit,
             "block_limit": self.block_limit,
-            "checkpoint_stride": self.checkpoint_stride,
-            "fastpath": self.fastpath,
         }
 
     def __getstate__(self):
@@ -188,13 +179,8 @@ def _harvest_job_metrics(
     for vm in job.vms:
         registry.counter("repro_vm_instructions_total").inc(vm.instructions_retired)
         registry.counter("repro_vm_blocks_total").inc(vm.clock.blocks)
-        if vm.fastpath:
-            # Emitted only in fastpath mode so that default-mode metric
-            # snapshots stay byte-identical to earlier releases.
-            for key, value in vm.fastpath_stats.items():
-                registry.counter(
-                    "repro_vm_fastpath_total", kind=key
-                ).inc(value)
+        for key, value in vm.fastpath_stats.items():
+            registry.counter("repro_vm_fastpath_total", kind=key).inc(value)
     for endpoint in job.endpoints:
         stats = endpoint.stats
         registry.counter("repro_channel_packets_total", kind="control").inc(
@@ -229,12 +215,7 @@ def run_observed(
     only when the context's ``trace`` / ``collect_metrics`` flags are
     set.
     """
-    # Plan the golden-prefix replay *outside* the trial's observability
-    # scope: a cold cache records the golden run here, and that
-    # recording's events must not leak into this trial's tracer.
-    plan = None
-    if ctx.checkpoint_stride is not None:
-        plan = _checkpoint.prepare_replay(ctx, fault)
+    plan = _checkpoint.prepare_replay(ctx, fault)
     tracer = Tracer() if ctx.trace else None
     registry = MetricsRegistry() if ctx.collect_metrics else None
     timeline = PropagationTimeline()

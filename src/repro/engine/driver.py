@@ -48,9 +48,11 @@ from repro.injection.faults import FaultSpec, Region
 from repro.sampling.plans import CampaignPlan, default_plan
 from repro.sampling.theory import sample_size_oversampled, z_alpha
 
-#: Default adaptive batch size multiplier (trials per dispatch wave are
-#: ``max(MIN_ADAPTIVE_BATCH, 2 * jobs)`` unless overridden).
-MIN_ADAPTIVE_BATCH = 8
+#: Trials per adaptive dispatch wave (unless overridden).  Not scaled
+#: by ``jobs``: the stopping check runs after complete waves, so a fixed
+#: wave keeps the executed trial set - and every tally - identical for
+#: any worker count.
+ADAPTIVE_BATCH = 8
 
 #: Stratified mode: pilot trials per stratum (enough for a first
 #: variance estimate), trials per Neyman wave, and the classification
@@ -129,16 +131,6 @@ class CampaignEngine:
     trace:
         A :class:`~repro.observability.export.TraceCollector`; each
         fresh trial's event list is filed under its (region, index).
-    checkpoint_stride:
-        Golden-prefix replay stride in blocks (see
-        :mod:`repro.engine.checkpoint`); ``None`` disables
-        checkpointing.  The golden recording is made once, lazily, and
-        shipped inside the pickled context so fork workers share it.
-    fastpath:
-        Execute trials through the translated block engine
-        (:mod:`repro.cpu.translate`).  Outcomes, tallies and metrics
-        are bit-identical to the interpreter; the flag only changes
-        throughput (plus fastpath-mode counters in ``metrics``).
     prune:
         ``FaultSpec -> PruneVerdict`` masking oracle (see
         :mod:`repro.staticanalysis.propagation.pruning`).  Specs with a
@@ -185,8 +177,6 @@ class CampaignEngine:
         log_interval: int = 0,
         metrics: MetricsRegistry | None = None,
         trace: TraceCollector | None = None,
-        checkpoint_stride: int | None = None,
-        fastpath: bool = False,
         prune: Callable[[FaultSpec], Any] | None = None,
         stratifier: Callable[[FaultSpec], str] | None = None,
         telemetry=None,
@@ -221,8 +211,6 @@ class CampaignEngine:
             context.collect_metrics = True
         if trace is not None:
             context.trace = True
-        context.checkpoint_stride = checkpoint_stride
-        context.fastpath = fastpath
         self.emitter = ProgressEmitter(
             callback=progress, log_interval=log_interval, metrics=metrics
         )
@@ -242,12 +230,13 @@ class CampaignEngine:
     # lifecycle
     # ------------------------------------------------------------------
     def executor(self):
+        """The trial executor, built on first use.  The golden run is
+        recorded here (see :mod:`repro.engine.checkpoint`), *before* the
+        executor pickles the context: serial trials and every fork
+        worker then replay the same recording's prefix."""
         if self._executor is None:
             context = self.context
-            if context.checkpoint_stride is not None and context.checkpoint is None:
-                # Record the golden run once, *before* the executor
-                # pickles the context: serial trials and every fork
-                # worker then share the same recording.
+            if context.checkpoint is None:
                 context.checkpoint = checkpoint.default_store().get(context)
             self._executor = make_executor(context, self.jobs)
         return self._executor
@@ -577,7 +566,7 @@ class CampaignEngine:
                 # Adaptive runs are open-ended; /progress reports no ETA.
                 self.telemetry.note_region(self.context.app, region.value, None)
             cap = max_n or sample_size_oversampled(target_d, alpha)
-            step = batch or max(MIN_ADAPTIVE_BATCH, 2 * self.executor().jobs)
+            step = batch or ADAPTIVE_BATCH
             planned = 0
             while planned < cap:
                 next_planned = min(planned + step, cap)

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.engine.core import ExecutionContext, TrialObservation, run_observed, run_single
+from repro.engine.core import ExecutionContext, run_single
 from repro.injection.faults import FaultSpec, InjectionRecord
 from repro.injection.outcomes import Manifestation
 from repro.mpi.simulator import Job, JobConfig, JobResult
@@ -45,36 +45,3 @@ def run_with_fault(
         app_factory, config, reference, compare=compare
     )
     return run_single(ctx, spec, np.random.default_rng(seed))
-
-
-def run_with_fault_observed(
-    app_factory: Callable[[], object],
-    config: JobConfig,
-    spec: FaultSpec,
-    *,
-    reference: JobResult | None = None,
-    seed: int = 0,
-    compare=None,
-    trace: bool = False,
-    metrics: bool = False,
-    checkpoint_stride: int | None = None,
-) -> tuple[Manifestation, InjectionRecord, JobResult, TrialObservation]:
-    """:func:`run_with_fault` plus the trial's observability record.
-
-    The returned observation always carries the fault-propagation
-    timeline (injection instant, first divergence, latency in blocks);
-    ``trace=True``/``metrics=True`` additionally attach the Chrome
-    trace events and the metrics snapshot for this one execution.
-    ``checkpoint_stride`` enables golden-prefix replay (see
-    :mod:`repro.engine.checkpoint`) for this single trial, sharing the
-    process-wide recording cache.
-    """
-    if reference is None:
-        reference = run_fault_free(app_factory, config)
-    ctx = ExecutionContext.from_reference(
-        app_factory, config, reference, compare=compare
-    )
-    ctx.trace = trace
-    ctx.collect_metrics = metrics
-    ctx.checkpoint_stride = checkpoint_stride
-    return run_observed(ctx, spec, np.random.default_rng(seed))

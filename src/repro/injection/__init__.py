@@ -33,8 +33,6 @@ from repro.injection.outcomes import (
 from repro.injection.config import ConfigError, InjectionConfig, format_config, parse_config
 from repro.injection.wrappers import install, install_from_config_text
 from repro.injection.campaign import (
-    BLOCK_BUDGET_FACTOR,
-    ROUND_BUDGET_FACTOR,
     Campaign,
     CampaignResult,
     ReferenceProfile,
@@ -68,8 +66,6 @@ __all__ = [
     "parse_config",
     "install",
     "install_from_config_text",
-    "BLOCK_BUDGET_FACTOR",
-    "ROUND_BUDGET_FACTOR",
     "Campaign",
     "CampaignResult",
     "ReferenceProfile",

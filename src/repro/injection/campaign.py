@@ -12,17 +12,12 @@ tables together with the sampling-theory estimation error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from repro.engine.budgets import (
-    HANG_BLOCK_FACTOR,
-    HANG_ROUND_FACTOR,
-    block_budget,
-    round_budget,
-)
+from repro.engine.budgets import block_budget, round_budget
 from repro.injection.dictionary import FaultDictionary
 from repro.injection.faults import (
     FP_TOTAL_BITS,
@@ -35,12 +30,6 @@ from repro.injection.outcomes import Manifestation, OutcomeTally, default_compar
 from repro.mpi.simulator import Job, JobConfig, JobResult
 from repro.sampling.plans import CampaignPlan, default_plan
 from repro.sampling.theory import StratifiedEstimate, achieved_error
-
-#: Backwards-compatible aliases for the hang-budget factors, whose one
-#: home is now :mod:`repro.engine.budgets`.
-BLOCK_BUDGET_FACTOR = HANG_BLOCK_FACTOR
-ROUND_BUDGET_FACTOR = HANG_ROUND_FACTOR
-
 
 @dataclass
 class ReferenceProfile:
@@ -218,14 +207,10 @@ class Campaign:
     # ------------------------------------------------------------------
     # reference run
     # ------------------------------------------------------------------
-    def reference(self, *, fastpath: bool = False) -> ReferenceProfile:
+    def reference(self) -> ReferenceProfile:
         if self._reference is not None:
             return self._reference
-        # The fault-free golden run is observationally mode-independent
-        # (pinned by the fastpath differential gate), so it may use the
-        # translated engine whenever the campaign will.
-        config = replace(self.config, fastpath=True) if fastpath else self.config
-        job = Job(self.app_factory(), config)
+        job = Job(self.app_factory(), self.config)
         result = job.run()
         if not result.completed:
             raise RuntimeError(
@@ -289,11 +274,11 @@ class Campaign:
     # ------------------------------------------------------------------
     # engine delegation
     # ------------------------------------------------------------------
-    def execution_context(self, *, fastpath: bool = False):
+    def execution_context(self):
         """The single-trial execution authority for this campaign."""
         from repro.engine.core import ExecutionContext
 
-        ref = self.reference(fastpath=fastpath)
+        ref = self.reference()
         return ExecutionContext(
             app=self.app_name,
             factory=self.app_factory,
@@ -353,8 +338,6 @@ class Campaign:
         log_interval: int = 0,
         metrics=None,
         trace=None,
-        checkpoint_stride: int | None = None,
-        fastpath: bool = False,
         prune_masked: bool = False,
         stratify: bool = False,
         telemetry=None,
@@ -369,7 +352,7 @@ class Campaign:
             predictor = self.outcome_predictor()
             stratifier = lambda fault: predictor.stratum(fault).value  # noqa: E731
         return CampaignEngine(
-            self.execution_context(fastpath=fastpath),
+            self.execution_context(),
             sampler=self.sample_spec,
             seed=self.seed,
             app_params=self.app_params,
@@ -380,8 +363,6 @@ class Campaign:
             log_interval=log_interval,
             metrics=metrics,
             trace=trace,
-            checkpoint_stride=checkpoint_stride,
-            fastpath=fastpath,
             prune=self.masking_oracle().verdict if prune_masked else None,
             stratifier=stratifier,
             telemetry=telemetry,
@@ -417,8 +398,6 @@ class Campaign:
         log_interval: int = 0,
         metrics=None,
         trace=None,
-        checkpoint_stride: int | None = None,
-        fastpath: bool = False,
         prune_masked: bool = False,
         stratify: bool = False,
         telemetry=None,
@@ -438,8 +417,6 @@ class Campaign:
             log_interval=log_interval,
             metrics=metrics,
             trace=trace,
-            checkpoint_stride=checkpoint_stride,
-            fastpath=fastpath,
             prune_masked=prune_masked,
             stratify=stratify,
             telemetry=telemetry,
@@ -471,8 +448,6 @@ class Campaign:
         log_interval: int = 0,
         metrics=None,
         trace=None,
-        checkpoint_stride: int | None = None,
-        fastpath: bool = False,
         prune_masked: bool = False,
         stratify: bool = False,
         telemetry=None,
@@ -485,8 +460,6 @@ class Campaign:
             log_interval=log_interval,
             metrics=metrics,
             trace=trace,
-            checkpoint_stride=checkpoint_stride,
-            fastpath=fastpath,
             prune_masked=prune_masked,
             stratify=stratify,
             telemetry=telemetry,

@@ -19,7 +19,7 @@ packets.  When the ADI drains a packet (the ``recv`` call), the endpoint:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.observability import runtime as _obs
@@ -129,17 +129,3 @@ class ChannelEndpoint:
 
     def note_drop(self) -> None:
         self.stats.dropped_packets += 1
-
-    # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-    def capture_state(self) -> tuple:
-        """Picklable queue + counter state (hooks/clock are wiring, not
-        state: the owning Job re-attaches them)."""
-        return (tuple(self._queue), self.bytes_received, replace(self.stats))
-
-    def restore_state(self, state: tuple) -> None:
-        queue, bytes_received, stats = state
-        self._queue = deque(queue)
-        self.bytes_received = bytes_received
-        self.stats = replace(stats)

@@ -74,9 +74,6 @@ class JobConfig:
     round_limit: int | None = None
     #: Per-rank basic-block budget applied to every VM.
     block_limit: int | None = None
-    #: Run kernels through the translated fast path where no observer
-    #: needs per-instruction events (see :mod:`repro.cpu.translate`).
-    fastpath: bool = False
     #: Extra keyword parameters forwarded to the application build.
     app_params: dict[str, Any] = field(default_factory=dict)
 
@@ -153,7 +150,6 @@ class Job:
             image, vm = app.build_process(rank, n, config)
             if config.block_limit is not None:
                 vm.block_limit = config.block_limit
-            vm.fastpath = config.fastpath
             endpoint = ChannelEndpoint(rank)
             endpoint.clock = image.clock
             adi = AdiEngine(rank, n, image, endpoint, adi_cfg)
@@ -170,8 +166,8 @@ class Job:
         #: (the injector uses this to arm per-rank faults after MPI_Init).
         self.pre_run_hooks: list[Callable[["Job"], None]] = []
         #: Scheduler state, live once :meth:`begin` has run.  Exposed as
-        #: instance state (rather than locals of ``run``) so checkpoint
-        #: recording and the snapshot machinery can pause between rounds.
+        #: instance state (rather than locals of ``run``) so the golden
+        #: recording can pause between rounds.
         self.rounds: int = 0
         self._gens: list[Generator | None] = []
         self._waiting: list[Any] = []

@@ -1,42 +1,44 @@
-"""Differential proof that checkpointing changes nothing observable.
+"""Differential proof that golden-prefix replay is invisible at any stride.
 
-``Campaign.run`` with golden-prefix replay at several strides must be
-indistinguishable from the plain interpreter run: identical
-manifestation tallies, identical stored JSONL content (hashed), and
-identical error-latency histograms - at jobs=1 and through the
-process-pool executor at jobs=2 (where the recording ships to workers
-pickled inside the execution context).
+The same small wavetoy campaign runs on the default path with
+``checkpoint.STRIDE`` at 1, 7 and 64, and on the oracle of
+:mod:`tests.engine.test_fastpath_differential` (the interpreter running
+every trial from block 0).  Sorted store lines, ``status()`` rows,
+region tallies, metric series and error-latency histograms must be
+identical at jobs=1 and through the process-pool executor at jobs=2,
+whose forked workers receive the recording pickled inside the
+execution context and inherit the patched stride.
 """
 
-from __future__ import annotations
-
 import functools
-import hashlib
 
 import pytest
 
 from repro.apps import WavetoyApp
+from repro.engine import checkpoint
 from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
 from repro.mpi.simulator import JobConfig
-from repro.observability.metrics import MetricsRegistry
 from repro.sampling.plans import CampaignPlan
 from tests.conftest import SMALL_NPROCS, SMALL_WAVETOY
+from tests.engine.test_fastpath_differential import (
+    N,
+    assert_same,
+    observe,
+    observe_oracle,
+)
 
-#: Stack and heap are the regions checkpointing accelerates most (late
+#: Stack and heap are the regions replay accelerates most (late
 #: delivery); message exercises the always-real channel path; register
-#: faults produce crashes with measured latency at this seed, keeping
-#: the histogram comparison non-vacuous.
+#: faults crash with measured latency at this seed, keeping the
+#: histogram comparison non-vacuous.
 REGIONS = (Region.REGULAR_REG, Region.STACK, Region.HEAP, Region.MESSAGE)
-N = 4
 STRIDES = (1, 7, 64)
-
-small_factory = functools.partial(WavetoyApp, **SMALL_WAVETOY)
 
 
 def make_campaign():
     return Campaign(
-        small_factory,
+        functools.partial(WavetoyApp, **SMALL_WAVETOY),
         JobConfig(nprocs=SMALL_NPROCS),
         plan=CampaignPlan(per_region={r.value: N for r in Region}),
         seed=3,
@@ -44,45 +46,22 @@ def make_campaign():
     )
 
 
-def observe(tmp_path, label, *, jobs, stride):
-    """One campaign run distilled to its externally visible fingerprint:
-    (per-region tallies, store content hash, latency histograms)."""
-    store = tmp_path / f"{label}.jsonl"
-    registry = MetricsRegistry()
-    result = make_campaign().run(
-        REGIONS,
-        jobs=jobs,
-        store=store,
-        metrics=registry,
-        checkpoint_stride=stride,
-    )
-    tallies = {
-        region: (dict(row.tally.counts), row.delivered)
-        for region, row in result.regions.items()
-    }
-    # Sort lines so jobs=2 completion order cannot affect the hash.
-    lines = sorted(store.read_text().splitlines())
-    content_hash = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    latency = {
-        labels: registry.histogram_state(
-            "repro_error_latency_blocks", **dict(labels)
-        )
-        for labels in registry.histograms_named("repro_error_latency_blocks")
-    }
-    return tallies, content_hash, latency
-
-
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_every_stride_is_indistinguishable_from_no_checkpoint(tmp_path, jobs):
-    baseline = observe(tmp_path, f"off-j{jobs}", jobs=jobs, stride=None)
-    tallies, _, latency = baseline
-    # Sanity: the fingerprint is non-trivial (errors occurred and at
-    # least one region recorded latencies) so the equalities below
-    # cannot pass vacuously.
-    assert sum(sum(t.values()) for t, _ in tallies.values()) == N * len(REGIONS)
-    assert latency
+def test_every_stride_is_indistinguishable_from_no_checkpoint(
+    tmp_path, monkeypatch, jobs
+):
+    want = observe_oracle(
+        make_campaign(), REGIONS, tmp_path / "oracle.jsonl", jobs=jobs
+    )
+    # Sanity: errors occurred and at least one region recorded
+    # latencies, so the equalities cannot pass vacuously.
+    assert sum(errors for _, _, _, errors, _, _ in want[1]) > 0
+    assert want[4]
     for stride in STRIDES:
-        checkpointed = observe(
-            tmp_path, f"s{stride}-j{jobs}", jobs=jobs, stride=stride
+        # Patched before the pool forks, so workers plan at it too.
+        monkeypatch.setattr(checkpoint, "STRIDE", stride)
+        got, (_, restores) = observe(
+            make_campaign(), REGIONS, tmp_path / f"s{stride}.jsonl", jobs=jobs
         )
-        assert checkpointed == baseline, f"stride={stride} diverged"
+        assert restores > 0, f"stride={stride} replayed nothing"
+        assert_same(got, want)

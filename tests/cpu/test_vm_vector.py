@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import SimSegfault
+from repro.cpu.isa import INSN_SIZE
+from repro.errors import SimIllegalInstruction, SimSegfault
+from repro.mpi.simulator import Job, JobConfig, JobStatus
+from repro.observability.runtime import activate
+from repro.observability.timeline import PropagationTimeline
 from tests.conftest import build_image
 
 
@@ -192,3 +196,54 @@ class TestCorruptedOperands:
         vm.call("main")  # must not raise: x87 masked semantics
         dst = image.data.view_f64(image.addr_of("dst"), 16)
         assert math.isinf(dst[0])
+
+
+#: ``vbin.add`` / ``vbins.mul`` as the fifth instruction of ``main``.
+UNDEFINED_SUBOP_KERNELS = {
+    "vbin": "movi esi, $a\nmovi edi, $b\nmovi ebx, $dst\nmovi ecx, 16\n"
+    "vbin.add ebx, esi, edi, ecx\nret",
+    "vbins": "movi esi, $a\nmovi ebx, $dst\nmovi ecx, 16\nfldimm 3\n"
+    "vbins.mul ebx, esi, ecx\nfpop\nret",
+}
+
+
+def undefined_subop_image(kernel, **kwargs):
+    """An image whose vector instruction carries sub-opcode 0xFF."""
+    image, vm = build_image(
+        {"main": UNDEFINED_SUBOP_KERNELS[kernel]},
+        data={"a": 128, "b": 128, "dst": 128},
+        **kwargs,
+    )
+    # Byte 3 of the instruction word is the sub-opcode.
+    image.text.write_u8(image.addr_of("main") + 4 * INSN_SIZE + 3, 0xFF)
+    return image, vm
+
+
+class UndefinedSubopApp:
+    name = "undefined-subop"
+
+    def build_process(self, rank, nprocs, config):
+        return undefined_subop_image("vbin", mpi_lib=True)
+
+    def main(self, ctx):
+        ctx.vm.call("main")
+        yield None
+
+
+class TestUndefinedSubop:
+    """A corrupted VBIN/VBINS sub-opcode is SIGILL: a simulated fault
+    the job classifies as a crash, never a harness exception."""
+
+    @pytest.mark.parametrize("kernel", sorted(UNDEFINED_SUBOP_KERNELS))
+    def test_interpreter_raises_sigill(self, kernel):
+        _, vm = undefined_subop_image(kernel)
+        vm.fastpath = False
+        with pytest.raises(SimIllegalInstruction, match="subop 255"):
+            vm.call("main")
+
+    def test_job_crashes_with_sigill(self):
+        timeline = PropagationTimeline()
+        with activate(timeline=timeline):
+            result = Job(UndefinedSubopApp(), JobConfig(nprocs=1)).run()
+        assert result.status is JobStatus.CRASHED
+        assert timeline.summary()["divergence_kind"] == "signal:SIGILL"

@@ -11,11 +11,7 @@ import pytest
 
 from repro.engine import budgets
 from repro.engine.core import ExecutionContext
-from repro.injection.campaign import (
-    BLOCK_BUDGET_FACTOR,
-    ROUND_BUDGET_FACTOR,
-    ReferenceProfile,
-)
+from repro.injection.campaign import ReferenceProfile
 from repro.mpi.simulator import JobConfig, JobResult, JobStatus
 
 
@@ -54,10 +50,6 @@ class TestFormula:
 
 
 class TestCallSites:
-    def test_campaign_aliases_are_the_engine_constants(self):
-        assert BLOCK_BUDGET_FACTOR == budgets.HANG_BLOCK_FACTOR
-        assert ROUND_BUDGET_FACTOR == budgets.HANG_ROUND_FACTOR
-
     def test_reference_profile_delegates(self):
         profile = ReferenceProfile(
             result=None,

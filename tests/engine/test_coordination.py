@@ -14,10 +14,12 @@ import json
 import pytest
 
 from repro.engine.coordination import (
+    WORK_SCHEMA_VERSION,
     CampaignCoordinator,
     CoordinatorService,
     LeaseBook,
     WorkerClient,
+    WorkerError,
     coordinator_url,
 )
 from repro.engine.trial import TrialResult
@@ -40,7 +42,7 @@ def small_campaign():
 @pytest.fixture(scope="module")
 def reference():
     """The local-run baseline: same campaign, ``jobs=2``, no store."""
-    return small_campaign().run(REGIONS, N, jobs=2, checkpoint_stride=None)
+    return small_campaign().run(REGIONS, N, jobs=2)
 
 
 class TestLeaseBook:
@@ -137,6 +139,7 @@ class TestCoordinatorProtocol:
     def test_manifest_carries_execution_identity(self):
         coordinator = self._coordinator()
         manifest = coordinator.manifest()
+        assert manifest["schema_version"] == WORK_SCHEMA_VERSION
         assert manifest["app"] == "wavetoy"
         assert manifest["nprocs"] == SMALL_NPROCS
         assert manifest["app_params"] == SMALL_WAVETOY
@@ -225,6 +228,21 @@ class TestCoordinatorProtocol:
         with pytest.raises(ValueError, match="stratified"):
             CampaignCoordinator(engine, REGIONS, N)
 
+    def test_stale_manifest_refused_before_engine_build(self, monkeypatch):
+        """A version-1 manifest still names execution modes that no
+        longer exist; the worker must refuse it, not guess."""
+        stale = dict(self._coordinator().manifest(), schema_version=1)
+        stale.update(fastpath=True, checkpoint_stride=16)
+        worker = WorkerClient("127.0.0.1:9")
+        monkeypatch.setattr(worker, "_get_json", lambda path: stale)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("engine built from a stale manifest")
+
+        monkeypatch.setattr(Campaign, "from_registry", no_build)
+        with pytest.raises(WorkerError, match="schema 1"):
+            worker.run()
+
     def test_coordinator_url_forms(self):
         assert coordinator_url("9200") == "http://127.0.0.1:9200"
         assert coordinator_url("0.0.0.0:81") == "http://0.0.0.0:81"
@@ -268,8 +286,7 @@ class TestDistributedEquivalence:
 
     def test_tallies_and_store_match_local_run(self, tmp_path, reference):
         local = small_campaign().run(
-            REGIONS, N, jobs=2, store=tmp_path / "local.jsonl",
-            checkpoint_stride=None,
+            REGIONS, N, jobs=2, store=tmp_path / "local.jsonl"
         )
         distributed, engine, workers = self._run_distributed(
             tmp_path, "dist.jsonl"
@@ -296,10 +313,7 @@ class TestDistributedEquivalence:
         assert sum(r["trials"] for r in payload["regions"]) == len(REGIONS) * N
 
     def test_resume_satisfies_everything_locally(self, tmp_path, reference):
-        small_campaign().run(
-            REGIONS, N, jobs=2, store=tmp_path / "full.jsonl",
-            checkpoint_stride=None,
-        )
+        small_campaign().run(REGIONS, N, jobs=2, store=tmp_path / "full.jsonl")
         engine = small_campaign().engine(
             telemetry=TelemetryHub(), store=tmp_path / "full.jsonl"
         )

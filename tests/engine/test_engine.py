@@ -10,9 +10,9 @@ import functools
 import pytest
 
 from repro.apps import WavetoyApp
-from repro.engine import ResultStore
+from repro.engine import ResultStore, driver
 from repro.engine.driver import observed_half_width
-from repro.engine.executors import ParallelExecutor
+from repro.engine.executors import ParallelExecutor, SerialExecutor
 from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
 from repro.mpi.simulator import JobConfig
@@ -186,6 +186,24 @@ class TestAdaptive:
     def test_invalid_target_rejected(self):
         with pytest.raises(ValueError):
             small_campaign().run_region(Region.MESSAGE, target_d=1.5)
+
+    def test_waves_do_not_scale_with_jobs(self, monkeypatch):
+        """The stopping check runs between waves, so a wave sized by the
+        worker count would move the stopping point and the tallies."""
+        serial = small_campaign(seed=20040607).run_region(
+            Region.MESSAGE, target_d=0.15
+        )
+
+        class EightWide(SerialExecutor):
+            jobs = 8
+
+        monkeypatch.setattr(driver, "make_executor", lambda ctx, jobs: EightWide(ctx))
+        wide = small_campaign(seed=20040607).run_region(
+            Region.MESSAGE, target_d=0.15
+        )
+        assert serial.executions % 16, "a stop at a multiple of 16 proves nothing"
+        assert wide.executions == serial.executions
+        assert wide.tally.counts == serial.tally.counts
 
     def test_half_width_properties(self):
         assert observed_half_width(0, 0) == float("inf")

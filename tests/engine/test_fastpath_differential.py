@@ -1,72 +1,104 @@
-"""PR 5-style differential gate for ``--fastpath`` (PR 8 acceptance).
+"""Differential gate for the one trial execution path.
 
-The translated engine must be *observationally invisible*: campaign
-tallies, stored trial records (manifestation, latency, injection
-instants), ``status --json`` payloads, and the engine's metric series
-are bit-identical with and without ``--fastpath``, serial and parallel,
-on every suite application.  Only throughput (and the fastpath-only
-counters) may differ."""
+Every campaign trial runs translated code (:mod:`repro.cpu.translate`)
+and replays the golden prefix (:mod:`repro.engine.checkpoint`).  Both
+must be observationally invisible.  The oracle is the interpreter
+(``VM.fastpath = False``) running every trial from block 0
+(``prepare_replay`` returning ``None``).  Against it, sorted store
+lines, ``status()`` rows, region tallies, metric series and
+error-latency histograms are bit-identical: serial and through the
+process pool (whose forked workers receive the recording pickled
+inside the context), on every suite application.
+:mod:`tests.checkpoint.test_differential` sweeps the replay stride
+against the same oracle.  Only throughput and the two engines' own
+counters (``repro_vm_fastpath_total``, ``repro_checkpoint_*``) may
+differ.
+"""
 
 import pytest
 
+from repro.cpu.vm import VM
+from repro.engine import checkpoint
 from repro.engine.store import ResultStore
 from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
 from repro.observability.metrics import MetricsRegistry, render_prometheus
 
-SEED = 20040607
 N = 4
-REGIONS = (Region.TEXT, Region.DATA, Region.REGULAR_REG)
 APPS = ("wavetoy", "moldyn", "climate")
+APP_REGIONS = (Region.TEXT, Region.DATA, Region.REGULAR_REG)
 
 
-def run_campaign(app, tmp_path, *, fastpath, jobs):
-    store_path = (
-        tmp_path / f"{app}-{'fp' if fastpath else 'interp'}-j{jobs}.jsonl"
-    )
+def registry_campaign(app):
+    return Campaign.from_registry(app, nprocs=2, seed=20040607)
+
+
+def observe(campaign, regions, store_path, *, jobs=1):
+    """One campaign run distilled to its externally visible fingerprint,
+    plus the work the two engines did: (translated instructions,
+    checkpoint restores)."""
     metrics = MetricsRegistry()
-    campaign = Campaign.from_registry(app, nprocs=2, seed=SEED)
     with ResultStore(store_path) as store:
-        result = campaign.run(
-            REGIONS,
-            N,
-            jobs=jobs,
-            store=store,
-            metrics=metrics,
-            fastpath=fastpath,
-        )
+        result = campaign.run(regions, N, jobs=jobs, store=store, metrics=metrics)
+    # Sorted, so pool completion order cannot matter.
     records = sorted(store_path.read_text().splitlines())
     status = [
         (s.app, s.region, s.trials, s.errors, s.manifestations, s.pruned)
         for s in ResultStore(store_path).status()
     ]
     tallies = {
-        region.value: (
-            row.tally.as_dict()
-            if hasattr(row.tally, "as_dict")
-            else vars(row.tally)
-        )
+        region.value: (dict(row.tally.counts), row.delivered)
         for region, row in result.regions.items()
     }
-    # Drop run-dependent series (per-worker pids) and the deliberately
-    # fastpath-only counters; everything else must match bit for bit -
-    # including the VM instruction/block totals, which pin the two
-    # engines to identical dynamic execution, not just identical
-    # verdicts.
-    series = "\n".join(
+    # Per-worker pids are run-dependent; the engines' own counters are
+    # the only series allowed to differ.  The VM instruction and block
+    # totals stay in: they pin identical dynamic execution, not just
+    # identical verdicts.
+    series = [
         line
         for line in render_prometheus(metrics).splitlines()
-        if "worker=" not in line and "fastpath" not in line
+        if not any(tag in line for tag in ("worker=", "fastpath", "checkpoint"))
+    ]
+    latency = {
+        labels: metrics.histogram_state("repro_error_latency_blocks", **dict(labels))
+        for labels in metrics.histograms_named("repro_error_latency_blocks")
+    }
+    work = (
+        metrics.counter_value("repro_vm_fastpath_total", kind="translated_insns"),
+        metrics.counter_value("repro_checkpoint_restore_total"),
     )
-    return records, status, tallies, series
+    return (records, status, tallies, series, latency), work
+
+
+def observe_oracle(campaign, regions, store_path, *, jobs=1):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(VM, "fastpath", False)
+        mp.setattr(checkpoint, "prepare_replay", lambda ctx, fault: None)
+        # A private recording cache: the default path must record its
+        # own golden run, not reuse one the interpreter made.
+        mp.setattr(checkpoint, "default_store", checkpoint.CheckpointStore)
+        fingerprint, work = observe(campaign, regions, store_path, jobs=jobs)
+    assert work == (0, 0), "the oracle must interpret every trial from block 0"
+    return fingerprint
+
+
+def assert_same(got, want):
+    records, status, tallies, series, latency = got
+    assert records == want[0], "stored trial records differ"
+    assert status == want[1], "status rows differ"
+    assert tallies == want[2], "region tallies differ"
+    assert series == want[3], "metric series differ"
+    assert latency == want[4], "error-latency histograms differ"
 
 
 @pytest.mark.parametrize("jobs", [1, 4])
 @pytest.mark.parametrize("app", APPS)
 def test_fastpath_is_observationally_invisible(app, jobs, tmp_path):
-    interp = run_campaign(app, tmp_path, fastpath=False, jobs=jobs)
-    fast = run_campaign(app, tmp_path, fastpath=True, jobs=jobs)
-    assert interp[0] == fast[0], "stored trial records differ"
-    assert interp[1] == fast[1], "status payloads differ"
-    assert interp[2] == fast[2], "region tallies differ"
-    assert interp[3] == fast[3], "metric series differ"
+    want = observe_oracle(
+        registry_campaign(app), APP_REGIONS, tmp_path / "oracle.jsonl", jobs=jobs
+    )
+    got, (translated, restores) = observe(
+        registry_campaign(app), APP_REGIONS, tmp_path / "default.jsonl", jobs=jobs
+    )
+    assert translated > 0 and restores > 0, "the default path must translate and replay"
+    assert_same(got, want)

@@ -66,9 +66,7 @@ def test_sigkilled_worker_batch_is_requeued_and_tallies_match(tmp_path):
     campaign = Campaign.from_registry(
         "wavetoy", nprocs=SMALL_NPROCS, app_params=SMALL_WAVETOY
     )
-    reference = campaign.run(
-        REGIONS, N, store=tmp_path / "serial.jsonl", checkpoint_stride=None
-    )
+    reference = campaign.run(REGIONS, N, store=tmp_path / "serial.jsonl")
 
     engine = Campaign.from_registry(
         "wavetoy", nprocs=SMALL_NPROCS, app_params=SMALL_WAVETOY

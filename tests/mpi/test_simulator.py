@@ -5,6 +5,12 @@ import pytest
 from repro.errors import AppAbort, SimSegfault
 from repro.mpi.datatypes import MPI_INT
 from repro.mpi.simulator import JobConfig, JobStatus
+from tests.conftest import (
+    SMALL_NPROCS,
+    small_climate,
+    small_moldyn,
+    small_wavetoy,
+)
 from tests.mpi._util import GenericApp, buf_addr, run_app
 from repro.mpi.simulator import Job
 
@@ -155,6 +161,39 @@ class TestConfig:
         job.pre_run_hooks.append(lambda j: calls.append(j))
         job.run()
         assert calls == [job]
+
+
+class TestSteppingApi:
+    """The golden recording drives the scheduler through ``Job.begin``
+    and ``Job.step_round``: ``begin`` returns ``None`` on a clean start
+    and ``step_round`` returns ``None`` until the job has a result."""
+
+    @pytest.mark.parametrize(
+        "make_app",
+        [small_climate, small_moldyn, small_wavetoy],
+        ids=["climate", "moldyn", "wavetoy"],
+    )
+    def test_stepping_api_matches_run(self, make_app):
+        """begin + step_round loop is exactly ``Job.run``."""
+
+        def fields(result):
+            return (
+                result.status,
+                result.detail,
+                result.stdout,
+                result.stderr,
+                result.outputs,
+                result.rounds,
+                result.blocks_per_rank,
+            )
+
+        job = Job(make_app(), JobConfig(nprocs=SMALL_NPROCS))
+        assert job.begin() is None
+        stepped = None
+        while stepped is None:
+            stepped = job.step_round()
+        plain = Job(make_app(), JobConfig(nprocs=SMALL_NPROCS)).run()
+        assert fields(stepped) == fields(plain)
 
 
 class TestMpiAbort:

@@ -1,10 +1,12 @@
 """Property tests for the checkpoint layer.
 
 The headline property: for every application and every fault region,
-``execute_trial`` with golden-prefix replay enabled is bit-identical to
-the plain interpreter run - same serialized ``TrialResult``, same
+``execute_trial`` on a context carrying the golden recording (replayed
+at :data:`~repro.engine.checkpoint.STRIDE`) is bit-identical to the
+same trial run from block 0 - same serialized ``TrialResult``, same
 injection record, same per-trial metrics (modulo the checkpoint's own
-counters, which exist only on the replay side).
+counters, which exist only on the replay side).  Every app replays at
+least one of its trials, so the property cannot hold vacuously.
 
 Plus unit properties of the switch-point arithmetic (natural switch
 round, stride quantization) on synthetic recordings, and the desync
@@ -24,11 +26,13 @@ from hypothesis import strategies as st
 
 from repro.apps import ClimateApp, MoldynApp, WavetoyApp
 from repro.engine.checkpoint import (
+    STRIDE,
     GoldenRecording,
     default_store,
     install_replay,
     natural_switch_round,
     plan_replay,
+    prepare_replay,
     quantize_switch_round,
 )
 from repro.engine.core import execute_trial
@@ -43,8 +47,6 @@ from tests.conftest import (
     SMALL_NPROCS,
     SMALL_WAVETOY,
 )
-
-STRIDE = 4
 
 APPS = {
     "wavetoy": (WavetoyApp, SMALL_WAVETOY),
@@ -64,8 +66,9 @@ def make_campaign(app_name):
     )
 
 
-#: (plain context, replaying context, spec per region), built once per
-#: app: the reference profile and golden recording dominate setup cost.
+#: (context without a recording, context carrying one, spec per
+#: region), built once per app: the reference profile and golden
+#: recording dominate setup cost.
 _CACHE: dict[str, tuple] = {}
 
 
@@ -78,23 +81,28 @@ def app_fixtures(app_name):
         plain.collect_metrics = True
         replay = campaign.execution_context()
         replay.collect_metrics = True
-        replay.checkpoint_stride = STRIDE
+        replay.checkpoint = default_store().get(replay)
         _CACHE[app_name] = (plain, replay, specs)
     return _CACHE[app_name]
 
 
 def normalized_metrics(snapshot):
     """Per-trial metrics minus the counters that legitimately differ:
-    the checkpoint's own restore/skip accounting."""
+    the checkpoint's own restore/skip accounting, and the translated
+    engine's work counts (a replayed prefix translates nothing)."""
 
     def keep(key):
-        return not key[0].startswith("repro_checkpoint_")
+        return not key[0].startswith(("repro_checkpoint_", "repro_vm_fastpath_"))
 
     return (
         {k: v for k, v in snapshot.counters.items() if keep(k)},
         {k: v for k, v in snapshot.gauges.items() if keep(k)},
         {k: v for k, v in snapshot.histograms.items() if keep(k)},
     )
+
+
+def restores(trial):
+    return trial.metrics.counters.get(("repro_checkpoint_restore_total", ()), 0)
 
 
 @pytest.mark.parametrize("region", list(Region), ids=lambda r: r.value)
@@ -109,6 +117,18 @@ def test_replayed_trial_bit_identical(app_name, region):
     assert got.delivered == want.delivered
     assert got.latency_blocks == want.latency_blocks
     assert normalized_metrics(got.metrics) == normalized_metrics(want.metrics)
+    replayed = prepare_replay(replay, spec.fault) is not None
+    assert restores(got) == int(replayed)
+    assert restores(want) == 0
+
+
+@pytest.mark.parametrize("app_name", sorted(APPS))
+def test_some_trial_replays(app_name):
+    """Guards the property above against passing vacuously."""
+    _, replay, specs = app_fixtures(app_name)
+    assert any(
+        prepare_replay(replay, spec.fault) is not None for spec in specs.values()
+    )
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +183,7 @@ class TestSwitchPointProperties:
 class TestNaturalSwitchOnRealRecording:
     def recording(self):
         _, replay, _ = app_fixtures("wavetoy")
-        return default_store().get(replay)
+        return replay.checkpoint
 
     def test_fault_at_time_zero_replays_nothing(self):
         rec = self.recording()
@@ -197,7 +217,7 @@ class TestNaturalSwitchOnRealRecording:
 class TestDesyncGuard:
     def test_tampered_recording_raises_not_classifies(self):
         _, replay, _ = app_fixtures("wavetoy")
-        rec = default_store().get(replay)
+        rec = replay.checkpoint
         calls = [list(per_rank) for per_rank in rec.calls]
         calls[0][0] = dataclasses.replace(calls[0][0], name="bogus_kernel")
         tampered = dataclasses.replace(
