@@ -25,10 +25,10 @@ Usage::
                                        # + an artifact run directory
     python -m repro serve --store out.jsonl --endpoint 9100
                                        # scrape a store without a campaign
-    python -m repro campaign serve-work --app wavetoy -n 200 \
-        --serve 9200 --store out.sqlite    # coordinate a distributed
-                                           # campaign: lease trial batches
-                                           # to workers over HTTP
+    python -m repro campaign run --app wavetoy -n 200 --distribute \
+        --serve 9200 --store out.sqlite    # distributed campaign: lease
+                                           # trial batches to workers
+                                           # over HTTP
     python -m repro campaign work 127.0.0.1:9200 --jobs 4
                                        # pull, execute, and submit leased
                                        # batches until the campaign is done
@@ -416,6 +416,21 @@ def _parse_params(text: str | None) -> dict:
     return params
 
 
+def _checked(cast, valid, expected: str):
+    """An argparse type: ``cast`` the text, then require ``valid``."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
 def cmd_campaign_run(args) -> int:
     from repro.engine.progress import format_progress
     from repro.harness.tables import render_campaign_table
@@ -425,6 +440,12 @@ def cmd_campaign_run(args) -> int:
 
     if args.resume and not args.store:
         print("--resume requires --store", file=sys.stderr)
+        return 2
+    if args.distribute and (not args.serve or args.jobs is not None or args.trace):
+        # Workers run the trials, so there is no local pool to size,
+        # and trace events do not cross the wire.
+        print("--distribute requires --serve and excludes --jobs and --trace",
+              file=sys.stderr)
         return 2
     try:
         campaign = Campaign.from_registry(
@@ -444,115 +465,149 @@ def cmd_campaign_run(args) -> int:
     metrics = MetricsRegistry() if want_metrics else None
     collector = TraceCollector() if args.trace else None
 
-    telemetry = server = None
+    telemetry = server = executor = None
     if args.serve:
         from repro.observability.serve import TelemetryHub, serve_endpoint
 
-        telemetry = TelemetryHub(registry=metrics)
+        telemetry = source = TelemetryHub(registry=metrics)
+        if args.distribute:
+            from repro.engine.coordination import (
+                CoordinatorService,
+                LeaseExecutor,
+            )
+
+            executor = LeaseExecutor()
+            source = CoordinatorService(campaign, executor, telemetry)
         try:
-            server = serve_endpoint(telemetry, args.serve)
+            server = serve_endpoint(source, args.serve)
         except ValueError as exc:
             print(exc, file=sys.stderr)
             return 2
-        print(f"serving telemetry at {server.url}", file=sys.stderr)
-
-    artifacts = None
-    if args.artifacts:
-        from repro.observability.artifacts import (
-            RunArtifacts,
-            reproduce_command,
+        print(
+            f"serving {'workers and ' if executor else ''}telemetry "
+            f"at {server.url}",
+            file=sys.stderr,
         )
 
-        context = campaign.execution_context()
-        artifacts = RunArtifacts(
-            args.artifacts,
-            {
-                "app": args.app,
-                "seed": args.seed,
-                "nprocs": args.nprocs,
-                "regions": [r.value for r in regions],
-                "n": args.n,
-                "target_d": args.target_d,
-                "jobs": args.jobs,
-                "params": _parse_params(args.params),
-                "execution": context.describe(),
-                "command": reproduce_command(getattr(args, "_argv", None)),
-            },
-        )
-
-    def progress(event):
-        print(format_progress(event), file=sys.stderr)
-
-    t0 = time.time()
     try:
-        result = campaign.run(
-            regions,
-            args.n,
-            jobs=args.jobs,
-            store=args.store,
-            resume=args.resume,
-            target_d=args.target_d,
-            log_interval=args.log_interval,
-            progress=progress if args.log_interval else None,
-            metrics=metrics,
-            trace=collector,
-            prune_masked=args.prune_masked,
-            stratify=args.stratify,
-            telemetry=telemetry,
-            artifacts=artifacts,
-        )
+        artifacts = None
+        if args.artifacts:
+            from repro.observability.artifacts import (
+                RunArtifacts,
+                reproduce_command,
+            )
+
+            context = campaign.execution_context()
+            artifacts = RunArtifacts(
+                args.artifacts,
+                {
+                    "app": args.app,
+                    "seed": args.seed,
+                    "nprocs": args.nprocs,
+                    "regions": [r.value for r in regions],
+                    "n": args.n,
+                    "target_d": args.target_d,
+                    "jobs": args.jobs,
+                    "params": _parse_params(args.params),
+                    "execution": context.describe(),
+                    "command": reproduce_command(getattr(args, "_argv", None)),
+                },
+            )
+
+        def progress(event):
+            print(format_progress(event), file=sys.stderr)
+
+        t0 = time.time()
+        try:
+            result = campaign.run(
+                regions,
+                args.n,
+                resume=args.resume,
+                target_d=args.target_d,
+                jobs=args.jobs,
+                store=args.store,
+                log_interval=args.log_interval,
+                progress=progress if args.log_interval else None,
+                metrics=metrics,
+                trace=collector,
+                prune_masked=args.prune_masked,
+                stratify=args.stratify,
+                telemetry=telemetry,
+                artifacts=artifacts,
+                executor=executor,
+            )
+        except KeyboardInterrupt:
+            if executor is None:
+                raise
+            print(
+                "interrupted; completed trials are in the store "
+                "(resume with --resume)",
+                file=sys.stderr,
+            )
+            return 1
         elapsed = time.time() - t0
         if artifacts is not None:
             artifacts.finalize(metrics)
             print(f"wrote artifacts: {args.artifacts}", file=sys.stderr)
+        if collector is not None:
+            collector.write(
+                args.trace, metadata={"app": args.app, "seed": args.seed}
+            )
+            print(f"wrote trace: {args.trace}", file=sys.stderr)
+        if args.metrics:
+            with open(args.metrics, "w") as fh:
+                fh.write(render_prometheus(metrics))
+            print(f"wrote metrics: {args.metrics}", file=sys.stderr)
+        print(
+            render_campaign_table(
+                result,
+                include_detection_columns=args.app != "wavetoy",
+                title=f"Fault Injection Results ({args.app})",
+            )
+        )
+        if args.stratify:
+            # The table above shows raw allocation counts; these are the
+            # importance-weighted (unbiased) estimates per region.
+            print("\nStratified estimates (importance-weighted):")
+            for region, row in result.regions.items():
+                est = row.stratified
+                if est is None:
+                    continue
+                strata = ", ".join(
+                    f"{c.name} W={est.weight(c):.2f} n={c.executed}"
+                    + (" (proven)" if c.known_zero else "")
+                    for c in est.cells
+                )
+                print(
+                    f"  {region.value}: error rate "
+                    f"{100 * est.error_rate:.1f}% +- "
+                    f"{100 * est.half_width:.1f}%, {est.executed} executed "
+                    f"(uniform Cochran would need {est.uniform_equivalent_n}); "
+                    f"{strata}"
+                )
+        resumed = sum(r.resumed for r in result.regions.values())
+        pruned = sum(r.pruned for r in result.regions.values())
+        where = (
+            f"over leased batches ({executor.book.requeues} requeued)"
+            if executor is not None
+            else f"with jobs={args.jobs or 1}"
+        )
+        print(
+            f"{result.total_injections()} injections "
+            f"({resumed} resumed from store, {pruned} statically pruned) "
+            f"in {elapsed:.1f}s {where}",
+            file=sys.stderr,
+        )
+        if executor is not None:
+            # Idle workers poll /lease between batches; keep answering
+            # "done" for a grace window so they exit cleanly.
+            from repro.engine.coordination import LINGER_SECONDS
+
+            time.sleep(LINGER_SECONDS)
+        return 0
     finally:
         if server is not None:
             server.stop()
-    if collector is not None:
-        collector.write(
-            args.trace, metadata={"app": args.app, "seed": args.seed}
-        )
-        print(f"wrote trace: {args.trace}", file=sys.stderr)
-    if args.metrics:
-        with open(args.metrics, "w") as fh:
-            fh.write(render_prometheus(metrics))
-        print(f"wrote metrics: {args.metrics}", file=sys.stderr)
-    print(
-        render_campaign_table(
-            result,
-            include_detection_columns=args.app != "wavetoy",
-            title=f"Fault Injection Results ({args.app})",
-        )
-    )
-    if args.stratify:
-        # The table above shows raw allocation counts; these are the
-        # importance-weighted (unbiased) estimates per region.
-        print("\nStratified estimates (importance-weighted):")
-        for region, row in result.regions.items():
-            est = row.stratified
-            if est is None:
-                continue
-            strata = ", ".join(
-                f"{c.name} W={est.weight(c):.2f} n={c.executed}"
-                + (" (proven)" if c.known_zero else "")
-                for c in est.cells
-            )
-            print(
-                f"  {region.value}: error rate "
-                f"{100 * est.error_rate:.1f}% +- "
-                f"{100 * est.half_width:.1f}%, {est.executed} executed "
-                f"(uniform Cochran would need {est.uniform_equivalent_n}); "
-                f"{strata}"
-            )
-    resumed = sum(r.resumed for r in result.regions.values())
-    pruned = sum(r.pruned for r in result.regions.values())
-    print(
-        f"{result.total_injections()} injections "
-        f"({resumed} resumed from store, {pruned} statically pruned) "
-        f"in {elapsed:.1f}s with jobs={args.jobs or 1}",
-        file=sys.stderr,
-    )
-    return 0
 
 
 def cmd_campaign_status(args) -> int:
@@ -581,93 +636,6 @@ def cmd_campaign_status(args) -> int:
             f"{s.pruned:>6} {s.error_rate_percent:>8.1f} "
             f"{s.achieved_d_percent:>6.1f}"
         )
-    return 0
-
-
-def cmd_campaign_serve_work(args) -> int:
-    """Coordinate a distributed campaign: plan every trial, serve leased
-    batches to ``campaign work`` workers over HTTP, fold submissions,
-    and print the same campaign table a local run would."""
-    from repro.engine.coordination import (
-        CampaignCoordinator,
-        CoordinatorService,
-    )
-    from repro.harness.tables import render_campaign_table
-    from repro.injection.campaign import Campaign
-    from repro.observability.serve import TelemetryHub, serve_endpoint
-
-    if args.resume and not args.store:
-        print("--resume requires --store", file=sys.stderr)
-        return 2
-    try:
-        campaign = Campaign.from_registry(
-            args.app,
-            nprocs=args.nprocs,
-            app_params=_parse_params(args.params),
-            seed=args.seed,
-        )
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    regions = _parse_regions(args.regions)
-    t0 = time.time()
-    with campaign.engine(
-        store=args.store,
-        prune_masked=args.prune_masked,
-        telemetry=TelemetryHub(),
-    ) as engine:
-        coordinator = CampaignCoordinator(
-            engine,
-            regions,
-            args.n,
-            batch_size=args.batch_size,
-            lease_timeout=args.lease_timeout,
-            resume=args.resume,
-        )
-        try:
-            server = serve_endpoint(CoordinatorService(coordinator), args.serve)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        print(
-            f"coordinating {coordinator.trials} trials "
-            f"({coordinator.book.pending} batches to lease) at {server.url} "
-            "(/manifest /lease /submit /work + /metrics /status /progress)",
-            file=sys.stderr,
-        )
-        try:
-            while not coordinator.done:
-                time.sleep(0.2)
-        except KeyboardInterrupt:
-            print(
-                "interrupted; completed trials are in the store "
-                "(resume with --resume)",
-                file=sys.stderr,
-            )
-            server.stop()
-            return 1
-        result = coordinator.finalize()
-        elapsed = time.time() - t0
-        # Idle workers poll /lease between batches; keep answering
-        # "done" for a grace window so they exit cleanly.
-        time.sleep(args.linger)
-        server.stop()
-    print(
-        render_campaign_table(
-            result,
-            include_detection_columns=args.app != "wavetoy",
-            title=f"Fault Injection Results ({args.app})",
-        )
-    )
-    resumed = sum(r.resumed for r in result.regions.values())
-    pruned = sum(r.pruned for r in result.regions.values())
-    print(
-        f"{result.total_injections()} injections "
-        f"({resumed} resumed from store, {pruned} statically pruned, "
-        f"{coordinator.book.requeues} batch(es) requeued) "
-        f"in {elapsed:.1f}s",
-        file=sys.stderr,
-    )
     return 0
 
 
@@ -1012,10 +980,13 @@ def main(argv: list[str] | None = None) -> int:
                       help="suite application: wavetoy, moldyn, climate")
     crun.add_argument("--regions", default="all",
                       help="comma-separated regions (default: all eight)")
-    crun.add_argument("-n", type=int, default=None,
+    crun.add_argument("-n", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
+                      default=None,
                       help="injections per region (default: plan / "
                       "REPRO_CAMPAIGN_N)")
-    crun.add_argument("--target-d", type=float, default=None, dest="target_d",
+    crun.add_argument("--target-d", dest="target_d", default=None,
+                      type=_checked(float, lambda d: 0 < d < 1,
+                                    "a half-width in (0, 1)"),
                       help="adaptive mode: dispatch batches until the "
                       "observed Cochran half-width d drops below this "
                       "(e.g. 0.05)")
@@ -1048,6 +1019,11 @@ def main(argv: list[str] | None = None) -> int:
                       "campaign runs: /metrics (Prometheus), /status "
                       "(per-region tallies), /progress (throughput, "
                       "ETA); bare ports bind 127.0.0.1")
+    crun.add_argument("--distribute", action="store_true",
+                      help="run the trials on 'campaign work' workers: "
+                      "the --serve endpoint also leases trial batches "
+                      "(/manifest /lease /submit /work); excludes --jobs "
+                      "and --trace")
     crun.add_argument("--artifacts", default=None, metavar="DIR",
                       help="write an artifact-grade run directory: "
                       "manifest.json, events.jsonl, metrics.jsonl, "
@@ -1082,58 +1058,14 @@ def main(argv: list[str] | None = None) -> int:
                         "the suffix: .sqlite/.sqlite3/.db = SQLite, "
                         "anything else = JSONL)")
     cmerge.set_defaults(fn=cmd_campaign_merge)
-    cserve = camp_sub.add_parser(
-        "serve-work",
-        help="coordinate a distributed campaign: serve leased trial "
-        "batches over HTTP and fold worker submissions",
-    )
-    cserve.add_argument("--app", required=True,
-                        help="suite application: wavetoy, moldyn, climate")
-    cserve.add_argument("--regions", default="all",
-                        help="comma-separated regions (default: all eight)")
-    cserve.add_argument("-n", type=int, default=None,
-                        help="injections per region (default: plan)")
-    cserve.add_argument("--serve", default="127.0.0.1:9200",
-                        metavar="[HOST:]PORT",
-                        help="bind address for /manifest /lease /submit "
-                        "/work plus the live telemetry endpoints "
-                        "(default 127.0.0.1:9200)")
-    cserve.add_argument("--store", default=None,
-                        help="result store, JSONL or SQLite by suffix; "
-                        "every submitted trial is appended")
-    cserve.add_argument("--resume", action="store_true",
-                        help="skip trials already present in --store")
-    cserve.add_argument("--seed", type=int, default=20040607,
-                        help="campaign seed (default 20040607)")
-    cserve.add_argument("--nprocs", type=int, default=8,
-                        help="simulated MPI ranks (default 8)")
-    cserve.add_argument("--params", default=None,
-                        help="application build parameters, k=v,k=v")
-    cserve.add_argument("--batch-size", type=int, default=8,
-                        dest="batch_size",
-                        help="trials per leased batch (default 8)")
-    cserve.add_argument("--lease-timeout", type=float, default=60.0,
-                        dest="lease_timeout", metavar="SECONDS",
-                        help="requeue a leased batch not submitted "
-                        "within this window (default 60)")
-    cserve.add_argument("--linger", type=float, default=3.0,
-                        metavar="SECONDS",
-                        help="keep answering idle workers' polls this "
-                        "long after completion (default 3)")
-    cserve.add_argument("--prune-masked", action="store_true",
-                        dest="prune_masked",
-                        help="tally provably-masked faults as correct "
-                        "on the coordinator; only unproven trials are "
-                        "leased out")
-    cserve.set_defaults(fn=cmd_campaign_serve_work)
     cwork = camp_sub.add_parser(
         "work",
         help="join a distributed campaign as a worker: lease, execute, "
         "submit until done",
     )
     cwork.add_argument("coordinator", metavar="[HOST:]PORT",
-                       help="the serve-work coordinator's endpoint "
-                       "(bare port = 127.0.0.1)")
+                       help="the --serve endpoint of a 'campaign run "
+                       "--distribute' (bare port = 127.0.0.1)")
     cwork.add_argument("--jobs", type=int, default=None,
                        help="local worker processes per batch (default: "
                        "REPRO_CAMPAIGN_JOBS or 1)")
@@ -1142,8 +1074,8 @@ def main(argv: list[str] | None = None) -> int:
                        "(default: host:pid)")
     cwork.add_argument("--poll-interval", type=float, default=0.5,
                        dest="poll_interval", metavar="SECONDS",
-                       help="wait between connection retries and idle "
-                       "polls (default 0.5)")
+                       help="wait between connection retries "
+                       "(default 0.5)")
     cwork.add_argument("--max-batches", type=int, default=None,
                        dest="max_batches",
                        help="exit after this many batches (default: "

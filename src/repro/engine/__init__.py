@@ -1,7 +1,7 @@
 """The campaign execution engine.
 
 One authority for single-trial execution (budgets, install, classify),
-pluggable serial/parallel executors, an append-only JSONL result store
+pluggable serial, process-pool and leased remote executors, result stores
 with resume/merge, adaptive Cochran-half-width sampling, and progress
 callbacks.  ``Campaign``, ``run_with_fault``, the experiment registry
 and the ``python -m repro campaign`` CLI all flow through this package.
@@ -24,9 +24,9 @@ from repro.engine.checkpoint import (
     record_golden,
 )
 from repro.engine.coordination import (
-    CampaignCoordinator,
     CoordinatorService,
     LeaseBook,
+    LeaseExecutor,
     WorkerClient,
 )
 from repro.engine.core import ExecutionContext, execute_trial, run_single
@@ -70,9 +70,9 @@ __all__ = [
     "ReplayPlan",
     "plan_replay",
     "record_golden",
-    "CampaignCoordinator",
     "CoordinatorService",
     "LeaseBook",
+    "LeaseExecutor",
     "WorkerClient",
     "ExecutionContext",
     "execute_trial",

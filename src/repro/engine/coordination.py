@@ -1,58 +1,55 @@
-"""Distributed campaign coordination: leased trial batches over HTTP.
+"""Distributed campaigns: leased trial batches over HTTP.
 
-The campaign engine already has everything a fleet needs *except* the
-transport: picklable :class:`~repro.engine.trial.TrialSpec`s, one
-deterministic ``execute_trial`` authority, content-hash-keyed stores,
-and an order-independent tally fold.  This module adds the coordination
-plane on top of the PR 9 telemetry HTTP stack:
+:class:`~repro.engine.driver.CampaignEngine` plans, resumes, prunes,
+runs adaptive and stratified waves, tallies and stores a campaign the
+same way whichever executor runs its trials.  This module supplies the
+executor whose trials run in other processes, on other machines:
 
 * :class:`LeaseBook` - the pure lease state machine.  Batches move
   ``pending -> leased(deadline) -> done``; a lease that outlives its
   deadline is requeued, so a dead or hung worker's batch is eventually
   re-served to a live one.  Time is injected explicitly, which makes
   the machine property-testable under arbitrary interleavings.
-* :class:`CampaignCoordinator` - plans every trial spec up front
-  (satisfying what it can from the store and the masking oracle, like a
-  local run), partitions the rest into batches, folds submitted results
-  idempotently by trial key, and finalizes per-region results in trial
-  index order - bit-identical to a local ``jobs=N`` run by the same
-  determinism argument that makes worker count irrelevant locally.
-* :class:`CoordinatorService` - the telemetry facade bound to a
-  :class:`~repro.observability.serve.TelemetryServer`: the PR 9 scrape
+* :class:`LeaseExecutor` - the engine's executor for a distributed
+  campaign.  Each dispatch the engine makes (a fixed-n region, an
+  adaptive wave, a stratum's share of a stratified wave) becomes
+  leased batches; results are yielded in submission order, as the
+  process pool yields them, so tallies are bit-identical to a local
+  ``jobs=N`` run.
+* :class:`CoordinatorService` - what ``campaign run --distribute``
+  serves through :mod:`repro.observability.serve`: the scrape
   endpoints (``/metrics`` ``/status`` ``/progress``) plus ``/manifest``
-  (GET, JSON), ``/work`` (GET, JSON lease accounting), ``/lease`` and
-  ``/submit`` (POST).
+  and ``/work`` (GET, JSON) and ``/lease`` and ``/submit`` (POST,
+  JSON).
 * :class:`WorkerClient` - ``campaign work COORD:PORT``: pulls a batch,
-  executes through the one ``execute_trial`` authority (flags inherited
-  from the coordinator's manifest), pushes results back as plain JSON.
+  executes it through the one ``execute_trial`` authority, pushes
+  results back.
 
-Wire-format trust is asymmetric by design: workers unpickle lease
-payloads from the coordinator they chose to connect to, but the
-coordinator never unpickles worker data - submissions are JSON, result
-keys are validated against the leased batch, and duplicate keys (a
-requeued batch delivered twice) are dropped, so a confused or duplicate
-worker cannot corrupt or double-count a tally.
+Both directions of the wire are plain JSON: a lease carries
+:meth:`~repro.engine.trial.TrialSpec.to_json` payloads, a submission
+:meth:`~repro.engine.trial.TrialResult.to_json` payloads.  Submitted
+keys are validated against the leased batch and duplicates (a requeued
+batch delivered twice) are dropped, so a confused or duplicate worker
+cannot corrupt or double-count a tally.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import socket
 import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from repro.engine.trial import TrialResult, TrialSpec
-from repro.injection.faults import Region
 
 #: Version stamped into the ``/manifest`` and ``/work`` payloads and
 #: checked by workers before executing anything.
-WORK_SCHEMA_VERSION = 2
+WORK_SCHEMA_VERSION = 3
 
 #: Default trials per leased batch.
 DEFAULT_BATCH_SIZE = 8
@@ -61,7 +58,15 @@ DEFAULT_BATCH_SIZE = 8
 #: this window is requeued for another worker.
 DEFAULT_LEASE_TIMEOUT = 60.0
 
-#: Seconds a worker waits between polls when no batch is pending.
+#: Seconds ``campaign run --distribute`` keeps serving after the
+#: campaign ends, so idle workers' polls are answered ``done``.
+LINGER_SECONDS = 3.0
+
+#: Longest a ``/lease`` request is held open waiting for a batch; the
+#: next adaptive or stratified wave usually arrives within it.
+LEASE_POLL = 1.0
+
+#: Seconds a worker waits between connection retries.
 DEFAULT_POLL_INTERVAL = 0.5
 
 #: Consecutive connection failures a worker tolerates (the coordinator
@@ -99,7 +104,7 @@ class LeaseBook:
       worker;
     * ``ack`` is idempotent and accepts late acknowledgements from
       presumed-dead workers (their results are valid by determinism;
-      the coordinator's key-dedup fold prevents double counting).
+      the executor's key-dedup fold prevents double counting).
     """
 
     def __init__(
@@ -115,6 +120,12 @@ class LeaseBook:
         self.requeues = 0
 
     # -- state transitions --------------------------------------------
+    def add(self, batch_id: int) -> None:
+        """Register a new pending batch (ids are never reused)."""
+        if batch_id in self._leases:
+            raise ValueError(f"batch {batch_id} already exists")
+        self._leases[batch_id] = _Lease()
+
     def expire(self, now: float) -> list[int]:
         """Requeue every lease whose deadline has passed; returns the
         requeued batch ids."""
@@ -208,149 +219,106 @@ class LeaseBook:
         }
 
 
-def _chunks(specs: Sequence[TrialSpec], size: int) -> list[list[TrialSpec]]:
-    return [list(specs[i : i + size]) for i in range(0, len(specs), size)]
+class LeaseExecutor:
+    """The engine's executor for a distributed campaign.
 
-
-class CampaignCoordinator:
-    """Partitions one campaign into leased batches and folds results.
-
-    Wraps a fully configured :class:`~repro.engine.driver.CampaignEngine`
-    (sampler, store, telemetry hub, prune oracle): the coordinator does
-    everything the local driver does except execute - trials proven
-    masked are tallied synthetically, stored trials are resumed, and
-    only the rest are served to workers.
-
-    The fold is idempotent by trial key, so requeued batches delivered
-    twice (once by the presumed-dead worker, once by its replacement)
-    count once; :meth:`finalize` rebuilds the per-region results in
-    trial index order, making every tally bit-identical to a local
-    ``jobs=N`` run over the same campaign.
+    :meth:`run` splits one dispatch into batches of ``batch_size``,
+    adds them to the :class:`LeaseBook` and returns an iterator that
+    waits for their submissions and yields results in submission
+    order, the order ``ParallelExecutor`` yields, so the engine's
+    ingest is the same as a local run's.  Nothing executes here: the
+    HTTP handlers of :class:`CoordinatorService` call
+    :meth:`lease_payload` and :meth:`submit` from their own threads,
+    and a condition variable hands results to the waiting engine.
     """
+
+    #: No local worker processes; trial records stay with the workers.
+    jobs = 0
 
     def __init__(
         self,
-        engine,
-        regions: Iterable[Region],
-        n: int | None = None,
         *,
         batch_size: int = DEFAULT_BATCH_SIZE,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-        resume: bool = False,
         clock=time.monotonic,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1: {batch_size}")
-        if engine.stratifier is not None:
-            raise ValueError(
-                "serve-work campaigns are fixed-n uniform; stratified "
-                "Neyman waves need complete-wave feedback and stay local"
-            )
-        self.engine = engine
+        self.batch_size = batch_size
         self.clock = clock
-        self.lock = threading.RLock()
+        self.book = LeaseBook((), lease_timeout)
+        self.cond = threading.Condition()
+        #: batch id -> ``{trial key: spec}`` in trial order.
+        self._batches: dict[int, dict[str, TrialSpec]] = {}
+        #: batch id -> keys not yet submitted.
+        self._missing: dict[int, set[str]] = {}
+        #: Submitted results the engine has not consumed yet.
         self._results: dict[str, TrialResult] = {}
-        self._specs_by_region: dict[Region, list[TrialSpec]] = {}
-        self._batches: dict[int, list[TrialSpec]] = {}
-        self._batch_keys: dict[int, frozenset[str]] = {}
+        self._closed = False
 
-        stored = engine._stored_results(resume)
-        for region in regions:
-            count = n if n is not None else engine.plan.n_for(region.value)
-            specs = [engine.make_spec(region, i) for i in range(count)]
-            self._specs_by_region[region] = specs
-            if engine.telemetry is not None:
-                engine.telemetry.note_region(
-                    engine.context.app, region.value, count
-                )
-            missing: list[TrialSpec] = []
-            for spec in specs:
-                hit = stored.get(spec.key)
-                if hit is not None:
-                    self._accept_local(hit, append=False)
-                    continue
-                if engine.prune is not None:
-                    verdict = engine.prune(spec.fault)
-                    if verdict.masked:
-                        self._accept_local(
-                            engine._pruned_result(spec, verdict.reason),
-                            append=True,
-                        )
-                        continue
-                missing.append(spec)
-            for chunk in _chunks(missing, batch_size):
+    def run(self, specs: Iterable[TrialSpec]) -> Iterator[TrialResult]:
+        specs = list(specs)
+        with self.cond:
+            for start in range(0, len(specs), self.batch_size):
                 bid = len(self._batches)
-                self._batches[bid] = chunk
-                self._batch_keys[bid] = frozenset(s.key for s in chunk)
-        self.book = LeaseBook(self._batches, lease_timeout)
+                chunk = specs[start : start + self.batch_size]
+                self._batches[bid] = {spec.key: spec for spec in chunk}
+                self._missing[bid] = set(self._batches[bid])
+                self.book.add(bid)
+            self.cond.notify_all()
+        return self._collect(specs)
 
-    # ------------------------------------------------------------------
-    # result fold (one key, one count - ever)
-    # ------------------------------------------------------------------
-    def _accept_local(self, result: TrialResult, *, append: bool) -> None:
-        """Fold a coordinator-side result (stored-resumed or pruned)."""
-        self._results[result.key] = result
-        if append and self.engine.store is not None:
-            self.engine.store.append(result)
-        with self.engine._sink_lock():
-            self.engine._observe(result)
-            if self.engine.telemetry is not None:
-                self.engine.telemetry.note_trial(result)
+    def _collect(self, specs: list[TrialSpec]) -> Iterator[TrialResult]:
+        for spec in specs:
+            with self.cond:
+                self.cond.wait_for(lambda: spec.key in self._results)
+                result = self._results.pop(spec.key)
+            yield result
 
-    @property
-    def trials(self) -> int:
-        return sum(len(s) for s in self._specs_by_region.values())
+    def close(self) -> None:
+        """End the campaign: from now on every ``/lease`` gets ``done``."""
+        with self.cond:
+            self._closed = True
+            self.cond.notify_all()
 
-    @property
-    def done(self) -> bool:
-        return self.book.all_done
-
-    # ------------------------------------------------------------------
-    # protocol payloads
-    # ------------------------------------------------------------------
-    def manifest(self) -> dict:
-        """Everything a worker needs to rebuild the one execution
-        authority this campaign runs under."""
-        ctx = self.engine.context
-        return {
-            "schema_version": WORK_SCHEMA_VERSION,
-            "app": ctx.app,
-            "nprocs": ctx.config.nprocs,
-            "app_params": dict(self.engine.app_params),
-            "seed": self.engine.seed,
-            "config_seed": ctx.config.seed,
-            "regions": [r.value for r in self._specs_by_region],
-            "trials": self.trials,
-            "batches": len(self._batches),
-            "lease_timeout": self.book.lease_timeout,
-        }
-
+    # -- protocol payloads --------------------------------------------
     def lease_payload(self, worker: str) -> dict:
-        """One worker's next unit of work: a batch grant, a wait hint,
-        or the done signal."""
-        with self.lock:
-            bid = self.book.lease(worker, self.clock())
-            if bid is None:
-                if self.book.all_done:
-                    return {"done": True}
-                return {"wait": min(self.book.lease_timeout / 2, 2.0)}
-            return {
-                "batch": bid,
-                "attempt": self.book._leases[bid].grants,
-                "specs": self._batches[bid],
-            }
+        """One worker's next unit of work: a batch grant, ``wait``
+        (nothing leasable: the engine is between waves or every batch
+        is out) or ``done``.  The request is held up to
+        :data:`LEASE_POLL` seconds for a batch to arrive."""
+        deadline = time.monotonic() + LEASE_POLL
+        with self.cond:
+            while not self._closed:
+                bid = self.book.lease(worker, self.clock())
+                if bid is not None:
+                    return {
+                        "batch": bid,
+                        "attempt": self.book._leases[bid].grants,
+                        "specs": [
+                            spec.to_json()
+                            for spec in self._batches[bid].values()
+                        ],
+                    }
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return {"wait": 0.0}
+                self.cond.wait(remaining)
+            return {"done": True}
 
     def submit(self, worker: str, batch_id: int, payloads: list[dict]) -> dict:
-        """Fold one batch's submitted results; idempotent per key.
+        """Accept one batch's results; idempotent per key.
 
-        Results are accepted only for keys belonging to the named
-        batch; the batch is acknowledged once every one of its keys has
-        been folded (by this submission or an earlier duplicate).
+        A result counts only for a key of the named batch whose region
+        and index match the leased spec, and only once; the batch is
+        acknowledged when all its keys have arrived (in this submission
+        or earlier ones).
         """
-        with self.lock:
-            keys = self._batch_keys.get(batch_id)
-            if keys is None:
+        with self.cond:
+            batch = self._batches.get(batch_id)
+            if batch is None:
                 return {"error": f"unknown batch {batch_id}", "accepted": 0}
+            missing = self._missing[batch_id]
             accepted = duplicate = rejected = 0
             for obj in payloads:
                 try:
@@ -358,93 +326,61 @@ class CampaignCoordinator:
                 except (KeyError, ValueError, TypeError, AttributeError):
                     rejected += 1
                     continue
-                if result.key not in keys:
+                if result.key not in batch:
                     rejected += 1
-                    continue
-                if result.key in self._results:
+                elif result.key not in missing:
                     duplicate += 1
-                    continue
-                # Rehydration marks results resumed; these were freshly
-                # executed, just remotely.
-                result.resumed = False
-                self._results[result.key] = result
-                if self.engine.store is not None:
-                    self.engine.store.append(result)
-                with self.engine._sink_lock():
-                    self.engine._observe(result)
-                    if self.engine.telemetry is not None:
-                        self.engine.telemetry.note_trial(result)
-                accepted += 1
-            if keys <= self._results.keys():
+                elif (result.region, result.index) != (
+                    batch[result.key].region,
+                    batch[result.key].index,
+                ):
+                    rejected += 1
+                else:
+                    # Rehydration marks results resumed; these were
+                    # freshly executed, just remotely.
+                    result.resumed = False
+                    missing.discard(result.key)
+                    self._results[result.key] = result
+                    accepted += 1
+            if not missing:
                 self.book.ack(batch_id, self.clock())
+            self.cond.notify_all()
             return {
                 "worker": worker,
                 "accepted": accepted,
                 "duplicate": duplicate,
                 "rejected": rejected,
-                "done": self.book.all_done,
+                "done": self._closed,
             }
 
-    # ------------------------------------------------------------------
-    # completion
-    # ------------------------------------------------------------------
-    def wait(self, poll_interval: float = 0.2, timeout: float | None = None) -> bool:
-        """Block until every batch is done; returns False on timeout."""
-        deadline = None if timeout is None else self.clock() + timeout
-        while not self.done:
-            if deadline is not None and self.clock() >= deadline:
-                return False
-            time.sleep(poll_interval)
-        return True
+    def snapshot(self) -> dict:
+        """The ``/work`` payload: lease-book accounting."""
+        with self.cond:
+            payload = self.book.snapshot(self.clock())
+        payload["schema_version"] = WORK_SCHEMA_VERSION
+        return payload
 
-    def finalize(self):
-        """Fold the complete result set into a
-        :class:`~repro.injection.campaign.CampaignResult`.
 
-        Ingests per region in trial index order - a fixed order chosen
-        once, independent of which worker produced which result and
-        when - so the tallies are bit-identical to a local run's.
-        """
-        from repro.injection.campaign import CampaignResult, RegionResult
-
-        if not self.done:
-            raise RuntimeError(
-                f"campaign incomplete: {self.book.pending} pending, "
-                f"{self.book.leased} leased of {len(self._batches)} batches"
-            )
-        ctx = self.engine.context
-        campaign_result = CampaignResult(
-            app_name=ctx.app, nprocs=ctx.config.nprocs, seed=self.engine.seed
-        )
-        for region, specs in self._specs_by_region.items():
-            row = RegionResult(region)
-            for spec in specs:
-                result = self._results[spec.key]
-                row.tally.add(result.manifestation)
-                row.delivered += int(result.delivered)
-                if result.resumed:
-                    row.resumed += 1
-                elif result.detail.startswith("pruned:"):
-                    row.pruned += 1
-            campaign_result.regions[region] = row
-        return campaign_result
+def _json_body(payload: dict) -> tuple[bytes, str]:
+    body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return body.encode(), "application/json"
 
 
 class CoordinatorService:
-    """The telemetry source a coordinator binds to its HTTP server.
+    """The telemetry source ``campaign run --distribute`` serves.
 
-    Scrape endpoints delegate to the engine's
-    :class:`~repro.observability.serve.TelemetryHub` (which the
-    coordinator's fold feeds, so ``/status`` totals track submissions
-    live); the coordination routes are served via the handler's
-    ``handle_get``/``handle_post`` extension points.
+    Scrape endpoints delegate to the campaign's
+    :class:`~repro.observability.serve.TelemetryHub`, which the engine
+    feeds as results arrive; the coordination routes are served via
+    the handler's ``handle_get``/``handle_post`` extension points.
+    ``/manifest`` needs only the
+    :class:`~repro.injection.campaign.Campaign`, so the service can
+    serve before the engine exists: early workers are told to wait.
     """
 
-    def __init__(self, coordinator: CampaignCoordinator) -> None:
-        hub = coordinator.engine.telemetry
-        if hub is None:
-            raise ValueError("CoordinatorService needs an engine telemetry hub")
-        self.coordinator = coordinator
+    def __init__(self, campaign, executor: LeaseExecutor, hub) -> None:
+        self.campaign = campaign
+        self.executor = executor
         self.hub = hub
 
     # -- scrape endpoints (delegated) ---------------------------------
@@ -458,40 +394,37 @@ class CoordinatorService:
         return self.hub.progress_payload()
 
     # -- coordination routes ------------------------------------------
+    def manifest(self) -> dict:
+        """Everything a worker needs to rebuild the one execution
+        authority this campaign runs under."""
+        campaign = self.campaign
+        return {
+            "schema_version": WORK_SCHEMA_VERSION,
+            "app": campaign.app_name,
+            "nprocs": campaign.config.nprocs,
+            "app_params": dict(campaign.app_params),
+            "seed": campaign.seed,
+            "config_seed": campaign.config.seed,
+            "lease_timeout": self.executor.book.lease_timeout,
+        }
+
     def handle_get(self, path: str):
         if path == "/manifest":
-            body = json.dumps(
-                self.coordinator.manifest(), indent=2, sort_keys=True
-            )
-            return (body + "\n").encode(), "application/json"
+            return _json_body(self.manifest())
         if path == "/work":
-            with self.coordinator.lock:
-                payload = self.coordinator.book.snapshot(
-                    self.coordinator.clock()
-                )
-            payload["schema_version"] = WORK_SCHEMA_VERSION
-            body = json.dumps(payload, indent=2, sort_keys=True)
-            return (body + "\n").encode(), "application/json"
+            return _json_body(self.executor.snapshot())
         return None
 
     def handle_post(self, path: str, body: bytes):
+        if path not in ("/lease", "/submit"):
+            return None
+        obj = json.loads(body.decode() or "{}")
+        worker = str(obj.get("worker", "anonymous"))
         if path == "/lease":
-            obj = json.loads(body.decode() or "{}")
-            payload = self.coordinator.lease_payload(
-                str(obj.get("worker", "anonymous"))
-            )
-            return pickle.dumps(payload), "application/octet-stream"
-        if path == "/submit":
-            obj = json.loads(body.decode())
-            payload = self.coordinator.submit(
-                str(obj.get("worker", "anonymous")),
-                int(obj["batch"]),
-                obj.get("results", []),
-            )
-            return (
-                json.dumps(payload, sort_keys=True) + "\n"
-            ).encode(), "application/json"
-        return None
+            return _json_body(self.executor.lease_payload(worker))
+        return _json_body(
+            self.executor.submit(worker, int(obj["batch"]), obj.get("results", []))
+        )
 
 
 class WorkerError(RuntimeError):
@@ -622,12 +555,28 @@ class WorkerClient:
                     f"manifest-built context (app/nprocs/seed drift)"
                 )
 
+    def _lease(self) -> tuple[dict, list[TrialSpec]] | None:
+        """The next grant with its parsed specs, or ``None`` when the
+        coordinator is unreachable."""
+        try:
+            body = self._request(
+                "/lease", json.dumps({"worker": self.name}).encode(), retries=6
+            )
+        except WorkerError:
+            return None
+        try:
+            grant = json.loads(body.decode())
+            specs = [TrialSpec.from_json(obj) for obj in grant.get("specs", ())]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise WorkerError(
+                f"malformed lease grant from {self.url}: {exc!r}"
+            ) from exc
+        return grant, specs
+
     def run(self) -> WorkerStats:
         manifest = self._get_json("/manifest")
         self.log(
-            f"worker {self.name}: joined {manifest['app']} campaign at "
-            f"{self.url} ({manifest['trials']} trials, "
-            f"{manifest['batches']} batches)"
+            f"worker {self.name}: joined {manifest['app']} campaign at {self.url}"
         )
         with self._build_engine(manifest) as engine:
             while True:
@@ -636,15 +585,8 @@ class WorkerClient:
                     and self.stats.batches >= self.max_batches
                 ):
                     return self.stats
-                try:
-                    grant = pickle.loads(
-                        self._request(
-                            "/lease",
-                            json.dumps({"worker": self.name}).encode(),
-                            retries=6,
-                        )
-                    )
-                except WorkerError:
+                leased = self._lease()
+                if leased is None:
                     # Unreachable while holding no work: the campaign
                     # finished (the coordinator stopped serving after
                     # its linger window) or died - either way nothing
@@ -653,13 +595,13 @@ class WorkerClient:
                         f"worker {self.name}: coordinator gone; exiting"
                     )
                     return self.stats
+                grant, specs = leased
                 if grant.get("done"):
                     self.log(f"worker {self.name}: campaign complete")
                     return self.stats
                 if "batch" not in grant:
                     time.sleep(float(grant.get("wait", self.poll_interval)))
                     continue
-                specs = grant["specs"]
                 self._check_specs(engine, specs)
                 if self.hold_seconds:
                     time.sleep(self.hold_seconds)
@@ -679,8 +621,6 @@ class WorkerClient:
                     f"{reply.get('duplicate', 0)} duplicate"
                 )
                 if reply.get("done"):
-                    # Exit on the submit acknowledgement rather than an
-                    # extra lease round: the coordinator may stop
-                    # serving shortly after the campaign completes.
+                    # A late submission after the campaign closed.
                     self.log(f"worker {self.name}: campaign complete")
                     return self.stats

@@ -5,8 +5,10 @@ and "a filled-in :class:`~repro.injection.campaign.RegionResult`":
 
 * trial specs are sampled in the parent (one deterministic RNG stream
   per ``(campaign seed, region, index)``) and executed through a
-  pluggable executor - serial, or a process pool with ``jobs`` workers -
-  with bit-identical results either way;
+  pluggable executor - serial, a process pool with ``jobs`` workers, or
+  leased batches on remote workers
+  (:class:`~repro.engine.coordination.LeaseExecutor`) - with
+  bit-identical results whichever runs them;
 * an optional append-only :class:`~repro.engine.store.ResultStore`
   records every finished trial, enabling ``resume`` of interrupted or
   extended campaigns (only missing trials execute);
@@ -161,6 +163,11 @@ class CampaignEngine:
         ``events.jsonl``, with periodic metrics snapshots flushed to
         ``metrics.jsonl``.  The caller finalizes the directory after
         the campaign returns.
+    executor:
+        A prebuilt executor used instead of ``make_executor(context,
+        jobs)``, e.g. a :class:`~repro.engine.coordination.LeaseExecutor`
+        for a distributed campaign.  No golden run is recorded for it:
+        the engine executes nothing itself.
     """
 
     def __init__(
@@ -181,6 +188,7 @@ class CampaignEngine:
         stratifier: Callable[[FaultSpec], str] | None = None,
         telemetry=None,
         artifacts=None,
+        executor=None,
     ) -> None:
         self.context = context
         self.sampler = sampler
@@ -214,7 +222,7 @@ class CampaignEngine:
         self.emitter = ProgressEmitter(
             callback=progress, log_interval=log_interval, metrics=metrics
         )
-        self._executor = None
+        self._executor = executor
         self._stored: dict[str, TrialResult] | None = None
 
     @property
@@ -230,10 +238,11 @@ class CampaignEngine:
     # lifecycle
     # ------------------------------------------------------------------
     def executor(self):
-        """The trial executor, built on first use.  The golden run is
-        recorded here (see :mod:`repro.engine.checkpoint`), *before* the
-        executor pickles the context: serial trials and every fork
-        worker then replay the same recording's prefix."""
+        """The trial executor: the prebuilt one, or a local one built on
+        first use.  For a local executor the golden run is recorded here
+        (see :mod:`repro.engine.checkpoint`), *before* the executor
+        pickles the context: serial trials and every fork worker then
+        replay the same recording's prefix."""
         if self._executor is None:
             context = self.context
             if context.checkpoint is None:
@@ -344,14 +353,7 @@ class CampaignEngine:
                 state.pending_records.append(
                     (spec.index, (spec.fault, result.record, result.manifestation))
                 )
-        with self._sink_lock():
-            self._observe(result)
-            if self.telemetry is not None:
-                self.telemetry.note_trial(result)
-            if self.artifacts is not None:
-                self.artifacts.note_trial(result)
-                if self.metrics is not None and self.artifacts.metrics_flush_due():
-                    self.artifacts.flush_metrics(self.metrics.snapshot())
+        self._observe(result)
         due = self.emitter.note_trial(self.context.app, row.region.value)
         # When log_interval divides the planned count, the last trial's
         # periodic event would duplicate the region-final event emitted
@@ -361,7 +363,8 @@ class CampaignEngine:
             self._emit(state, planned, target_d, alpha, final=False)
 
     def _observe(self, result: TrialResult) -> None:
-        """Fold one trial's observability payload into the driver sinks.
+        """Fold one trial into every sink: metrics, trace, telemetry and
+        artifacts (with their periodic metrics flush).
 
         Counters/histograms are sums over the trial set, so the merged
         registry is identical regardless of worker count or completion
@@ -369,30 +372,37 @@ class CampaignEngine:
         resumed trials contribute exactly like fresh ones.
         """
         registry = self.metrics
-        if registry is not None:
-            registry.counter(
-                "repro_trial_outcomes_total",
-                manifestation=result.manifestation.value,
-            ).inc()
-            if result.detail.startswith("pruned:"):
+        with self._sink_lock():
+            if registry is not None:
                 registry.counter(
-                    "repro_trials_pruned_total",
-                    region=result.region.value,
-                    reason=result.detail.split(":", 1)[1],
+                    "repro_trial_outcomes_total",
+                    manifestation=result.manifestation.value,
                 ).inc()
-            if result.latency_blocks is not None:
-                registry.histogram(
-                    "repro_error_latency_blocks", region=result.region.value
-                ).observe(result.latency_blocks)
-            if result.metrics is not None:
-                registry.merge(result.metrics)
-        if self.trace is not None and result.trace_events is not None:
-            self.trace.add_trial(
-                result.region.value,
-                result.index,
-                f"{result.app} {result.region.value}#{result.index}",
-                result.trace_events,
-            )
+                if result.detail.startswith("pruned:"):
+                    registry.counter(
+                        "repro_trials_pruned_total",
+                        region=result.region.value,
+                        reason=result.detail.split(":", 1)[1],
+                    ).inc()
+                if result.latency_blocks is not None:
+                    registry.histogram(
+                        "repro_error_latency_blocks", region=result.region.value
+                    ).observe(result.latency_blocks)
+                if result.metrics is not None:
+                    registry.merge(result.metrics)
+            if self.trace is not None and result.trace_events is not None:
+                self.trace.add_trial(
+                    result.region.value,
+                    result.index,
+                    f"{result.app} {result.region.value}#{result.index}",
+                    result.trace_events,
+                )
+            if self.telemetry is not None:
+                self.telemetry.note_trial(result)
+            if self.artifacts is not None:
+                self.artifacts.note_trial(result)
+                if registry is not None and self.artifacts.metrics_flush_due():
+                    self.artifacts.flush_metrics(registry.snapshot())
 
     def _pruned_result(self, spec: TrialSpec, reason: str) -> TrialResult:
         """The synthetic outcome of a statically-proven-masked trial.
@@ -493,12 +503,7 @@ class CampaignEngine:
         CLI uses this to trace a single chosen trial."""
         out = []
         for result in self.executor().run(specs):
-            with self._sink_lock():
-                self._observe(result)
-                if self.telemetry is not None:
-                    self.telemetry.note_trial(result)
-                if self.artifacts is not None:
-                    self.artifacts.note_trial(result)
+            self._observe(result)
             if self.store is not None and not result.resumed:
                 self.store.append(result)
             out.append(result)

@@ -1,4 +1,5 @@
-"""Trial descriptions: the picklable unit of campaign work.
+"""Trial descriptions: the unit of campaign work, pickled to the
+process pool and sent as JSON to distributed workers.
 
 A :class:`TrialSpec` carries everything a worker process needs to
 execute one injection experiment deterministically: the application
@@ -18,12 +19,12 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 import numpy as np
 
-from repro.injection.faults import FaultSpec, InjectionRecord, Region
+from repro.injection.faults import FaultSpec, InjectionRecord, Persistence, Region
 from repro.injection.outcomes import Manifestation
 from repro.observability.metrics import MetricsSnapshot
 
@@ -111,6 +112,28 @@ class TrialSpec:
             self.region,
             self.index,
         )
+
+    def to_json(self) -> dict:
+        """The lease wire format: JSON-ready (the regions are ``str``
+        enums and the PCG64 state in ``rng_state`` is plain ints)."""
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["fault"] = asdict(self.fault)
+        return obj
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "TrialSpec":
+        """Inverse of :meth:`to_json` after a JSON round trip; raises
+        ``KeyError``, ``ValueError`` or ``TypeError`` on a malformed
+        payload."""
+        fault = dict(obj["fault"])
+        fault["region"] = Region(fault["region"])
+        fault["persistence"] = Persistence(fault["persistence"])
+        return cls(**{
+            **obj,
+            "app_params": tuple(tuple(pair) for pair in obj["app_params"]),
+            "region": Region(obj["region"]),
+            "fault": FaultSpec(**fault),
+        })
 
 
 @dataclass

@@ -342,6 +342,7 @@ class Campaign:
         stratify: bool = False,
         telemetry=None,
         artifacts=None,
+        executor=None,
     ):
         """Build a :class:`~repro.engine.driver.CampaignEngine` bound to
         this campaign's sampler, reference profile, and plan."""
@@ -367,6 +368,7 @@ class Campaign:
             stratifier=stratifier,
             telemetry=telemetry,
             artifacts=artifacts,
+            executor=executor,
         )
 
     # ------------------------------------------------------------------
@@ -387,41 +389,22 @@ class Campaign:
         region: Region,
         n: int | None = None,
         *,
-        jobs: int | None = 1,
-        store=None,
-        resume: bool = False,
         target_d: float | None = None,
         batch: int | None = None,
         max_n: int | None = None,
+        resume: bool = False,
         keep_records: bool | None = None,
-        progress=None,
-        log_interval: int = 0,
-        metrics=None,
-        trace=None,
-        prune_masked: bool = False,
-        stratify: bool = False,
-        telemetry=None,
-        artifacts=None,
+        **engine_options,
     ) -> RegionResult:
         """Run one region through the campaign engine.
 
         Serial fixed-n calls (the default) behave exactly as the
-        historical for-loop driver, records included; ``jobs``,
-        ``store``/``resume``, and adaptive ``target_d`` switch on the
-        engine's parallel, resumable, and adaptive modes.
+        historical for-loop driver, records included; adaptive
+        ``target_d`` and ``resume`` are run options, everything else
+        (``jobs``, ``store``, sinks, ``executor``...) goes to
+        :meth:`engine`.
         """
-        with self.engine(
-            jobs=jobs,
-            store=store,
-            progress=progress,
-            log_interval=log_interval,
-            metrics=metrics,
-            trace=trace,
-            prune_masked=prune_masked,
-            stratify=stratify,
-            telemetry=telemetry,
-            artifacts=artifacts,
-        ) as eng:
+        with self.engine(**engine_options) as eng:
             return eng.run_region(
                 region,
                 n,
@@ -437,34 +420,15 @@ class Campaign:
         regions: tuple[Region, ...] = tuple(Region),
         n: int | None = None,
         *,
-        jobs: int | None = 1,
-        store=None,
-        resume: bool = False,
         target_d: float | None = None,
         batch: int | None = None,
         max_n: int | None = None,
+        resume: bool = False,
         keep_records: bool | None = None,
-        progress=None,
-        log_interval: int = 0,
-        metrics=None,
-        trace=None,
-        prune_masked: bool = False,
-        stratify: bool = False,
-        telemetry=None,
-        artifacts=None,
+        **engine_options,
     ) -> CampaignResult:
-        with self.engine(
-            jobs=jobs,
-            store=store,
-            progress=progress,
-            log_interval=log_interval,
-            metrics=metrics,
-            trace=trace,
-            prune_masked=prune_masked,
-            stratify=stratify,
-            telemetry=telemetry,
-            artifacts=artifacts,
-        ) as eng:
+        """Run a set of regions; options as for :meth:`run_region`."""
+        with self.engine(**engine_options) as eng:
             return eng.run(
                 regions,
                 n,

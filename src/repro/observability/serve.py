@@ -69,8 +69,9 @@ def serve_endpoint(
     """Parse ``[HOST:]PORT``, bind a :class:`TelemetryServer` to it and
     start serving.
 
-    The one parse-and-bind home shared by ``campaign run --serve``,
-    ``campaign serve-work`` and ``python -m repro serve``; raises
+    The one parse-and-bind home shared by ``campaign run --serve``
+    (telemetry, plus leases under ``--distribute``) and
+    ``python -m repro serve``; raises
     :class:`ValueError` for a malformed endpoint (the CLIs report it
     and exit 2) and lets :class:`OSError` from a busy port propagate.
     """
@@ -240,8 +241,8 @@ class _Handler(BaseHTTPRequestHandler):
     extra routes by defining ``handle_get(path) -> (body, ctype) |
     None`` and/or ``handle_post(path, body) -> (body, ctype) | None``
     (``None`` = not my route -> 404).  The distributed coordinator
-    serves ``/manifest``, ``/lease`` and ``/submit`` this way while
-    inheriting the scrape endpoints unchanged.
+    serves ``/manifest``, ``/work``, ``/lease`` and ``/submit`` this way
+    while inheriting the scrape endpoints unchanged.
     """
 
     telemetry: TelemetryHub | StoreTelemetry

@@ -1,28 +1,37 @@
-"""The distributed coordination layer: lease bookkeeping, the
-coordinator's fold, and end-to-end worker equivalence.
+"""Distributed campaigns: lease bookkeeping, the lease protocol, and
+end-to-end equivalence with a local run.
 
-The load-bearing claim mirrors the executor suite's: a campaign run by
-a coordinator and any number of workers produces region tallies (and a
-store) bit-identical to the same campaign run locally.  The LeaseBook
-units pin the state machine with an explicit clock; the integration
-test runs a real coordinator HTTP service against two in-process
-workers and compares against a local ``jobs=2`` run.
+The load-bearing claim mirrors the executor suite's: a campaign whose
+trials run on HTTP workers produces region results (and a store)
+bit-identical to the same campaign run locally, for every sampling
+design.  The LeaseBook units pin the state machine with an explicit
+clock; the protocol units drive a :class:`LeaseExecutor` directly; the
+equivalence tests run the engine on a thread behind a real coordinator
+service and execute its leases with in-process workers.
 """
 
+import itertools
 import json
+import sys
+import threading
+import time
+import urllib.request
+from contextlib import nullcontext
 
 import pytest
 
+from repro.engine import coordination
 from repro.engine.coordination import (
     WORK_SCHEMA_VERSION,
-    CampaignCoordinator,
     CoordinatorService,
     LeaseBook,
+    LeaseExecutor,
     WorkerClient,
     WorkerError,
     coordinator_url,
 )
-from repro.engine.trial import TrialResult
+from repro.engine.store import merge_stores
+from repro.engine.trial import TrialResult, TrialSpec
 from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
 from repro.injection.outcomes import Manifestation
@@ -39,10 +48,38 @@ def small_campaign():
     )
 
 
+def correct(spec):
+    """A synthetic submission for ``spec`` (nothing executes)."""
+    return TrialResult(
+        key=spec.key,
+        app=spec.app,
+        region=spec.region,
+        index=spec.index,
+        manifestation=Manifestation.CORRECT,
+        delivered=True,
+    ).to_json()
+
+
+def granted(grant):
+    return [TrialSpec.from_json(obj) for obj in grant["specs"]]
+
+
 @pytest.fixture(scope="module")
 def reference():
     """The local-run baseline: same campaign, ``jobs=2``, no store."""
     return small_campaign().run(REGIONS, N, jobs=2)
+
+
+@pytest.fixture(scope="module")
+def specs():
+    engine = small_campaign().engine()
+    return [engine.make_spec(region, i) for region in REGIONS for i in range(N)]
+
+
+@pytest.fixture
+def quick_polls(monkeypatch):
+    """Idle ``/lease`` requests are answered at once instead of held."""
+    monkeypatch.setattr(coordination, "LEASE_POLL", 0.0)
 
 
 class TestLeaseBook:
@@ -81,6 +118,19 @@ class TestLeaseBook:
         assert book.lease("b", now=100.0) is None
         assert book.requeues == 0
 
+    def test_add_extends_the_book(self):
+        book = LeaseBook((), lease_timeout=10.0)
+        assert book.lease("a", now=0.0) is None
+        book.add(0)
+        book.add(1)
+        assert book.lease("a", now=0.0) == 0
+        book.ack(0, now=1.0)
+        book.add(2)
+        assert book.lease("b", now=1.0) == 1
+        assert (book.pending, book.leased, book.done) == (1, 1, 1)
+        with pytest.raises(ValueError):
+            book.add(0)
+
     def test_snapshot_accounting(self):
         book = LeaseBook([0, 1, 2], lease_timeout=10.0)
         book.lease("a", now=0.0)
@@ -98,141 +148,180 @@ class TestLeaseBook:
 
 
 class TestCoordinatorProtocol:
-    """Planning, lease payloads and submission validation - no trial is
-    ever executed here, so these run on a bare engine."""
+    """Batching, lease payloads, submission validation and the worker's
+    manifest and grant checks; submissions are synthetic and nothing
+    executes."""
 
-    def _coordinator(self, clock=None, **kwargs):
-        engine = small_campaign().engine(telemetry=TelemetryHub())
-        kwargs.setdefault("batch_size", 4)
-        if clock is not None:
-            kwargs["clock"] = clock
-        return CampaignCoordinator(engine, REGIONS, N, **kwargs)
-
-    def _result_for(self, coordinator, spec):
-        return TrialResult(
-            key=spec.key,
-            app=spec.app,
-            region=spec.region,
-            index=spec.index,
-            manifestation=Manifestation.CORRECT,
-            delivered=True,
-        )
-
-    def test_batches_partition_all_specs(self):
-        coordinator = self._coordinator()
-        batched = [
-            spec.key
-            for bid in sorted(coordinator._batches)
-            for spec in coordinator._batches[bid]
-        ]
-        planned = [
-            spec.key
-            for specs in coordinator._specs_by_region.values()
-            for spec in specs
-        ]
-        assert sorted(batched) == sorted(planned)
-        assert coordinator.trials == len(REGIONS) * N
-        assert all(
-            len(specs) <= 4 for specs in coordinator._batches.values()
-        )
-
-    def test_manifest_carries_execution_identity(self):
-        coordinator = self._coordinator()
-        manifest = coordinator.manifest()
-        assert manifest["schema_version"] == WORK_SCHEMA_VERSION
-        assert manifest["app"] == "wavetoy"
-        assert manifest["nprocs"] == SMALL_NPROCS
-        assert manifest["app_params"] == SMALL_WAVETOY
-        assert manifest["trials"] == len(REGIONS) * N
-        assert json.dumps(manifest)  # wire format is plain JSON
-
-    def test_lease_then_wait_then_done(self):
-        now = [0.0]
-        coordinator = self._coordinator(clock=lambda: now[0])
+    def test_batches_partition_all_specs(self, specs, quick_polls):
+        executor = LeaseExecutor(batch_size=4)
+        executor.run(specs)
         grants = []
-        while True:
-            payload = coordinator.lease_payload("w")
-            if "batch" not in payload:
-                break
-            grants.append(payload)
-        assert payload == {"wait": pytest.approx(2.0)}  # all leased out
-        for grant in grants:
-            reply = coordinator.submit(
-                "w",
-                grant["batch"],
-                [self._result_for(coordinator, s).to_json()
-                 for s in grant["specs"]],
-            )
-            assert reply["accepted"] == len(grant["specs"])
-        assert coordinator.done
-        assert coordinator.lease_payload("w") == {"done": True}
+        while "batch" in (payload := executor.lease_payload("w")):
+            grants.append(granted(payload))
+        assert [spec for grant in grants for spec in grant] == specs
+        assert all(len(grant) <= 4 for grant in grants)
 
-    def test_submit_validation(self):
-        coordinator = self._coordinator()
-        grant = coordinator.lease_payload("w")
-        specs = grant["specs"]
-        foreign = [
-            s
-            for bid, chunk in coordinator._batches.items()
-            if bid != grant["batch"]
-            for s in chunk
-        ][0]
-        good = self._result_for(coordinator, specs[0]).to_json()
-        reply = coordinator.submit(
+    def test_lease_then_wait_then_done(self, specs, quick_polls):
+        executor = LeaseExecutor(batch_size=4)
+        assert executor.lease_payload("w") == {"wait": 0.0}  # no dispatch yet
+        stream = executor.run(specs)
+        grants = []
+        while "batch" in (payload := executor.lease_payload("w")):
+            grants.append(payload)
+        assert payload == {"wait": 0.0}  # all leased out
+        for grant in grants:
+            reply = executor.submit(
+                "w", grant["batch"], [correct(s) for s in granted(grant)]
+            )
+            assert (reply["accepted"], reply["done"]) == (4, False)
+        results = list(stream)
+        assert [r.key for r in results] == [s.key for s in specs]
+        assert not any(r.resumed or r.record for r in results)
+        # Between waves workers wait; only close() ends the campaign.
+        assert executor.lease_payload("w") == {"wait": 0.0}
+        executor.close()
+        assert executor.lease_payload("w") == {"done": True}
+
+    def test_held_lease_is_answered_by_the_next_wave(self, specs):
+        executor = LeaseExecutor()
+        threading.Timer(0.1, executor.run, [specs[:2]]).start()
+        grant = executor.lease_payload("w")  # held up to LEASE_POLL
+        assert granted(grant) == specs[:2]
+
+    def test_submit_validation(self, specs, quick_polls):
+        executor = LeaseExecutor(batch_size=4)
+        executor.run(specs)
+        grant = executor.lease_payload("w")
+        leased = granted(grant)
+        good = correct(leased[0])
+        reply = executor.submit(
             "w",
             grant["batch"],
             [
                 good,
                 good,  # duplicate of the same key in one submission
-                self._result_for(coordinator, foreign).to_json(),  # not leased
+                correct(specs[-1]),  # a key of another batch
                 {"key": "garbage"},  # unparseable
             ],
         )
-        assert reply["accepted"] == 1
-        assert reply["duplicate"] == 1
-        assert reply["rejected"] == 2
+        assert [reply[k] for k in ("accepted", "duplicate", "rejected")] == [1, 1, 2]
+        # A leased key relabelled as another trial is refused too.
+        relabelled = dict(correct(leased[1]), index=leased[1].index + 1)
+        assert executor.submit("w", grant["batch"], [relabelled])["rejected"] == 1
         # Partial batch: not acknowledged yet.
-        assert not coordinator.book.state(grant["batch"]) == "done"
-        assert "error" in coordinator.submit("w", 999, [])
+        assert executor.book.state(grant["batch"]) == "leased"
+        assert "error" in executor.submit("w", 999, [])
 
-    def test_requeued_batch_counts_once(self):
+    def test_requeued_batch_counts_once(self, specs, quick_polls):
         now = [0.0]
-        coordinator = self._coordinator(
-            clock=lambda: now[0], lease_timeout=5.0
+        executor = LeaseExecutor(
+            batch_size=4, lease_timeout=5.0, clock=lambda: now[0]
         )
-        grant = coordinator.lease_payload("dead")
-        payloads = [
-            self._result_for(coordinator, s).to_json()
-            for s in grant["specs"]
-        ]
+        stream = executor.run(specs[:4])
+        grant = executor.lease_payload("dead")
+        payloads = [correct(s) for s in granted(grant)]
         now[0] = 10.0  # the lease expires; a second worker regrants
-        regrant = coordinator.lease_payload("alive")
+        regrant = executor.lease_payload("alive")
         assert regrant["batch"] == grant["batch"]
         assert regrant["attempt"] == 2
-        first = coordinator.submit("alive", regrant["batch"], payloads)
-        late = coordinator.submit("dead", grant["batch"], payloads)
+        first = executor.submit("alive", regrant["batch"], payloads)
+        late = executor.submit("dead", grant["batch"], payloads)
         assert first["accepted"] == len(payloads)
-        assert late["accepted"] == 0
-        assert late["duplicate"] == len(payloads)
-        assert coordinator.book.requeues == 1
+        assert (late["accepted"], late["duplicate"]) == (0, len(payloads))
+        assert executor.book.requeues == 1
+        assert [r.key for r in stream] == [s.key for s in specs[:4]]
 
-    def test_finalize_requires_completion(self):
-        coordinator = self._coordinator()
-        with pytest.raises(RuntimeError, match="incomplete"):
-            coordinator.finalize()
-
-    def test_stratified_engines_rejected(self):
-        engine = small_campaign().engine(
-            telemetry=TelemetryHub(), stratify=True
+    def test_racing_workers_lose_and_double_nothing(self, specs, quick_polls):
+        """Six threads lease and submit against the consuming engine
+        while every lease expires at once, so batches are regranted and
+        delivered more than once: each result still arrives once, in
+        order."""
+        executor = LeaseExecutor(
+            batch_size=1, lease_timeout=1.0, clock=itertools.count().__next__
         )
-        with pytest.raises(ValueError, match="stratified"):
-            CampaignCoordinator(engine, REGIONS, N)
+        accepted, errors = [], []
+
+        def work(name):
+            try:
+                while "done" not in (grant := executor.lease_payload(name)):
+                    if "batch" not in grant:
+                        continue
+                    payloads = [correct(s) for s in granted(grant)]
+                    time.sleep(0)  # let others lease (and requeue) meanwhile
+                    reply = executor.submit(name, grant["batch"], payloads)
+                    accepted.append(reply["accepted"])
+            except Exception as exc:  # asserted on below
+                errors.append(exc)
+
+        workers = [
+            threading.Thread(target=work, args=(f"w{i}",)) for i in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            results = list(executor.run(specs))
+            executor.close()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert [r.key for r in results] == [s.key for s in specs]
+        assert sum(accepted) == len(specs)
+        assert executor.book.all_done
+
+    def test_manifest_carries_execution_identity(self):
+        service = CoordinatorService(
+            small_campaign(), LeaseExecutor(), TelemetryHub()
+        )
+        assert service.manifest() == {
+            "schema_version": WORK_SCHEMA_VERSION,
+            "app": "wavetoy",
+            "nprocs": SMALL_NPROCS,
+            "app_params": SMALL_WAVETOY,
+            "seed": 20040607,
+            "config_seed": small_campaign().config.seed,
+            "lease_timeout": coordination.DEFAULT_LEASE_TIMEOUT,
+        }
+
+    def test_lease_body_is_json(self, specs):
+        executor = LeaseExecutor()
+        executor.run(specs[:3])
+        service = CoordinatorService(small_campaign(), executor, TelemetryHub())
+        with TelemetryServer(service) as server:
+            request = urllib.request.Request(
+                server.url + "/lease", data=json.dumps({"worker": "w"}).encode()
+            )
+            with urllib.request.urlopen(request, timeout=10) as response:
+                body = response.read()
+        assert granted(json.loads(body)) == specs[:3]
+
+    @pytest.mark.parametrize(
+        "body",
+        [b'{"batch": 0, "specs": [{"app": "wavetoy"}]}', b"\x80\x04\x95 not json"],
+        ids=["bad-spec", "not-json"],
+    )
+    def test_malformed_grant_refused_before_execution(self, monkeypatch, body):
+        worker = WorkerClient("127.0.0.1:9")
+        monkeypatch.setattr(worker, "_get_json", lambda path: {"app": "wavetoy"})
+        # No engine: a grant that parsed would fail on it instead.
+        monkeypatch.setattr(worker, "_build_engine", lambda manifest: nullcontext())
+        monkeypatch.setattr(worker, "_request", lambda *args, **kwargs: body)
+        with pytest.raises(WorkerError, match="malformed lease grant"):
+            worker.run()
 
     def test_stale_manifest_refused_before_engine_build(self, monkeypatch):
-        """A version-1 manifest still names execution modes that no
-        longer exist; the worker must refuse it, not guess."""
-        stale = dict(self._coordinator().manifest(), schema_version=1)
-        stale.update(fastpath=True, checkpoint_stride=16)
+        """A version-2 manifest promises the whole campaign's regions,
+        trials and batches up front; the worker must refuse it, not
+        guess."""
+        service = CoordinatorService(
+            small_campaign(), LeaseExecutor(), TelemetryHub()
+        )
+        stale = dict(service.manifest(), schema_version=2)
+        stale.update(regions=["message"], trials=6, batches=1)
         worker = WorkerClient("127.0.0.1:9")
         monkeypatch.setattr(worker, "_get_json", lambda path: stale)
 
@@ -240,7 +329,7 @@ class TestCoordinatorProtocol:
             raise AssertionError("engine built from a stale manifest")
 
         monkeypatch.setattr(Campaign, "from_registry", no_build)
-        with pytest.raises(WorkerError, match="schema 1"):
+        with pytest.raises(WorkerError, match="schema 2"):
             worker.run()
 
     def test_coordinator_url_forms(self):
@@ -250,81 +339,98 @@ class TestCoordinatorProtocol:
 
 
 class TestDistributedEquivalence:
-    """Coordinator + two HTTP workers == one local run, bit for bit.
+    """Engine + LeaseExecutor + HTTP workers == one local run, bit for
+    bit, for fixed-n, adaptive (with masked-site pruning) and stratified
+    designs."""
 
-    The two workers alternate over the wire (trial execution scopes a
-    per-process observability runtime, so concurrent clients belong in
-    separate processes - the chaos integration test runs them that
-    way); the coordinator's fold sees exactly the interleaved
-    multi-worker submission stream.
-    """
+    def _check(self, tmp_path, regions, run_options, **engine_options):
+        """Run locally at ``jobs=2``, then with the engine on a thread
+        behind a coordinator service and two in-process workers taking
+        turns (one batch, then the rest): trial execution scopes a
+        per-process observability runtime, so concurrent workers belong
+        in separate processes, as in the chaos test."""
+        local = small_campaign().run(
+            regions,
+            jobs=2,
+            store=tmp_path / "local.jsonl",
+            **run_options,
+            **engine_options,
+        )
+        campaign, hub = small_campaign(), TelemetryHub()
+        executor = LeaseExecutor(batch_size=4)
+        engine = campaign.engine(
+            executor=executor,
+            telemetry=hub,
+            store=tmp_path / "dist.sqlite",
+            **engine_options,
+        )
+        outcome = {}
 
-    def _run_distributed(self, tmp_path, store_name):
-        engine = small_campaign().engine(
-            telemetry=TelemetryHub(), store=tmp_path / store_name
-        )
-        coordinator = CampaignCoordinator(
-            engine, REGIONS, N, batch_size=4, lease_timeout=60.0
-        )
-        server = TelemetryServer(CoordinatorService(coordinator)).start()
-        try:
+        def drive():
+            with engine:
+                outcome["result"] = engine.run(regions, **run_options)
+
+        coordinator = threading.Thread(target=drive, daemon=True)
+        with TelemetryServer(CoordinatorService(campaign, executor, hub)) as server:
+            coordinator.start()
             workers = [
-                WorkerClient(
-                    server.url, name=f"w{i}", poll_interval=0.05,
-                    max_batches=2,
-                )
-                for i in range(2)
+                WorkerClient(server.url, name="w0", max_batches=1),
+                WorkerClient(server.url, name="w1"),
             ]
             for worker in workers:
                 worker.run()
-            assert coordinator.done
-            result = coordinator.finalize()
-        finally:
-            server.stop()
-            engine.close()
-        return result, engine, workers
-
-    def test_tallies_and_store_match_local_run(self, tmp_path, reference):
-        local = small_campaign().run(
-            REGIONS, N, jobs=2, store=tmp_path / "local.jsonl"
-        )
-        distributed, engine, workers = self._run_distributed(
-            tmp_path, "dist.jsonl"
-        )
-        for region in REGIONS:
+            coordinator.join(timeout=60)
+        assert not coordinator.is_alive()
+        distributed = outcome["result"]
+        for region in regions:
             a, b = local.regions[region], distributed.regions[region]
             assert dict(a.tally.counts) == dict(b.tally.counts)
-            assert a.delivered == b.delivered
-            assert a.resumed == b.resumed == 0
-            assert a.pruned == b.pruned == 0
-            # And both equal the module baseline.
-            ref = reference.regions[region]
-            assert dict(ref.tally.counts) == dict(b.tally.counts)
-        # Byte-identical stores (modulo append order).
-        local_lines = sorted((tmp_path / "local.jsonl").read_text().split())
-        dist_lines = sorted((tmp_path / "dist.jsonl").read_text().split())
+            for field in ("delivered", "pruned", "resumed", "adaptive_d", "stratified"):
+                assert getattr(a, field) == getattr(b, field), field
+        # Byte-identical stores across backends and executors.
+        merge_stores([tmp_path / "dist.sqlite"], tmp_path / "dist.jsonl")
+        local_lines = sorted((tmp_path / "local.jsonl").read_text().splitlines())
+        dist_lines = sorted((tmp_path / "dist.jsonl").read_text().splitlines())
         assert local_lines == dist_lines
-        # Both workers did real work (4 batches, 2 each by alternation
-        # is not guaranteed - but every batch went to somebody).
-        assert sum(w.stats.batches for w in workers) == 4
-        assert sum(w.stats.trials for w in workers) == len(REGIONS) * N
-        # The coordinator's live telemetry folded every submission.
-        payload = engine.telemetry.status_payload()
-        assert sum(r["trials"] for r in payload["regions"]) == len(REGIONS) * N
+        # Every executed trial went to a worker; the first took one batch.
+        executed = distributed.total_injections() - sum(
+            r.pruned for r in distributed.regions.values()
+        )
+        assert workers[0].stats.batches == 1
+        assert sum(w.stats.trials for w in workers) == executed
+        # The coordinator's live telemetry folded every result.
+        payload = hub.status_payload()
+        assert sum(r["trials"] for r in payload["regions"]) == (
+            distributed.total_injections()
+        )
+        return distributed
+
+    def test_tallies_and_store_match_local_run(self, tmp_path):
+        self._check(tmp_path, REGIONS, {"n": N})
+
+    def test_adaptive_pruned_matches_local_run(self, tmp_path):
+        distributed = self._check(
+            tmp_path, (Region.MESSAGE, Region.BSS), {"target_d": 0.2},
+            prune_masked=True,
+        )
+        rows = distributed.regions.values()
+        assert all(row.adaptive_d is not None for row in rows)
+        assert sum(row.pruned for row in rows) > 0
+
+    def test_stratified_matches_local_run(self, tmp_path):
+        distributed = self._check(
+            tmp_path, (Region.TEXT,), {"n": 24}, stratify=True
+        )
+        assert distributed.regions[Region.TEXT].stratified is not None
 
     def test_resume_satisfies_everything_locally(self, tmp_path, reference):
-        small_campaign().run(REGIONS, N, jobs=2, store=tmp_path / "full.jsonl")
-        engine = small_campaign().engine(
-            telemetry=TelemetryHub(), store=tmp_path / "full.jsonl"
+        store = tmp_path / "full.jsonl"
+        small_campaign().run(REGIONS, N, jobs=2, store=store)
+        executor = LeaseExecutor()
+        result = small_campaign().run(
+            REGIONS, N, resume=True, store=store, executor=executor
         )
-        coordinator = CampaignCoordinator(engine, REGIONS, N, resume=True)
-        try:
-            # Nothing to lease: the store already holds every trial.
-            assert coordinator.done
-            assert coordinator.lease_payload("w") == {"done": True}
-            result = coordinator.finalize()
-        finally:
-            engine.close()
+        assert executor.snapshot()["batches"] == 0
         for region in REGIONS:
             row = result.regions[region]
             assert row.resumed == N

@@ -1,5 +1,6 @@
 """TrialSpec/TrialResult identity, pickling, and the JSONL ResultStore."""
 
+import dataclasses
 import json
 import pickle
 
@@ -16,8 +17,10 @@ from repro.engine.trial import (
     trial_key,
     trial_rng,
 )
-from repro.injection.faults import FaultSpec, Region
+from repro.injection.campaign import Campaign
+from repro.injection.faults import FaultSpec, Persistence, Region
 from repro.injection.outcomes import Manifestation
+from tests.conftest import SMALL_NPROCS, SMALL_WAVETOY
 
 
 def make_spec(index=0, region=Region.HEAP, seed=7):
@@ -90,6 +93,29 @@ class TestTrialSpec:
         import zlib
 
         assert region_salt(Region.MESSAGE) == zlib.crc32(b"message")
+
+
+class TestTrialSpecJson:
+    """The lease wire format: plain JSON, lossless for every region."""
+
+    def test_round_trip_every_region_and_stuck_at(self):
+        engine = Campaign.from_registry(
+            "wavetoy", nprocs=SMALL_NPROCS, app_params=SMALL_WAVETOY
+        ).engine()
+        specs = [engine.make_spec(region, 1) for region in Region]
+        heap = specs[[s.region for s in specs].index(Region.HEAP)]
+        stuck = dataclasses.replace(
+            heap,
+            fault=dataclasses.replace(
+                heap.fault, persistence=Persistence.STUCK_AT_1, reassert_blocks=8
+            ),
+        )
+        for spec in [*specs, stuck]:
+            clone = TrialSpec.from_json(json.loads(json.dumps(spec.to_json())))
+            assert clone.key == spec.key
+            assert clone.fault == spec.fault
+            assert clone.rng_state == spec.rng_state
+            assert clone == spec
 
 
 class TestTrialResultJson:

@@ -1,5 +1,9 @@
 """The ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.__main__ import main
@@ -25,6 +29,15 @@ class TestCli:
     def test_unknown_experiment(self, capsys):
         assert main(["run", "T99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    def test_import_loads_no_scipy(self):
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        code = "import sys, repro.__main__; assert 'scipy' not in sys.modules"
+        subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+        )
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -89,6 +102,25 @@ class TestCampaignCli:
     def test_unknown_app(self, capsys):
         assert main(["campaign", "run", "--app", "nosuch", "-n", "1"]) == 2
         assert "unknown application" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option, value", [("-n", "0"), ("-n", "-3"), ("--target-d", "1.5")]
+    )
+    def test_out_of_range_campaign_size(self, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "run", "--app", "wavetoy", option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--serve", "0", "--jobs", "2"], ["--serve", "0", "--trace", "t"]]
+    )
+    def test_distribute_needs_serve_and_no_local_pool(self, capsys, extra):
+        args = ["campaign", "run", "--app", "wavetoy", "--distribute", *extra]
+        assert main(args) == 2
+        assert "--distribute requires --serve" in capsys.readouterr().err
 
     def test_unknown_region(self):
         with pytest.raises(SystemExit):

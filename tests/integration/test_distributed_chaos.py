@@ -1,13 +1,13 @@
 """Chaos test: a worker dies mid-batch; the campaign doesn't notice.
 
-One coordinator (in-process, so the test can watch the lease book) and
-two real ``python -m repro campaign work`` subprocesses.  The victim
-worker leases a batch and parks on the :data:`HOLD_ENV` test hook; the
-test SIGKILLs it while the lease is outstanding.  The coordinator must
-requeue the orphaned batch at its deadline, the surviving worker must
-drain everything, and the final tallies and store must be byte-identical
-to a serial local run of the same campaign - fault tolerance with zero
-statistical footprint.
+One coordinator (the engine on a thread of this process, so the test
+can watch the lease book) and two real ``python -m repro campaign work``
+subprocesses.  The victim worker leases a batch and parks on the
+:data:`HOLD_ENV` test hook; the test SIGKILLs it while the lease is
+outstanding.  The coordinator must requeue the orphaned batch at its
+deadline, the surviving worker must drain everything, and the final
+tallies and store must be byte-identical to a serial local run of the
+same campaign - fault tolerance with zero statistical footprint.
 """
 
 import json
@@ -15,14 +15,15 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
 from repro.engine.coordination import (
     HOLD_ENV,
-    CampaignCoordinator,
     CoordinatorService,
+    LeaseExecutor,
 )
 from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
@@ -68,13 +69,20 @@ def test_sigkilled_worker_batch_is_requeued_and_tallies_match(tmp_path):
     )
     reference = campaign.run(REGIONS, N, store=tmp_path / "serial.jsonl")
 
-    engine = Campaign.from_registry(
-        "wavetoy", nprocs=SMALL_NPROCS, app_params=SMALL_WAVETOY
-    ).engine(telemetry=TelemetryHub(), store=tmp_path / "dist.jsonl")
-    coordinator = CampaignCoordinator(
-        engine, REGIONS, N, batch_size=2, lease_timeout=LEASE_TIMEOUT
+    executor = LeaseExecutor(batch_size=2, lease_timeout=LEASE_TIMEOUT)
+    hub = TelemetryHub()
+    engine = campaign.engine(
+        executor=executor, telemetry=hub, store=tmp_path / "dist.jsonl"
     )
-    server = TelemetryServer(CoordinatorService(coordinator)).start()
+    outcome = {}
+
+    def drive():
+        with engine:
+            outcome["result"] = engine.run(REGIONS, N)
+
+    coordinator = threading.Thread(target=drive, daemon=True)
+    server = TelemetryServer(CoordinatorService(campaign, executor, hub)).start()
+    coordinator.start()
     victim = survivor = None
     try:
         # The victim parks (holding its lease) before executing anything.
@@ -86,9 +94,8 @@ def test_sigkilled_worker_batch_is_requeued_and_tallies_match(tmp_path):
         )
 
         def victim_holds_lease():
-            with coordinator.lock:
-                snap = coordinator.book.snapshot(coordinator.clock())
-            return any(l["worker"] == "victim" for l in snap["leases"])
+            leases = executor.snapshot()["leases"]
+            return any(lease["worker"] == "victim" for lease in leases)
 
         assert wait_until(victim_holds_lease), "victim never leased a batch"
         victim.send_signal(signal.SIGKILL)
@@ -100,11 +107,11 @@ def test_sigkilled_worker_batch_is_requeued_and_tallies_match(tmp_path):
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
         )
-        assert wait_until(lambda: coordinator.done), (
-            "campaign never completed: "
-            f"{coordinator.book.snapshot(coordinator.clock())}"
+        coordinator.join(timeout=DEADLINE)
+        assert not coordinator.is_alive(), (
+            f"campaign never completed: {executor.snapshot()}"
         )
-        result = coordinator.finalize()
+        # The engine closed its executor: the survivor is told done.
         _, err = survivor.communicate(timeout=60)
         assert survivor.returncode == 0, err.decode()
     finally:
@@ -112,10 +119,10 @@ def test_sigkilled_worker_batch_is_requeued_and_tallies_match(tmp_path):
             if proc is not None and proc.poll() is None:
                 proc.kill()
         server.stop()
-        engine.close()
 
     # The orphaned lease was requeued, not lost.
-    assert coordinator.book.requeues >= 1
+    assert executor.book.requeues >= 1
+    result = outcome["result"]
 
     # Zero statistical footprint: tallies identical to the serial run...
     for region in REGIONS:

@@ -3,14 +3,15 @@
 The distributed campaign's correctness argument has two halves: the
 :class:`~repro.engine.coordination.LeaseBook` guarantees every batch is
 eventually executable (expired leases requeue, done batches never
-regrant, a batch is never live-leased twice), and the coordinator's
+regrant, a batch is never live-leased twice), and the lease executor's
 key-deduplicated fold guarantees a batch executed twice (a requeue
 whose presumed-dead worker later delivers) counts once.  This property
 drives random interleavings of lease / complete / abandon / clock-
-advance operations - the abandon op is a silently dying worker - and
-checks both halves against a model, then proves the drain: however the
-interleaving went, a recovery pass always completes the campaign with
-every spec counted exactly once.
+advance / add operations - the abandon op is a silently dying worker,
+the add op the engine dispatching its next wave while earlier batches
+are leased or expired - and checks both halves against a model, then
+proves the drain: however the interleaving went, a recovery pass always
+completes the campaign with every spec counted exactly once.
 """
 
 import hypothesis.strategies as st
@@ -26,20 +27,25 @@ ops = st.lists(
         st.tuples(st.just("complete"), st.integers(0, 7)),
         st.tuples(st.just("abandon"), st.integers(0, 7)),
         st.tuples(st.just("advance"), st.integers(1, 15)),
+        st.tuples(st.just("add"), st.integers(1, 3)),
     ),
     max_size=50,
 )
 
 
 @settings(deadline=None, max_examples=200)
-@given(n_batches=st.integers(1, 5), sequence=ops)
+@given(n_batches=st.integers(0, 5), sequence=ops)
 def test_no_spec_lost_or_double_counted(n_batches, sequence):
-    specs = {
-        bid: [f"batch{bid}-spec{j}" for j in range(3)]
-        for bid in range(n_batches)
-    }
-    every_key = {key for keys in specs.values() for key in keys}
-    book = LeaseBook(range(n_batches), lease_timeout=TIMEOUT)
+    specs: dict[int, list[str]] = {}
+    book = LeaseBook((), lease_timeout=TIMEOUT)
+
+    def add_batch() -> None:
+        bid = len(specs)
+        specs[bid] = [f"batch{bid}-spec{j}" for j in range(3)]
+        book.add(bid)
+
+    for _ in range(n_batches):
+        add_batch()
     now = 0.0
     seen: set[str] = set()  # the coordinator's key-dedup
     tallied: dict[str, int] = {}  # times a key was *accepted* into the fold
@@ -49,7 +55,7 @@ def test_no_spec_lost_or_double_counted(n_batches, sequence):
     def fold_submission(bid: int) -> None:
         """A worker submits its batch: first delivery of a key is
         tallied, duplicates are dropped, then the batch is acked -
-        exactly ``CampaignCoordinator.submit``'s fold."""
+        exactly ``LeaseExecutor.submit``'s fold."""
         for key in specs[bid]:
             if key in seen:
                 continue
@@ -62,6 +68,9 @@ def test_no_spec_lost_or_double_counted(n_batches, sequence):
     for op, arg in sequence:
         if op == "advance":
             now += float(arg)
+        elif op == "add":
+            for _ in range(arg):
+                add_batch()
         elif op == "lease":
             bid = book.lease(f"w{arg}", now)
             if bid is not None:
@@ -86,9 +95,10 @@ def test_no_spec_lost_or_double_counted(n_batches, sequence):
         assert bid is not None, "not done, yet nothing grantable: lost batch"
         fold_submission(bid)
         rounds += 1
-        assert rounds <= 2 * n_batches, "drain did not converge"
+        assert rounds <= 2 * len(specs), "drain did not converge"
 
+    every_key = {key for keys in specs.values() for key in keys}
     assert set(tallied) == every_key  # nothing lost
     assert all(count == 1 for count in tallied.values())  # nothing doubled
-    assert book.done == n_batches
+    assert book.done == len(specs)
     assert book.pending == book.leased == 0

@@ -19,6 +19,11 @@ class TestZAlpha:
     def test_95_percent(self):
         assert z_alpha(0.05) == pytest.approx(1.96, abs=0.005)
 
+    def test_95_percent_is_exact(self):
+        """Stored status rows, pinned tallies and adaptive stopping
+        points all use this float; ``NormalDist`` alone is 2 ulps low."""
+        assert z_alpha(0.05) == 1.959963984540054
+
     def test_99_percent(self):
         assert z_alpha(0.01) == pytest.approx(2.576, abs=0.005)
 
