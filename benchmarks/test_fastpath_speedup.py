@@ -152,7 +152,7 @@ def fingerprint(result) -> list:
                 {m.value: c for m, c in rr.tally.counts.items()},
                 [
                     (
-                        spec.fault,
+                        fault,
                         rec.delivered,
                         rec.address,
                         rec.symbol,
@@ -161,7 +161,7 @@ def fingerprint(result) -> list:
                         rec.new_value,
                         m,
                     )
-                    for spec, rec, m in rr.records
+                    for fault, rec, m in rr.records
                 ],
             )
         )

@@ -396,7 +396,7 @@ def _parse_regions(text: str | None):
                 f"unknown region {token!r}; choose from: "
                 f"{', '.join(r.value for r in Region)}"
             )
-    return tuple(regions)
+    return tuple(dict.fromkeys(regions))  # a repeated region runs once
 
 
 def _parse_params(text: str | None) -> dict:
@@ -1033,7 +1033,9 @@ def main(argv: list[str] | None = None) -> int:
                       dest="prune_masked",
                       help="consult the static masking oracle before "
                       "dispatch: provably outcome-free faults are "
-                      "tallied as correct without execution")
+                      "tallied as correct without execution (uniform "
+                      "designs; --stratify already skips the masked "
+                      "stratum)")
     crun.add_argument("--stratify", action="store_true",
                       help="stratified sampling over predicted-outcome "
                       "strata: classify a pool statically, Neyman-"

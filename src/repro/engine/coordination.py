@@ -12,10 +12,9 @@ executor whose trials run in other processes, on other machines:
   the machine property-testable under arbitrary interleavings.
 * :class:`LeaseExecutor` - the engine's executor for a distributed
   campaign.  Each dispatch the engine makes (a fixed-n region, an
-  adaptive wave, a stratum's share of a stratified wave) becomes
-  leased batches; results are yielded in submission order, as the
-  process pool yields them, so tallies are bit-identical to a local
-  ``jobs=N`` run.
+  adaptive wave, a stratified wave) becomes leased batches; results
+  are yielded in submission order, as the process pool yields them,
+  so tallies are bit-identical to a local ``jobs=N`` run.
 * :class:`CoordinatorService` - what ``campaign run --distribute``
   serves through :mod:`repro.observability.serve`: the scrape
   endpoints (``/metrics`` ``/status`` ``/progress``) plus ``/manifest``

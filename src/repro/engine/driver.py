@@ -12,13 +12,18 @@ and "a filled-in :class:`~repro.injection.campaign.RegionResult`":
 * an optional append-only :class:`~repro.engine.store.ResultStore`
   records every finished trial, enabling ``resume`` of interrupted or
   extended campaigns (only missing trials execute);
-* fixed-n mode runs the plan's sample size; adaptive mode keeps
-  dispatching batches until the observed Cochran half-width *d* drops
-  below ``target_d`` (capped by the section-4.3 oversampling bound,
-  which guarantees termination);
+* one region loop runs every sampling design.  A design yields waves
+  of trial specs, sees every ingested result, and owns the stopping
+  rule: :class:`_Uniform` runs the plan's sample size in one wave
+  (fixed-n) or dispatches waves until the observed Cochran half-width
+  *d* drops below ``target_d``, capped by the section-4.3 oversampling
+  bound, which guarantees termination (adaptive); :class:`_Stratified`
+  Neyman-allocates its waves across predicted-outcome strata.  Each
+  wave reaches the executor as one dispatch;
 * a ``progress`` callback emits per-region
   :class:`~repro.engine.progress.ProgressEvent` lines every
-  ``log_interval`` trials.
+  ``log_interval`` trials, reporting the d the design's stopping rule
+  uses.
 
 The layers above delegate here: ``Campaign.run_region``/``run`` build
 an engine per call, the CLI ``campaign`` subcommand drives it directly.
@@ -47,13 +52,20 @@ from repro.engine.trial import (
     trial_rng,
 )
 from repro.injection.faults import FaultSpec, Region
+from repro.injection.outcomes import Manifestation
 from repro.sampling.plans import CampaignPlan, default_plan
-from repro.sampling.theory import sample_size_oversampled, z_alpha
+from repro.sampling.theory import (
+    StratifiedEstimate,
+    StratumCell,
+    neyman_allocation,
+    sample_size_oversampled,
+    z_alpha,
+)
 
-#: Trials per adaptive dispatch wave (unless overridden).  Not scaled
-#: by ``jobs``: the stopping check runs after complete waves, so a fixed
-#: wave keeps the executed trial set - and every tally - identical for
-#: any worker count.
+#: Trials per adaptive dispatch wave.  Not scaled by ``jobs``: the
+#: stopping check runs after complete waves, so a fixed wave keeps the
+#: executed trial set - and every tally - identical for any worker
+#: count.
 ADAPTIVE_BATCH = 8
 
 #: Stratified mode: pilot trials per stratum (enough for a first
@@ -87,12 +99,164 @@ def observed_half_width(errors: int, n: int, alpha: float = 0.05) -> float:
     return z_alpha(alpha) * math.sqrt(p * (1.0 - p) / n)
 
 
+class _Uniform:
+    """Uniform sampling over trial indices ``0, 1, ...``.
+
+    Fixed-n (``target_d is None``) is one wave of ``n`` trials.
+    Adaptive dispatches waves of :data:`ADAPTIVE_BATCH` until the
+    observed half-width drops below ``target_d`` or the oversampling
+    bound is reached.
+    """
+
+    def __init__(self, engine: "CampaignEngine", region: Region, n, target_d) -> None:
+        self.engine = engine
+        self.region = region
+        self.target_d = target_d
+        self.alpha = engine.plan.alpha
+        #: The fixed budget, or ``None`` for an open-ended adaptive run.
+        self.planned = n if target_d is None else None
+
+    def _specs(self, start: int, stop: int) -> list[TrialSpec]:
+        return [self.engine.make_spec(self.region, i) for i in range(start, stop)]
+
+    def waves(self, row):
+        if self.planned is not None:
+            yield self._specs(0, self.planned)
+            return
+        cap = sample_size_oversampled(self.target_d, self.alpha)
+        done = 0
+        while done < cap and self.half_width(row) > self.target_d:
+            stop = min(done + ADAPTIVE_BATCH, cap)
+            yield self._specs(done, stop)
+            done = stop
+
+    def observe(self, result: TrialResult) -> None:
+        pass
+
+    def half_width(self, row) -> float:
+        return observed_half_width(row.tally.errors, row.executions, self.alpha)
+
+    def finish(self, row) -> None:
+        if self.target_d is not None:
+            row.adaptive_d = self.half_width(row)
+
+
+class _Stratified:
+    """Predicted-outcome stratified sampling.
+
+    1. **Classify** a uniform pool of sampled trial specs (free: the
+       stratifier is static analysis, no execution), giving the stratum
+       weights ``W_h`` and, per stratum, a deterministic ordered stream
+       of concrete specs.
+    2. **Pilot** :data:`STRATIFIED_PILOT` trials in every stratum whose
+       rate is not statically known, for first variance estimates.  The
+       oracle-proven masked stratum (:data:`KNOWN_ZERO_STRATA`) keeps
+       its weight but executes nothing.
+    3. **Waves** of :data:`STRATIFIED_BATCH` trials, Neyman-allocated by
+       observed per-stratum variance, until the importance-weighted
+       half-width drops below ``target_d`` (adaptive) or the budget
+       ``n`` is spent (fixed-n).
+
+    A wave joins its strata's slices in sorted stratum order.  Every
+    allocation decision is a pure function of complete-wave tallies,
+    which are order-independent sums, so the executed trial set and all
+    counts are bit-identical for any ``jobs``.  The row carries the raw
+    (allocation-biased) tally plus the unbiased
+    :class:`~repro.sampling.theory.StratifiedEstimate` in its
+    ``stratified`` field.
+    """
+
+    def __init__(self, engine: "CampaignEngine", region: Region, n, target_d) -> None:
+        self.target_d = target_d
+        self.alpha = engine.plan.alpha
+        self.planned = n if target_d is None else None
+        #: Trials to spend: the fixed budget, or the oversampling bound.
+        self.budget = (
+            n if target_d is None else sample_size_oversampled(target_d, self.alpha)
+        )
+        self.pool = max(STRATIFIED_MIN_POOL, 4 * self.budget)
+        self.specs: dict[str, list[TrialSpec]] = {}
+        #: Stratum of each pool member, by trial index.
+        self.stratum_of: list[str] = []
+        for index in range(self.pool):
+            spec = engine.make_spec(region, index)
+            name = engine.stratifier(spec.fault)
+            self.specs.setdefault(name, []).append(spec)
+            self.stratum_of.append(name)
+        self.names = sorted(self.specs)
+        #: Specs handed out per stratum.  Kept apart from the observed
+        #: counts below, so an estimate taken mid-wave counts only the
+        #: trials already ingested.
+        self.cursor = dict.fromkeys(self.names, 0)
+        self.executed = dict.fromkeys(self.names, 0)
+        self.errors = dict.fromkeys(self.names, 0)
+
+    def _take(self, alloc: dict[str, int]) -> list[TrialSpec]:
+        wave: list[TrialSpec] = []
+        for name in self.names:
+            lo = self.cursor[name]
+            hi = min(lo + alloc.get(name, 0), len(self.specs[name]))
+            wave += self.specs[name][lo:hi]
+            self.cursor[name] = hi
+        return wave
+
+    def _estimate(self) -> StratifiedEstimate:
+        cells = tuple(
+            StratumCell(
+                name=name,
+                population=len(self.specs[name]),
+                executed=self.executed[name],
+                errors=self.errors[name],
+                known_zero=name in KNOWN_ZERO_STRATA,
+            )
+            for name in self.names
+        )
+        return StratifiedEstimate(self.pool, cells, self.alpha)
+
+    def waves(self, row):
+        pilot: dict[str, int] = {}
+        remaining = self.budget
+        for name in self.names:
+            if name not in KNOWN_ZERO_STRATA:
+                pilot[name] = min(STRATIFIED_PILOT, len(self.specs[name]), remaining)
+                remaining -= pilot[name]
+        yield self._take(pilot)
+        while True:
+            spent = sum(self.cursor.values())
+            if spent >= self.budget:
+                return
+            estimate = self._estimate()
+            if self.target_d is not None and estimate.half_width <= self.target_d:
+                return
+            alloc = neyman_allocation(
+                estimate.cells, self.pool, min(STRATIFIED_BATCH, self.budget - spent)
+            )
+            if not any(alloc.values()):
+                return  # every live stratum exhausted its pool
+            yield self._take(alloc)
+
+    def observe(self, result: TrialResult) -> None:
+        name = self.stratum_of[result.index]
+        self.executed[name] += 1
+        self.errors[name] += result.manifestation is not Manifestation.CORRECT
+
+    def half_width(self, row) -> float:
+        return self._estimate().half_width
+
+    def finish(self, row) -> None:
+        row.stratified = self._estimate()
+        if self.target_d is not None:
+            row.adaptive_d = row.stratified.half_width
+
+
 class _RegionState:
     """Mutable aggregation state for one region's run."""
 
-    def __init__(self, result) -> None:
+    def __init__(self, result, design, resume: bool, keep_records: bool) -> None:
         self.result = result  # RegionResult
-        self.executed = 0
+        self.design = design  # _Uniform | _Stratified
+        self.resume = resume
+        self.keep_records = keep_records
         #: ``(trial index, (fault, record, manifestation))`` pairs,
         #: re-sorted by index before landing in ``result.records``.
         self.pending_records: list[tuple[int, tuple[FaultSpec, Any, Any]]] = []
@@ -100,6 +264,14 @@ class _RegionState:
 
 class CampaignEngine:
     """Executes injection trials for one application campaign.
+
+    :meth:`run_region` is the one region loop: it builds the region's
+    design (:class:`_Stratified` with a ``stratifier``, else
+    :class:`_Uniform`), dispatches each wave the design yields as one
+    ``executor.run`` call after the store and the masking oracle have
+    satisfied what they can, and hands every ingested result back to
+    the design, which decides when to stop, which d to report and what
+    to write on the row.
 
     Parameters
     ----------
@@ -142,11 +314,13 @@ class CampaignEngine:
         outcome-free, crediting its samples as correct keeps every
         region rate unbiased - this is the stratified estimator with a
         known-zero stratum, which is what an importance-weighted tally
-        correction reduces to under uniform sampling.
+        correction reduces to under uniform sampling.  A stratified
+        design needs no oracle: its known-zero stratum never dispatches
+        a masked site.
     stratifier:
         ``FaultSpec -> stratum name`` (usually the outcome predictor's
-        ``stratum(...).value``).  When given, ``run_region`` switches to
-        stratified mode: a classification pool is labeled up front,
+        ``stratum(...).value``).  When given, ``run_region`` runs the
+        stratified design: a classification pool is labeled up front,
         trials are Neyman-allocated across strata per wave, and the
         region estimate is the importance-weighted
         :class:`~repro.sampling.theory.StratifiedEstimate`.  Runs in the
@@ -225,15 +399,6 @@ class CampaignEngine:
         self._executor = executor
         self._stored: dict[str, TrialResult] | None = None
 
-    @property
-    def progress(self) -> Callable[[ProgressEvent], None] | None:
-        """Deprecated: the old callback, now held by the emitter."""
-        return self.emitter.callback
-
-    @property
-    def log_interval(self) -> int:
-        return self.emitter.log_interval
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -303,20 +468,19 @@ class CampaignEngine:
         """
         return self.telemetry.lock if self.telemetry is not None else nullcontext()
 
-    def _emit(self, state: _RegionState, planned, target_d, alpha, final) -> None:
+    def _emit(self, state: _RegionState, final: bool) -> None:
         if not self.emitter.active and self.artifacts is None:
             return
-        row = state.result
-        n = row.executions
+        row, design = state.result, state.design
         event = ProgressEvent(
             app=self.context.app,
             region=row.region.value,
-            done=n,
-            planned=planned,
+            done=row.executions,
+            planned=design.planned,
             resumed=row.resumed,
             errors=row.tally.errors,
-            achieved_d=observed_half_width(row.tally.errors, n, alpha),
-            target_d=target_d,
+            achieved_d=design.half_width(row),
+            target_d=design.target_d,
             final=final,
         )
         if self.emitter.active:
@@ -326,14 +490,7 @@ class CampaignEngine:
             self.artifacts.note_progress(event)
 
     def _ingest(
-        self,
-        state: _RegionState,
-        result: TrialResult,
-        spec: TrialSpec | None,
-        keep_records: bool,
-        planned: int | None,
-        target_d: float | None,
-        alpha: float,
+        self, state: _RegionState, result: TrialResult, spec: TrialSpec | None
     ) -> None:
         row = state.result
         row.tally.add(result.manifestation)
@@ -346,21 +503,22 @@ class CampaignEngine:
         if result.resumed:
             row.resumed += 1
         else:
-            state.executed += 1
             if self.store is not None:
                 self.store.append(result)
-            if keep_records and spec is not None and result.record is not None:
+            if state.keep_records and spec is not None and result.record is not None:
                 state.pending_records.append(
                     (spec.index, (spec.fault, result.record, result.manifestation))
                 )
+        state.design.observe(result)
         self._observe(result)
         due = self.emitter.note_trial(self.context.app, row.region.value)
         # When log_interval divides the planned count, the last trial's
         # periodic event would duplicate the region-final event emitted
         # by run_region (same done count) - a legacy callback would see
         # the region-complete state twice.  Suppress the periodic one.
+        planned = state.design.planned
         if due and not (planned is not None and row.executions >= planned):
-            self._emit(state, planned, target_d, alpha, final=False)
+            self._emit(state, final=False)
 
     def _observe(self, result: TrialResult) -> None:
         """Fold one trial into every sink: metrics, trace, telemetry and
@@ -409,8 +567,6 @@ class CampaignEngine:
         Delivered is True - the flip would have landed (static regions
         resolve their address up front); the proof is that landing
         changes nothing."""
-        from repro.injection.outcomes import Manifestation
-
         return TrialResult(
             key=spec.key,
             app=spec.app,
@@ -421,80 +577,29 @@ class CampaignEngine:
             detail=f"pruned:{reason}",
         )
 
-    def _run_range(
-        self,
-        state: _RegionState,
-        region: Region,
-        start: int,
-        stop: int,
-        *,
-        resume: bool,
-        keep_records: bool,
-        planned: int | None,
-        target_d: float | None,
-        alpha: float,
-    ) -> None:
-        """Execute trials ``start..stop-1``, satisfying what it can from
-        the store and dispatching the rest through the executor."""
-        self._run_specs(
-            state,
-            [self.make_spec(region, index) for index in range(start, stop)],
-            resume=resume,
-            keep_records=keep_records,
-            planned=planned,
-            target_d=target_d,
-            alpha=alpha,
-        )
-
-    def _run_specs(
-        self,
-        state: _RegionState,
-        specs: list[TrialSpec],
-        *,
-        resume: bool,
-        keep_records: bool,
-        planned: int | None,
-        target_d: float | None,
-        alpha: float,
-    ) -> None:
-        """Execute an explicit spec list into ``state``, satisfying what
-        it can from the store (and the masking oracle) and dispatching
-        the rest through the executor.  Tally ingestion commutes, so the
-        aggregated counts are identical for any worker count."""
-        stored = self._stored_results(resume)
+    def _run_specs(self, state: _RegionState, specs: list[TrialSpec]) -> None:
+        """Execute one wave into ``state``, satisfying what it can from
+        the store (and the masking oracle) and dispatching the rest
+        through the executor in one call.  Tally ingestion commutes, so
+        the aggregated counts are identical for any worker count."""
+        stored = self._stored_results(state.resume)
         missing: list[TrialSpec] = []
         for spec in specs:
             hit = stored.get(spec.key)
             if hit is not None:
-                self._ingest(
-                    state, hit, None, keep_records, planned, target_d, alpha
-                )
+                self._ingest(state, hit, None)
                 continue
             if self.prune is not None:
                 verdict = self.prune(spec.fault)
                 if verdict.masked:
                     self._ingest(
-                        state,
-                        self._pruned_result(spec, verdict.reason),
-                        spec,
-                        keep_records,
-                        planned,
-                        target_d,
-                        alpha,
+                        state, self._pruned_result(spec, verdict.reason), spec
                     )
                     continue
             missing.append(spec)
         by_key = {spec.key: spec for spec in missing}
         for result in self.executor().run(missing):
-            self._ingest(
-                state,
-                result,
-                by_key.get(result.key),
-                keep_records,
-                planned,
-                target_d,
-                alpha,
-            )
+            self._ingest(state, result, by_key.get(result.key))
 
     def run_trials(self, specs: list[TrialSpec]) -> list[TrialResult]:
         """Execute explicit trial specs through the executor, folding
@@ -515,18 +620,16 @@ class CampaignEngine:
         n: int | None = None,
         *,
         target_d: float | None = None,
-        batch: int | None = None,
-        max_n: int | None = None,
         resume: bool = False,
         keep_records: bool | None = None,
     ):
         """Run one region; returns a filled
         :class:`~repro.injection.campaign.RegionResult`.
 
-        Fixed-n mode (``target_d is None``) runs exactly ``n`` trials
-        (default: the plan's sample size).  Adaptive mode dispatches
-        batches until the observed half-width drops below ``target_d``
-        or the oversampling bound ``max_n`` is reached.
+        Fixed-n (``target_d is None``) spends a budget of ``n`` trials
+        (default: the plan's sample size).  Adaptive runs until the
+        design's half-width drops below ``target_d``, capped by the
+        oversampling bound.
 
         ``keep_records`` defaults to True only for serial fixed-n runs;
         adaptive and parallel campaigns keep tallies (and the store)
@@ -534,216 +637,28 @@ class CampaignEngine:
         """
         from repro.injection.campaign import RegionResult
 
-        if self.stratifier is not None:
-            return self.run_region_stratified(
-                region,
-                n,
-                target_d=target_d,
-                batch=batch,
-                max_n=max_n,
-                resume=resume,
-            )
-        alpha = self.plan.alpha
-        if keep_records is None:
-            keep_records = target_d is None and self.executor().jobs == 1
-        state = _RegionState(RegionResult(region))
-
         if target_d is None:
-            if n is None:
-                n = self.plan.n_for(region.value)
-            if self.telemetry is not None:
-                self.telemetry.note_region(self.context.app, region.value, n)
-            self._run_range(
-                state,
-                region,
-                0,
-                n,
-                resume=resume,
-                keep_records=keep_records,
-                planned=n,
-                target_d=None,
-                alpha=alpha,
-            )
-        else:
-            if not 0.0 < target_d < 1.0:
-                raise ValueError(f"target_d must be in (0, 1): {target_d}")
-            if self.telemetry is not None:
-                # Adaptive runs are open-ended; /progress reports no ETA.
-                self.telemetry.note_region(self.context.app, region.value, None)
-            cap = max_n or sample_size_oversampled(target_d, alpha)
-            step = batch or ADAPTIVE_BATCH
-            planned = 0
-            while planned < cap:
-                next_planned = min(planned + step, cap)
-                self._run_range(
-                    state,
-                    region,
-                    planned,
-                    next_planned,
-                    resume=resume,
-                    keep_records=keep_records,
-                    planned=None,
-                    target_d=target_d,
-                    alpha=alpha,
-                )
-                planned = next_planned
-                row = state.result
-                d = observed_half_width(row.tally.errors, row.executions, alpha)
-                if d <= target_d:
-                    break
-            state.result.adaptive_d = observed_half_width(
-                state.result.tally.errors, state.result.executions, alpha
-            )
+            n = self.plan.n_for(region.value) if n is None else n
+        elif not 0.0 < target_d < 1.0:
+            raise ValueError(f"target_d must be in (0, 1): {target_d}")
+        design_cls = _Uniform if self.stratifier is None else _Stratified
+        design = design_cls(self, region, n, target_d)
+        if keep_records is None:
+            keep_records = design.planned is not None and self.executor().jobs == 1
+        state = _RegionState(RegionResult(region), design, resume, keep_records)
+        if self.telemetry is not None:
+            # Adaptive runs are open-ended; /progress reports no ETA.
+            self.telemetry.note_region(self.context.app, region.value, design.planned)
+        for specs in design.waves(state.result):
+            self._run_specs(state, specs)
+        design.finish(state.result)
 
         # Deterministic record order: stored/pruned results are ingested
         # before executed ones, so re-sort by trial index.
-        if keep_records and state.pending_records:
+        if state.pending_records:
             state.pending_records.sort(key=lambda item: item[0])
             state.result.records.extend(rec for _, rec in state.pending_records)
-        self._emit(
-            state,
-            None if target_d is not None else state.result.executions,
-            target_d,
-            alpha,
-            final=True,
-        )
-        if self.artifacts is not None:
-            self.artifacts.note_region_final(self.context.app, state.result)
-        return state.result
-
-    def run_region_stratified(
-        self,
-        region: Region,
-        n: int | None = None,
-        *,
-        target_d: float | None = None,
-        batch: int | None = None,
-        max_n: int | None = None,
-        resume: bool = False,
-        pool: int | None = None,
-    ):
-        """Run one region with predicted-outcome stratified sampling.
-
-        1. **Classify** a uniform pool of sampled trial specs (free:
-           the stratifier is static analysis, no execution) giving the
-           stratum weights ``W_h`` and, per stratum, a deterministic
-           ordered stream of concrete specs.
-        2. **Pilot** :data:`STRATIFIED_PILOT` trials in every stratum
-           whose rate is not statically known, for first variance
-           estimates.  The oracle-proven masked stratum
-           (:data:`KNOWN_ZERO_STRATA`) keeps its weight but executes
-           nothing.
-        3. **Waves** of :data:`STRATIFIED_BATCH` trials, Neyman-
-           allocated by observed per-stratum variance, until the
-           importance-weighted half-width drops below ``target_d``
-           (adaptive) or the budget ``n`` is spent (fixed-n).
-
-        The returned :class:`~repro.injection.campaign.RegionResult`
-        carries the raw (allocation-biased) tally plus the unbiased
-        :class:`~repro.sampling.theory.StratifiedEstimate` in its
-        ``stratified`` field.  Every allocation decision is a pure
-        function of complete-wave tallies, which are order-independent
-        sums, so the executed trial set and all counts are bit-identical
-        for any ``jobs``; the store/resume path applies to each wave's
-        specs exactly as in uniform mode.
-        """
-        from repro.injection.campaign import RegionResult
-        from repro.sampling.theory import (
-            StratifiedEstimate,
-            StratumCell,
-            neyman_allocation,
-        )
-
-        alpha = self.plan.alpha
-        if target_d is None:
-            budget = n if n is not None else self.plan.n_for(region.value)
-        else:
-            if not 0.0 < target_d < 1.0:
-                raise ValueError(f"target_d must be in (0, 1): {target_d}")
-            budget = max_n or sample_size_oversampled(target_d, alpha)
-        if self.telemetry is not None:
-            self.telemetry.note_region(self.context.app, region.value, budget)
-        pool_n = pool or max(STRATIFIED_MIN_POOL, 4 * budget)
-
-        specs_by: dict[str, list[TrialSpec]] = {}
-        for index in range(pool_n):
-            spec = self.make_spec(region, index)
-            specs_by.setdefault(self.stratifier(spec.fault), []).append(spec)
-        names = sorted(specs_by)
-        done = {nm: 0 for nm in names}
-        errs = {nm: 0 for nm in names}
-        state = _RegionState(RegionResult(region))
-
-        def cells() -> tuple[StratumCell, ...]:
-            return tuple(
-                StratumCell(
-                    name=nm,
-                    population=len(specs_by[nm]),
-                    executed=done[nm],
-                    errors=errs[nm],
-                    known_zero=nm in KNOWN_ZERO_STRATA,
-                )
-                for nm in names
-            )
-
-        def run_wave(alloc: dict[str, int]) -> None:
-            for nm in names:
-                k = alloc.get(nm, 0)
-                if k <= 0 or nm in KNOWN_ZERO_STRATA:
-                    continue
-                lo = done[nm]
-                hi = min(lo + k, len(specs_by[nm]))
-                if hi <= lo:
-                    continue
-                before = state.result.tally.errors
-                self._run_specs(
-                    state,
-                    specs_by[nm][lo:hi],
-                    resume=resume,
-                    keep_records=False,
-                    planned=None,
-                    target_d=target_d,
-                    alpha=alpha,
-                )
-                done[nm] = hi
-                errs[nm] += state.result.tally.errors - before
-
-        pilot: dict[str, int] = {}
-        remaining = budget
-        for nm in names:
-            if nm in KNOWN_ZERO_STRATA:
-                continue
-            k = min(STRATIFIED_PILOT, len(specs_by[nm]), remaining)
-            pilot[nm] = k
-            remaining -= k
-        run_wave(pilot)
-
-        step = batch or STRATIFIED_BATCH
-        while True:
-            spent = sum(done.values())
-            if spent >= budget:
-                break
-            estimate = StratifiedEstimate(pool_n, cells(), alpha)
-            if target_d is not None and estimate.half_width <= target_d:
-                break
-            alloc = neyman_allocation(
-                estimate.cells, pool_n, min(step, budget - spent)
-            )
-            if not any(alloc.values()):
-                break  # every live stratum exhausted its pool
-            run_wave(alloc)
-
-        estimate = StratifiedEstimate(pool_n, cells(), alpha)
-        state.result.stratified = estimate
-        if target_d is not None:
-            state.result.adaptive_d = estimate.half_width
-        self._emit(
-            state,
-            None if target_d is not None else state.result.executions,
-            target_d,
-            alpha,
-            final=True,
-        )
+        self._emit(state, final=True)
         if self.artifacts is not None:
             self.artifacts.note_region_final(self.context.app, state.result)
         return state.result
@@ -754,8 +669,6 @@ class CampaignEngine:
         n: int | None = None,
         *,
         target_d: float | None = None,
-        batch: int | None = None,
-        max_n: int | None = None,
         resume: bool = False,
         keep_records: bool | None = None,
     ):
@@ -773,8 +686,6 @@ class CampaignEngine:
                 region,
                 n,
                 target_d=target_d,
-                batch=batch,
-                max_n=max_n,
                 resume=resume,
                 keep_records=keep_records,
             )

@@ -31,7 +31,9 @@ class ProgressEvent:
     resumed: int
     #: Manifested errors among the finished trials.
     errors: int
-    #: Achieved Cochran half-width d (fraction, not percent).
+    #: Half-width d the design's stopping rule uses (fraction, not
+    #: percent): the uniform Cochran d, or the stratified estimate's
+    #: (infinite until every live stratum has a result).
     achieved_d: float
     #: Adaptive-mode target half-width, or ``None`` for fixed-n runs.
     target_d: float | None = None
@@ -63,10 +65,6 @@ class ProgressEmitter:
     log_interval: int = 0
     metrics: MetricsRegistry | None = None
     _since: dict[tuple[str, str], int] = field(default_factory=dict)
-    #: Regions whose final event has already been published; a second
-    #: region-complete emission for the same ``(app, region)`` is
-    #: swallowed so the deprecated callback shim can never double-fire.
-    _final_sent: set[tuple[str, str]] = field(default_factory=set)
 
     @property
     def active(self) -> bool:
@@ -86,11 +84,6 @@ class ProgressEmitter:
         return False
 
     def emit(self, event: ProgressEvent) -> None:
-        if event.final:
-            key = (event.app, event.region)
-            if key in self._final_sent:
-                return
-            self._final_sent.add(key)
         metrics = self.metrics
         if metrics is not None:
             labels = {"app": event.app, "region": event.region}

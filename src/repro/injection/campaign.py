@@ -348,10 +348,14 @@ class Campaign:
         this campaign's sampler, reference profile, and plan."""
         from repro.engine.driver import CampaignEngine
 
-        stratifier = None
+        stratifier = prune = None
         if stratify:
+            # Its known-zero stratum skips every site the masking oracle
+            # would prune, so a stratified engine gets no oracle.
             predictor = self.outcome_predictor()
             stratifier = lambda fault: predictor.stratum(fault).value  # noqa: E731
+        elif prune_masked:
+            prune = self.masking_oracle().verdict
         return CampaignEngine(
             self.execution_context(),
             sampler=self.sample_spec,
@@ -364,7 +368,7 @@ class Campaign:
             log_interval=log_interval,
             metrics=metrics,
             trace=trace,
-            prune=self.masking_oracle().verdict if prune_masked else None,
+            prune=prune,
             stratifier=stratifier,
             telemetry=telemetry,
             artifacts=artifacts,
@@ -390,8 +394,6 @@ class Campaign:
         n: int | None = None,
         *,
         target_d: float | None = None,
-        batch: int | None = None,
-        max_n: int | None = None,
         resume: bool = False,
         keep_records: bool | None = None,
         **engine_options,
@@ -409,8 +411,6 @@ class Campaign:
                 region,
                 n,
                 target_d=target_d,
-                batch=batch,
-                max_n=max_n,
                 resume=resume,
                 keep_records=keep_records,
             )
@@ -421,8 +421,6 @@ class Campaign:
         n: int | None = None,
         *,
         target_d: float | None = None,
-        batch: int | None = None,
-        max_n: int | None = None,
         resume: bool = False,
         keep_records: bool | None = None,
         **engine_options,
@@ -433,8 +431,6 @@ class Campaign:
                 regions,
                 n,
                 target_d=target_d,
-                batch=batch,
-                max_n=max_n,
                 resume=resume,
                 keep_records=keep_records,
             )

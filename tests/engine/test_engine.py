@@ -88,7 +88,8 @@ class TestRecordsRetention:
         assert row.executions == 3  # tallies survive
 
     def test_adaptive_drops_records_by_default(self):
-        row = small_campaign().run_region(Region.HEAP, target_d=0.5, batch=2)
+        row = small_campaign().run_region(Region.HEAP, target_d=0.5)
+        assert row.executions > 0
         assert row.records == []
 
     def test_explicit_opt_out(self):
@@ -164,23 +165,25 @@ class TestResume:
 
 
 class TestAdaptive:
-    def test_stops_once_target_reached(self):
-        row = small_campaign().run_region(Region.MESSAGE, target_d=0.5, batch=2)
+    def test_stops_once_target_reached(self, monkeypatch):
+        monkeypatch.setattr(driver, "ADAPTIVE_BATCH", 2)
+        row = small_campaign().run_region(Region.MESSAGE, target_d=0.5)
         assert row.executions >= 2
         assert row.adaptive_d is not None
         assert row.adaptive_d <= 0.5
 
     def test_capped_by_oversampling_bound(self):
-        cap = 4
-        row = small_campaign().run_region(
-            Region.MESSAGE, target_d=0.01, batch=3, max_n=cap
-        )
+        # The bound cuts the first wave short of ADAPTIVE_BATCH.
+        cap = sample_size_oversampled(0.6)
+        assert cap == 3 < driver.ADAPTIVE_BATCH
+        row = small_campaign().run_region(Region.MESSAGE, target_d=0.6)
         assert row.executions == cap
 
-    def test_default_cap_is_cochran(self):
+    def test_default_cap_is_cochran(self, monkeypatch):
+        monkeypatch.setattr(driver, "ADAPTIVE_BATCH", 4)
         target = 0.3
         campaign = small_campaign()
-        row = campaign.run_region(Region.MESSAGE, target_d=target, batch=4)
+        row = campaign.run_region(Region.MESSAGE, target_d=target)
         assert row.executions <= sample_size_oversampled(target)
 
     def test_invalid_target_rejected(self):
@@ -258,26 +261,6 @@ class TestProgress:
         )
         assert [e.done for e in events] == [1, 2, 3, 4]
         assert [e.final for e in events] == [False, False, False, True]
-
-    def test_emitter_swallows_duplicate_final(self):
-        from repro.engine.progress import ProgressEmitter, ProgressEvent
-
-        events = []
-        emitter = ProgressEmitter(callback=events.append, log_interval=1)
-        final = ProgressEvent(
-            app="a", region="r", done=4, planned=4, resumed=0,
-            errors=1, achieved_d=0.5, final=True,
-        )
-        emitter.emit(final)
-        emitter.emit(final)
-        assert [e.final for e in events] == [True]
-        periodic = ProgressEvent(
-            app="a", region="r", done=2, planned=4, resumed=0,
-            errors=0, achieved_d=0.7,
-        )
-        emitter.emit(periodic)
-        emitter.emit(periodic)  # periodic events are never deduplicated
-        assert len(events) == 3
 
     def test_resumed_counts_visible(self, tmp_path):
         store = tmp_path / "campaign.jsonl"

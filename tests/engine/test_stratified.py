@@ -10,14 +10,21 @@ The contracts under test:
 * the importance-weighted estimate is unbiased (``sum W_h p_h``) and
   reaches the target half-width with far fewer executed trials than
   the uniform Cochran budget;
-* the store/resume path applies per wave exactly as in uniform mode.
+* the store/resume path applies per wave exactly as in uniform mode;
+* the one region loop treats the stratified design like any other: a
+  wave reaches the executor in one dispatch, records are kept on
+  request, and progress reports the d and the plan the design uses.
 """
 
 import pytest
 
+from repro.engine import driver
+from repro.engine.executors import SerialExecutor
 from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
+from repro.observability.serve import TelemetryHub
 from repro.sampling.theory import sample_size_oversampled
+from tests.conftest import SMALL_WAVETOY
 
 APP = "wavetoy"
 SEED = 123
@@ -110,3 +117,60 @@ class TestBudgetAndResume:
         assert again.executed == 0  # no trial ran a job the second time
         assert cell_view(again) == cell_view(first)
         assert again.tally.counts == first.tally.counts
+
+
+def small_campaign():
+    # Campaign caches the predictor per (app, params, nprocs, seed).
+    return Campaign.from_registry(APP, nprocs=2, app_params=SMALL_WAVETOY)
+
+
+class TestOneLoop:
+    def test_a_wave_reaches_the_executor_in_one_call(self, monkeypatch):
+        calls = []
+
+        class Counting(SerialExecutor):
+            def run(self, specs):
+                calls.append(list(specs))
+                return super().run(calls[-1])
+
+        monkeypatch.setattr(driver, "make_executor", lambda ctx, jobs: Counting(ctx))
+        campaign = small_campaign()
+        row = campaign.run_region(Region.TEXT, 24, stratify=True)
+        predictor = campaign.outcome_predictor()
+        live = {c.name for c in row.stratified.cells if not c.known_zero}
+        pilot = {predictor.stratum(spec.fault).value for spec in calls[0]}
+        assert len(live) > 1
+        assert pilot == live
+        assert sum(map(len, calls)) == row.executed
+
+    def test_records_kept_for_every_executed_trial(self):
+        row = small_campaign().run_region(
+            Region.TEXT, 24, stratify=True, keep_records=True
+        )
+        assert len(row.records) == row.executed > 0
+
+    def test_progress_reports_the_stratified_half_width(self):
+        events = []
+        row = small_campaign().run_region(
+            Region.TEXT, target_d=0.15, stratify=True, progress=events.append
+        )
+        final = events[-1]
+        assert final.final
+        assert final.achieved_d == row.adaptive_d == row.stratified.half_width
+        assert final.achieved_d <= 0.15
+
+    def test_fixed_budget_emits_one_event_at_its_budget(self):
+        events = []
+        small_campaign().run_region(
+            Region.TEXT, 24, stratify=True, progress=events.append, log_interval=8
+        )
+        assert [(e.done, e.planned, e.final) for e in events] == [
+            (8, 24, False), (16, 24, False), (24, 24, True)
+        ]
+
+    def test_adaptive_region_is_open_ended_on_progress(self):
+        hub = TelemetryHub()
+        small_campaign().run_region(
+            Region.TEXT, target_d=0.15, stratify=True, telemetry=hub
+        )
+        assert hub.progress_payload()["trials_planned"] is None

@@ -91,6 +91,16 @@ class TestCampaignCli:
         assert "[wavetoy:message]" in err
         assert "[done]" in err
 
+    def test_repeated_region_runs_once(self, capsys, tmp_path):
+        store = tmp_path / "out.jsonl"
+        args = campaign_run_args(store, ["-n", "3"])
+        args[args.index("--regions") + 1] = "message,message"
+        args[args.index("--log-interval") + 1] = "1"
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert sum(1 for _ in open(store)) == 3
+        assert err.count("[done]") == 1
+
     def test_resume_requires_store(self, capsys):
         args = [
             "campaign", "run", "--app", "wavetoy", "--regions", "message",
