@@ -16,6 +16,9 @@ results bit-identical to the serial run.
 from __future__ import annotations
 
 import os
+import statistics
+from dataclasses import dataclass, field
+from typing import Callable
 
 import pytest
 
@@ -26,6 +29,49 @@ BENCH_CAMPAIGN_N = int(os.environ.get("REPRO_CAMPAIGN_N", "25"))
 
 #: Parallel workers for campaign-backed benches (1 = serial in-process).
 BENCH_CAMPAIGN_JOBS = int(os.environ.get("REPRO_CAMPAIGN_JOBS", "1"))
+
+
+@dataclass
+class Interleaved:
+    """Per-round timings and results of two sides of a speedup bar."""
+
+    slow_s: list[float] = field(default_factory=list)
+    fast_s: list[float] = field(default_factory=list)
+    slow: list = field(default_factory=list)
+    fast: list = field(default_factory=list)
+
+    @property
+    def speedup(self) -> float:
+        """Median of the per-round ``slow / fast`` time ratios."""
+        return statistics.median(s / f for s, f in zip(self.slow_s, self.fast_s))
+
+
+def interleave(
+    slow: Callable[[], tuple[float, object]],
+    fast: Callable[[], tuple[float, object]],
+    rounds: int,
+) -> Interleaved:
+    """Time two sides of a speedup bar in alternating rounds.
+
+    Each side returns ``(seconds, result)``.  One untimed run of each
+    side goes first (caches fill and a cold or quota-throttled machine
+    settles), then every round runs both sides, swapping which goes
+    first, so CPU-frequency ramps and container-quota epochs hit both
+    alike.  A bar compares the median of the per-round ratios.
+    """
+    slow()
+    fast()
+    out = Interleaved()
+    for i in range(rounds):
+        for side in (slow, fast) if i % 2 == 0 else (fast, slow):
+            seconds, result = side()
+            if side is slow:
+                out.slow_s.append(seconds)
+                out.slow.append(result)
+            else:
+                out.fast_s.append(seconds)
+                out.fast.append(result)
+    return out
 
 
 @pytest.fixture

@@ -15,10 +15,15 @@ Two bars, both paired with bit-identity checks against the interpreter
   most of wavetoy's cycle budget is vectorized numpy work, FPU traffic
   and the MPI layer - costs both modes share (EXPERIMENTS.md E19 breaks
   this down; measured medians are recorded in ``extra_info``).
+
+Both bars warm up, then time the two sides in alternating rounds
+(:func:`benchmarks.conftest.interleave`) and hold the median of the
+per-round ratios to the floor.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -31,10 +36,14 @@ from repro.injection.faults import Region
 from repro.memory.process import ProcessImage
 from repro.memory.symbols import Linker
 
-from .conftest import BENCH_CAMPAIGN_N
+from .conftest import BENCH_CAMPAIGN_N, interleave
 
 MIN_GOLDEN_SPEEDUP = 10.0
 MIN_CAMPAIGN_SPEEDUP = 2.0
+
+#: Interleaved measurement rounds (one run of each side per round).
+GOLDEN_ROUNDS = 11
+CAMPAIGN_ROUNDS = 5
 
 # ----------------------------------------------------------------------
 # golden run: scalar-dominant kernel
@@ -75,51 +84,50 @@ def build_scalar_vm() -> tuple[ProcessImage, VM]:
     return image, VM(image)
 
 
-def run_scalar(fastpath: bool, repeats: int = 5) -> tuple[float, tuple]:
-    """Best-of-N fresh-image runs; translation cache warmed separately."""
-    best = float("inf")
-    state = None
-    for _ in range(repeats):
-        _, vm = build_scalar_vm()
-        vm.fastpath = fastpath
-        if fastpath:
-            vm.call("k")  # warm the per-digest translation cache
-            _, vm = build_scalar_vm()
-            vm.fastpath = True
-        t0 = time.perf_counter()
-        vm.call("k")
-        best = min(best, time.perf_counter() - t0)
-        state = (
-            vm.regs.capture_state(),
-            vm.fpu.capture_state(),
-            vm.clock.blocks,
-            vm.instructions_retired,
-        )
-    return best, state
+def run_scalar(fastpath: bool) -> tuple[float, tuple]:
+    """One timed kernel run on a fresh image (the warm-up fills the
+    per-digest translation cache)."""
+    _, vm = build_scalar_vm()
+    vm.fastpath = fastpath
+    t0 = time.perf_counter()
+    vm.call("k")
+    elapsed = time.perf_counter() - t0
+    state = (
+        vm.regs.capture_state(),
+        vm.fpu.capture_state(),
+        vm.clock.blocks,
+        vm.instructions_retired,
+    )
+    return elapsed, state
 
 
 @pytest.mark.slow
 def test_golden_run_speedup(benchmark):
-    interp_s, interp_state = run_scalar(fastpath=False)
-    timings = {}
+    run = benchmark.pedantic(
+        interleave,
+        args=(
+            lambda: run_scalar(fastpath=False),
+            lambda: run_scalar(fastpath=True),
+            GOLDEN_ROUNDS,
+        ),
+        rounds=1,
+        iterations=1,
+    )
 
-    def fast_run():
-        t, state = run_scalar(fastpath=True)
-        timings["fast"] = t
-        return state
+    # registers, FPU, clock, retirement
+    assert all(state == run.slow[0] for state in run.slow + run.fast)
 
-    fast_state = benchmark.pedantic(fast_run, rounds=1, iterations=1)
-    fast_s = timings["fast"]
-
-    assert fast_state == interp_state  # registers, FPU, clock, retirement
-
-    speedup = interp_s / fast_s if fast_s else float("inf")
+    speedup = run.speedup
+    interp_s = statistics.median(run.slow_s)
+    fast_s = statistics.median(run.fast_s)
+    benchmark.extra_info["rounds"] = GOLDEN_ROUNDS
     benchmark.extra_info["interp_seconds"] = interp_s
     benchmark.extra_info["fast_seconds"] = fast_s
     benchmark.extra_info["speedup"] = speedup
     print(
-        f"\ngolden run (scalar kernel): interp {interp_s * 1000:.1f}ms, "
-        f"translated {fast_s * 1000:.1f}ms, speedup {speedup:.1f}x"
+        f"\ngolden run (scalar kernel), median of {GOLDEN_ROUNDS} rounds: "
+        f"interp {interp_s * 1000:.1f}ms, translated {fast_s * 1000:.1f}ms, "
+        f"speedup {speedup:.1f}x"
     )
     assert speedup >= MIN_GOLDEN_SPEEDUP
 
@@ -170,33 +178,35 @@ def fingerprint(result) -> list:
 
 @pytest.mark.slow
 def test_stratified_campaign_speedup(benchmark):
-    # Warm both modes once: predictor cache, reference profiles and the
-    # translation cache are campaign-independent and should not skew
-    # either timed section.
-    run_campaign(fastpath=True)
-    run_campaign(fastpath=False)
+    # The warm-up fills the predictor cache, reference profiles and the
+    # translation cache, which are campaign-independent and should not
+    # skew either side.
+    run = benchmark.pedantic(
+        interleave,
+        args=(
+            lambda: run_campaign(fastpath=False),
+            lambda: run_campaign(fastpath=True),
+            CAMPAIGN_ROUNDS,
+        ),
+        rounds=1,
+        iterations=1,
+    )
 
-    timings = {}
+    want = fingerprint(run.slow[0])
+    assert all(fingerprint(result) == want for result in run.slow + run.fast)
 
-    def fast_run():
-        t, result = run_campaign(fastpath=True)
-        timings["fast"] = t
-        return result
-
-    fast_result = benchmark.pedantic(fast_run, rounds=1, iterations=1)
-    interp_s, interp_result = run_campaign(fastpath=False)
-    fast_s = timings["fast"]
-
-    assert fingerprint(fast_result) == fingerprint(interp_result)
-
-    speedup = interp_s / fast_s if fast_s else float("inf")
+    speedup = run.speedup
+    interp_s = statistics.median(run.slow_s)
+    fast_s = statistics.median(run.fast_s)
     benchmark.extra_info["regions"] = ",".join(r.value for r in CAMPAIGN_REGIONS)
     benchmark.extra_info["n_per_region"] = CAMPAIGN_N
+    benchmark.extra_info["rounds"] = CAMPAIGN_ROUNDS
     benchmark.extra_info["interp_seconds"] = interp_s
     benchmark.extra_info["fast_seconds"] = fast_s
     benchmark.extra_info["speedup"] = speedup
     print(
-        f"\nstratified wavetoy campaign: interp {interp_s:.2f}s, "
-        f"fastpath {fast_s:.2f}s, speedup {speedup:.1f}x"
+        f"\nstratified wavetoy campaign, median of {CAMPAIGN_ROUNDS} rounds: "
+        f"interp {interp_s:.2f}s, fastpath {fast_s:.2f}s, "
+        f"speedup {speedup:.1f}x"
     )
     assert speedup >= MIN_CAMPAIGN_SPEEDUP

@@ -1,4 +1,4 @@
-"""Ahead-of-time block translation: the fast half of the dual-mode VM.
+"""Block translation on first entry: the fast half of the dual-mode VM.
 
 ZOFI-style architecture (PAPERS.md, arXiv:1906.09390): run free of
 per-instruction instrumentation wherever no observer can see
@@ -36,8 +36,13 @@ loop then interprets instruction by instruction, so hooks fire and
 ``HangDetected`` raises at exactly the same instruction boundary as a
 pure interpreter run.
 
-Translations are cached per ``(code digest, base address)``, so every
-rank, trial and campaign wave sharing a program shares one compile.
+The VM translates one linked text object at a time, the first time
+execution enters it (:meth:`repro.cpu.vm.VM._run_fast`), so code that
+never runs is never compiled.  A text flip only empties the VM's
+dispatch table; the flipped object recompiles against its corrupted
+bytes only if it runs again.  Translations are cached per ``(code
+digest, base address)``, so every rank, trial and campaign wave sharing
+a program shares one compile of each pristine object.
 """
 
 from __future__ import annotations
@@ -731,19 +736,6 @@ def compile_plan(name: str, insns, plan: FunctionPlan, base: int) -> dict:
         base + INSN_SIZE * u.start: (namespace[f"u{ui}"], u.end - u.start)
         for ui, u in enumerate(plan.units)
     }
-
-
-def build_vm_table(image) -> dict:
-    """Merge the translations of every text symbol in a process image
-    into one dispatch table (entry address -> unit)."""
-    text = image.text
-    table: dict = {}
-    for sym in image.symtab.symbols("text"):
-        if sym.size == 0 or sym.size % INSN_SIZE:
-            continue
-        code = text.read_bytes(sym.addr, sym.size)
-        table.update(translation_for(sym.name, code, sym.addr))
-    return table
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,7 @@ from repro.cpu.decoder import code_digest, try_decode_stream
 from repro.cpu.fpu import FPU
 from repro.cpu.isa import INSN_SIZE, Insn, UndefinedOpcode, decode
 from repro.cpu.registers import EAX, EBP, ESP, RegisterFile
+from repro.cpu.translate import translation_for
 from repro.memory.process import ProcessImage
 
 #: Return address marking the outermost frame of a ``VM.call``.  It lies
@@ -79,6 +80,9 @@ class VM:
         #: instruction with (addr, insn, next_eip).
         self.cf_checker = None
         #: Fastpath accounting, harvested into campaign metrics.
+        #: ``retranslations`` counts dispatch-table invalidations by a
+        #: mid-run text-version bump, not compiles: the objects that run
+        #: again are translated on their next entry.
         self.fastpath_stats = {
             "translated_units": 0,
             "translated_insns": 0,
@@ -87,7 +91,10 @@ class VM:
             "retranslations": 0,
             "observer_runs": 0,
         }
-        self._fast_table: dict | None = None
+        #: Dispatch table (entry addr -> unit) of the text objects
+        #: entered since the text segment reached ``_fast_version``.
+        self._fast_table: dict = {}
+        self._fast_loaded: set[str] = set()
         self._fast_version = -1
         #: Working-set tracking needs per-access events, which only the
         #: interpreter emits.
@@ -192,21 +199,28 @@ class VM:
         """Dual-mode dispatch: run translated units wherever no observer
         can see intermediate state, interpret everywhere else.
 
-        A unit refuses to run (and we interpret one instruction) when
-        its block cost would reach the next ``schedule_hook`` horizon or
+        A text object is translated the first time execution enters it
+        (a dispatch miss inside an object not yet loaded at this text
+        version), so code that never runs never compiles.  A unit
+        refuses to run (and we interpret one instruction) when its
+        block cost would reach the next ``schedule_hook`` horizon or
         cross the hang budget, so hooks fire and :class:`HangDetected`
         raises at exactly the interpreter's instruction boundary.  A
-        text-segment fault (version bump) re-translates against the
-        *current* bytes: unchanged functions hit the per-digest cache,
-        so only the corrupted function recompiles (~5 ms), and the rest
-        of the trial keeps its fast path.  Functions whose corrupted
-        bytes no longer decode translate to nothing and fall back to
-        the interpreter naturally.
+        text-segment fault (version bump) only empties the table: an
+        object that runs again is re-translated against its *current*
+        bytes on its next entry (unchanged objects hit the per-digest
+        cache), and a flip in code that never runs again compiles
+        nothing.  Objects whose corrupted bytes no longer decode
+        translate to nothing and fall back to the interpreter.
         """
         text = self.image.text
-        if self._fast_table is None or self._fast_version != text.version:
-            self._build_fast_table()
+        resolve = self.image.symtab.resolve
+        if self._fast_version != text.version:
+            self._fast_table = {}
+            self._fast_loaded = set()
+            self._fast_version = text.version
         table = self._fast_table
+        loaded = self._fast_loaded
         regs = self.regs
         rr = regs.r
         rc = regs.read_count
@@ -221,15 +235,33 @@ class VM:
                 while self._running:
                     if text.version != version:
                         retrans += 1
-                        self._build_fast_table()
-                        table = self._fast_table
-                        version = self._fast_version
+                        table = self._fast_table = {}
+                        loaded = self._fast_loaded = set()
+                        version = self._fast_version = text.version
                         continue
                     entry = table.get(regs.eip)
                     if entry is None:
-                        if regs.eip == RET_SENTINEL:
+                        eip = regs.eip
+                        if eip == RET_SENTINEL:
                             self._running = False
                             break
+                        sym = resolve(eip)
+                        if (
+                            sym is not None
+                            and sym.section == "text"
+                            and sym.name not in loaded
+                        ):
+                            # First entry at this version: translate,
+                            # then retry the lookup.
+                            loaded.add(sym.name)
+                            table.update(
+                                translation_for(
+                                    sym.name,
+                                    text.read_bytes(sym.addr, sym.size),
+                                    sym.addr,
+                                )
+                            )
+                            continue
                         slow += 1
                         self.step()
                         continue
@@ -258,14 +290,6 @@ class VM:
             stats["interpreted_insns"] += slow
             stats["horizon_insns"] += horizon
             stats["retranslations"] += retrans
-
-    def _build_fast_table(self) -> None:
-        # Imported lazily: translate pulls in staticanalysis.cfg, which
-        # imports this module.
-        from repro.cpu import translate
-
-        self._fast_table = translate.build_vm_table(self.image)
-        self._fast_version = self.image.text.version
 
     # ------------------------------------------------------------------
     # fetch/decode

@@ -6,7 +6,7 @@ import pytest
 from repro.cpu import ops, translate
 from repro.cpu.assembler import assemble_function
 from repro.cpu.isa import INSN_SIZE, Op
-from repro.errors import SimFPE, SimSegfault
+from repro.errors import SimFPE, SimIllegalInstruction, SimSegfault
 from repro.staticanalysis.cfg import ControlFlowGraph
 from tests.conftest import build_image
 
@@ -179,6 +179,48 @@ class TestBitIdentity:
 # ----------------------------------------------------------------------
 # dispatch-loop behavior
 # ----------------------------------------------------------------------
+@pytest.fixture
+def compiles(monkeypatch):
+    """Every ``(name, code)`` compiled, in order, against an empty
+    translation cache."""
+    monkeypatch.setattr(translate, "_TRANSLATIONS", {})
+    seen = []
+    real = translate._translate
+
+    def counting(name, code, base):
+        seen.append((name, bytes(code)))
+        return real(name, code, base)
+
+    monkeypatch.setattr(translate, "_translate", counting)
+    return seen
+
+
+STARTUP = "movi eax, 1\nmovi ecx, 3\n" + "add eax, ecx\nxor eax, ecx\n" * 8 + "ret"
+
+KERNEL = """
+    movi eax, 0
+    movi ecx, 0
+loop:
+    add eax, ecx
+    addi ecx, 1
+    cmpi ecx, 50
+    jl loop
+    ret
+"""
+
+REENTERING_MAIN = """
+    movi ecx, 0
+again:
+    call @leaf
+    addi ecx, 1
+    cmpi ecx, 6
+    jl again
+    ret
+"""
+
+LEAF = "addi eax, 1\naddi eax, 2\nret"
+
+
 class TestDispatch:
     def test_fastpath_stats_account_every_instruction(self):
         image, vm = build_image(
@@ -196,13 +238,12 @@ class TestDispatch:
         assert stats["translated_units"] > 0
         assert stats["translated_insns"] > stats["interpreted_insns"]
 
-    def test_text_corruption_retranslates_current_bytes(self):
+    def test_text_corruption_retranslates_current_bytes(self, compiles):
         src = "f:\n" + "addi eax, 1\n" * 8 + "ret"
         image, vm = build_image({"f": src})
         vm.fastpath = True
-        sym = next(
-            s for s in image.symtab.symbols("text") if s.name == "f"
-        )
+        sym = image.symtab.lookup("f")
+        pristine = image.text.read_bytes(sym.addr, sym.size)
         # corrupt the 5th instruction into a different valid word
         # mid-run via a hook: the engine must notice the version bump
         # and re-translate against the corrupted bytes
@@ -216,19 +257,87 @@ class TestDispatch:
         vm.call("f")
         assert flipped_at
         assert vm.fastpath_stats["retranslations"] > 0
+        corrupted = image.text.read_bytes(sym.addr, sym.size)
+        assert compiles == [("f", pristine), ("f", corrupted)]
 
         # and the corrupted outcome equals the interpreter's on the
         # same corrupted image
         image2, vm2 = build_image({"f": src})
-        sym2 = next(
-            s for s in image2.symtab.symbols("text") if s.name == "f"
-        )
+        sym2 = image2.symtab.lookup("f")
+        vm2.fastpath = False
         vm2.schedule_hook(
             3, lambda v: image2.text.flip_bit(sym2.addr + 4 * INSN_SIZE, 1)
         )
         vm2.call("f")
         assert vm2.regs.capture_state() == vm.regs.capture_state()
         assert vm2.clock.blocks == vm.clock.blocks
+
+    def test_flip_to_undefined_opcode_in_reentered_function(self, compiles):
+        # main calls leaf six times; mid-run a flip of the opcode's top
+        # bit turns leaf's second word (addi, 0x2a) into 0xaa, which no
+        # opcode uses.  leaf's next entry translates the corrupted
+        # bytes to nothing, and the interpreter raises SIGILL.
+        sources = {"main": REENTERING_MAIN, "leaf": LEAF}
+        out = []
+        for fastpath in (False, True):
+            image, vm = build_image(sources)
+            vm.fastpath = fastpath
+            leaf = image.symtab.lookup("leaf")
+            target = leaf.addr + INSN_SIZE
+            vm.schedule_hook(12, lambda v: image.text.flip_bit(target, 7))
+            with pytest.raises(SimIllegalInstruction) as exc:
+                vm.call("main")
+            out.append(
+                (
+                    exc.value.args,
+                    vm.regs.eip,
+                    vm.regs.capture_state(),
+                    vm.clock.blocks,
+                    vm.instructions_retired,
+                )
+            )
+        assert out[0][1] == target
+        assert out[0] == out[1]
+        corrupted = image.text.read_bytes(leaf.addr, leaf.size)
+        assert compiles.count(("leaf", corrupted)) == 1
+        assert translate.translation_for("leaf", corrupted, leaf.addr) == {}
+
+    def test_translates_only_the_function_it_calls(self, compiles):
+        image, vm = build_image(
+            {"f": "movi eax, 1\nret", "g": "movi eax, 2\nret",
+             "h": "movi eax, 3\nret"}
+        )
+        assert vm.call("g") == 2
+        assert vm.call("g") == 2
+        assert [name for name, _ in compiles] == ["g"]
+
+    def test_flip_in_code_that_never_runs_again_compiles_nothing(
+        self, compiles
+    ):
+        out = []
+        for fastpath in (False, True):
+            image, vm = build_image({"startup": STARTUP, "kernel": KERNEL})
+            vm.fastpath = fastpath
+            startup = image.symtab.lookup("startup")
+            vm.call("startup")
+            compiled_at_flip = []
+
+            def flip(v):
+                # startup has run and is never called again
+                compiled_at_flip.append(len(compiles))
+                image.text.flip_bit(startup.addr + INSN_SIZE, 0)
+
+            vm.schedule_hook(vm.clock.blocks + 20, flip)
+            eax = vm.call("kernel")
+            out.append(
+                (eax, vm.regs.capture_state(), vm.clock.blocks,
+                 vm.instructions_retired)
+            )
+        assert out[0] == out[1]
+        assert compiled_at_flip == [len(compiles)]
+        assert [name for name, _ in compiles] == ["startup", "kernel"]
+        assert vm.fastpath_stats["retranslations"] == 1
+        assert vm.fastpath_stats["translated_insns"] > 0
 
     def test_translation_cached_per_digest(self):
         fn = assemble_function("f", "movi eax, 3\nret")

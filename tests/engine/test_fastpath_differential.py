@@ -15,14 +15,19 @@ counters (``repro_vm_fastpath_total``, ``repro_checkpoint_*``) may
 differ.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.cpu.isa import INSN_SIZE
 from repro.cpu.vm import VM
 from repro.engine import checkpoint
+from repro.engine.core import execute_trial
 from repro.engine.store import ResultStore
 from repro.injection.campaign import Campaign
-from repro.injection.faults import Region
+from repro.injection.faults import FaultSpec, Region
 from repro.observability.metrics import MetricsRegistry, render_prometheus
+from tests.conftest import SMALL_MOLDYN, SMALL_NPROCS, SMALL_WAVETOY
 
 N = 4
 APPS = ("wavetoy", "moldyn", "climate")
@@ -102,3 +107,76 @@ def test_fastpath_is_observationally_invisible(app, jobs, tmp_path):
     )
     assert translated > 0 and restores > 0, "the default path must translate and replay"
     assert_same(got, want)
+
+
+# ----------------------------------------------------------------------
+# hand-placed TEXT faults
+# ----------------------------------------------------------------------
+# Sampled TEXT specs (N per app above) may miss the paths a text flip
+# opens in the translated engine: a flip in code that already ran, in
+# the hot kernel mid-run, in never-run padding, and one that leaves an
+# undefined opcode.  Each case below places one such flip by hand.
+SMALL_PARAMS = {"wavetoy": SMALL_WAVETOY, "moldyn": SMALL_MOLDYN}
+
+#: case -> (app, symbol, instruction index, byte in the word, bit,
+#: delivery time as a share of the target rank's golden block budget,
+#: the oracle's divergence kind).  Byte 0 is the opcode; every opcode
+#: is below 0x80, so bit 7 of it makes an undefined one.  Byte 4 is the
+#: low byte of the immediate (an FLDIMM stencil coefficient here).
+TEXT_FAULTS = {
+    "wt_startup-after-run": ("wavetoy", "wt_startup", 40, 0, 0, 0.75, None),
+    "wt_step-mid-run": (
+        "wavetoy", "wt_step", 24, 4, 1, 0.7, "output_mismatch"
+    ),
+    "wt_boundary_cold-padding": (
+        "wavetoy", "wt_boundary_cold", 100, 0, 3, 0.7, None
+    ),
+    "wt_step-undefined-opcode": (
+        "wavetoy", "wt_step", 0, 0, 7, 0.7, "signal:SIGILL"
+    ),
+    "md_startup-after-run": ("moldyn", "md_startup", 40, 0, 0, 0.75, None),
+    "md_force-mid-run": (
+        "moldyn", "md_force", 14, 4, 0, 0.75, "output_mismatch"
+    ),
+}
+
+
+def comparable(result):
+    """Every TrialResult field but the per-trial observability payloads."""
+    fields = dict(result.__dict__)
+    del fields["metrics"], fields["trace_events"]
+    return fields
+
+
+@pytest.mark.parametrize("case", sorted(TEXT_FAULTS))
+def test_hand_placed_text_fault(case):
+    app, symbol, insn, byte, bit, share, divergence = TEXT_FAULTS[case]
+    campaign = Campaign.from_registry(
+        app, nprocs=SMALL_NPROCS, app_params=SMALL_PARAMS[app], seed=16
+    )
+    ref = campaign.reference()
+    rank = 1
+    fault = FaultSpec(
+        region=Region.TEXT,
+        rank=rank,
+        time_blocks=int(share * ref.blocks_per_rank[rank]),
+        bit=bit,
+        address=ref.symtab.lookup(symbol).addr + insn * INSN_SIZE + byte,
+    )
+    with campaign.engine() as eng:
+        spec = dataclasses.replace(eng.make_spec(Region.TEXT, 0), fault=fault)
+        eng.executor()  # records the golden run the trial replays
+        ctx = eng.context
+    ctx.collect_metrics = True
+    got = execute_trial(ctx, spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(VM, "fastpath", False)
+        mp.setattr(checkpoint, "prepare_replay", lambda ctx, fault: None)
+        want = execute_trial(ctx, spec)
+
+    work = got.metrics.counters
+    assert work[("repro_vm_fastpath_total", (("kind", "translated_insns"),))] > 0
+    assert work[("repro_checkpoint_restore_total", ())] > 0
+    assert want.delivered and want.record.symbol == symbol
+    assert want.divergence_kind == divergence
+    assert comparable(got) == comparable(want)

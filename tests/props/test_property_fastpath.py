@@ -20,11 +20,21 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.apps import APPLICATION_SUITE
-from repro.cpu.translate import build_vm_table
+from repro.cpu.translate import translation_for
 from repro.mpi.simulator import JobConfig
 from tests.conftest import build_image
 
 _BIG_BUDGET = 1 << 62
+
+
+def _unit_table(image):
+    """Every translation unit of every text object in the image (the
+    VM itself translates an object only when execution enters it)."""
+    table = {}
+    for sym in image.symtab.symbols("text"):
+        code = image.text.read_bytes(sym.addr, sym.size)
+        table.update(translation_for(sym.name, code, sym.addr))
+    return table
 
 
 def _build(app_name):
@@ -41,7 +51,7 @@ class _Harness:
     def __init__(self, app_name):
         self.image_i, self.vm_i = _build(app_name)
         self.image_f, self.vm_f = _build(app_name)
-        self.table = build_vm_table(self.image_f)
+        self.table = _unit_table(self.image_f)
         self.baseline = [
             (seg.name, seg.buf.tobytes())
             for seg in self.vm_i.space.segments()
