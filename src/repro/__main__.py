@@ -432,6 +432,7 @@ def _checked(cast, valid, expected: str):
 
 
 def cmd_campaign_run(args) -> int:
+    from repro.engine.executors import resolve_jobs
     from repro.engine.progress import format_progress
     from repro.harness.tables import render_campaign_table
     from repro.injection.campaign import Campaign
@@ -590,7 +591,7 @@ def cmd_campaign_run(args) -> int:
         where = (
             f"over leased batches ({executor.book.requeues} requeued)"
             if executor is not None
-            else f"with jobs={args.jobs or 1}"
+            else f"with jobs={resolve_jobs(args.jobs)}"
         )
         print(
             f"{result.total_injections()} injections "

@@ -17,7 +17,6 @@ from repro.engine.budgets import (
     round_budget,
 )
 from repro.engine.checkpoint import (
-    CheckpointStore,
     GoldenRecording,
     ReplayPlan,
     plan_replay,
@@ -65,7 +64,6 @@ __all__ = [
     "block_budget",
     "hang_budgets",
     "round_budget",
-    "CheckpointStore",
     "GoldenRecording",
     "ReplayPlan",
     "plan_replay",

@@ -10,19 +10,20 @@ cheap without changing a single observable bit:
 **Effects replay, not state teleportation.**  Each rank's ``main`` is a
 Python generator; its locals (loop counters, kernel results read back
 into Python, live ``Request`` objects) cannot be serialized and grafted
-onto a fresh job.  Instead, one *golden recording* run wraps every
-rank's VM in a :class:`_RecordingVM` that captures, per kernel call,
-the call's complete machine effect: the exact bytes it changed in the
-writable segments (a NumPy diff), the post-call register file and FPU,
-the clock and retirement counters, the post-call stack pointers and
-segment versions, and the EAX return value.  A trial then wraps its VMs
-in :class:`_ReplayVM` objects that *apply* those recorded effects
-instead of interpreting instructions.  All Python-side orchestration -
-the scheduler, the MPI stack, heap bookkeeping, application logic,
-detector sweeps, RNG draws - still runs for real, and because the
-machine state it reads is bit-identical to the golden run, it behaves
-bit-identically.  Only the dominant cost (the per-instruction
-interpreter loop) is skipped.
+onto a fresh job.  Instead, the campaign's one fault-free run (its
+reference run, :func:`record_golden` under ``Campaign.reference``)
+wraps every rank's VM in a :class:`_RecordingVM` that captures, per
+kernel call, the call's complete machine effect: the exact bytes it
+changed in the writable segments (a NumPy diff), the post-call
+register file and FPU, the clock and retirement counters, the
+post-call stack pointers and segment versions, and the EAX return
+value.  A trial then wraps its VMs in :class:`_ReplayVM` objects that
+*apply* those recorded effects instead of interpreting instructions.
+All Python-side orchestration - the scheduler, the MPI stack, heap
+bookkeeping, application logic, detector sweeps, RNG draws - still
+runs for real, and because the machine state it reads is bit-identical
+to the golden run, it behaves bit-identically.  Only the dominant cost
+(the per-instruction interpreter loop) is skipped.
 
 **The causally safe switch point.**  Replay is only valid while the
 trial is provably identical to the golden run.  Injection hooks fire
@@ -36,41 +37,24 @@ reaches `t`; under round-robin scheduling nothing in any earlier
 switch round is the round in which the rank's received-byte counter
 first passes the target byte.
 
-**Stride.**  The recording itself is stride-independent (it stores
-every call); the stride is applied at restore time by quantizing the
-switch round down to the last round boundary at which the golden block
-clock crossed a multiple of ``stride`` blocks
-(:func:`quantize_switch_round`).  ``stride=1`` replays everything it
-safely can; larger strides trade replay coverage for coarser restore
-points, exactly like an on-disk checkpoint interval would.  Trials
-replay at :data:`STRIDE`.
-
 **Drift guards.**  Every elided call asserts the recorded function
 name, normalized arguments, start clock and start retirement count
 against the live machine; any mismatch raises
 :class:`~repro.errors.CheckpointDesync`, which the simulator re-raises
 out of the trial instead of classifying it as a Crash.
-
-:class:`CheckpointStore` caches one golden recording per
-``(factory, JobConfig)`` key so serial drivers and every forked worker
-share a single recording.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import CheckpointDesync
 from repro.injection.faults import FaultSpec, Region
-from repro.mpi.simulator import Job
+from repro.mpi.simulator import Job, JobResult
 
 _U32 = 0xFFFF_FFFF
-
-#: Checkpoint interval in golden blocks at which every trial replays.
-STRIDE = 16
 
 #: Fixed order of the writable segments a kernel call can touch; delta
 #: records index into this tuple.  Text is read/execute-only to the VM
@@ -138,16 +122,11 @@ class GoldenRecording:
     fork worker exactly once inside the execution context.
     """
 
-    app: str
-    nprocs: int
     rounds: int
     #: Per-rank, in execution order.
     calls: tuple[tuple[CallRecord, ...], ...]
-    #: Max block clock over all ranks at the end of each round.
-    round_end_blocks: tuple[int, ...]
     #: Per-round, per-rank cumulative received bytes at round end.
     round_recv_bytes: tuple[tuple[int, ...], ...]
-    blocks_per_rank: tuple[int, ...]
 
     @property
     def total_calls(self) -> int:
@@ -210,42 +189,25 @@ class _RecordingVM:
         return getattr(self._vm, name)
 
 
-def record_golden(context) -> GoldenRecording:
-    """Execute one fault-free job under recording VMs.
+def record_golden(job: Job) -> tuple[JobResult, GoldenRecording]:
+    """Run a fault-free job to termination under recording VMs.
 
-    ``context`` is an :class:`~repro.engine.core.ExecutionContext` (duck
-    typed: anything with ``app``, ``factory`` and ``job_config()``).
+    Returns the job's result and its recording; the caller decides
+    what a run that did not complete means (``Campaign.reference``
+    refuses it).
     """
-    job = Job(context.factory(), context.job_config())
-    sinks: list[list[CallRecord]] = [[] for _ in range(job.config.nprocs)]
-    for rank, ctx in enumerate(job.contexts):
-        ctx.vm = _RecordingVM(ctx.vm, job, sinks[rank])
-    startup = job.begin()
-    if startup is not None:
-        raise RuntimeError(
-            f"golden recording failed at startup: {startup.detail}"
-        )
-    round_end_blocks: list[int] = []
+    sinks: list[list[CallRecord]] = [[] for _ in job.contexts]
+    for ctx, sink in zip(job.contexts, sinks):
+        ctx.vm = _RecordingVM(ctx.vm, job, sink)
     round_recv: list[tuple[int, ...]] = []
-    while True:
+    result = job.begin()
+    while result is None:
         result = job.step_round()
-        round_end_blocks.append(max(im.clock.blocks for im in job.images))
         round_recv.append(tuple(ep.bytes_received for ep in job.endpoints))
-        if result is not None:
-            break
-    if not result.completed:
-        raise RuntimeError(
-            f"golden recording did not complete "
-            f"({result.status.value}): {result.detail}"
-        )
-    return GoldenRecording(
-        app=context.app,
-        nprocs=job.config.nprocs,
+    return result, GoldenRecording(
         rounds=result.rounds,
         calls=tuple(tuple(sink) for sink in sinks),
-        round_end_blocks=tuple(round_end_blocks),
         round_recv_bytes=tuple(round_recv),
-        blocks_per_rank=tuple(result.blocks_per_rank),
     )
 
 
@@ -332,28 +294,6 @@ def natural_switch_round(recording: GoldenRecording, fault: FaultSpec) -> int:
     return recording.rounds
 
 
-def quantize_switch_round(
-    recording: GoldenRecording, natural: int, stride: int
-) -> int:
-    """Largest restorable round ≤ ``natural``.
-
-    Round ``r`` is restorable when it is round 0 or when the golden
-    block clock crossed a multiple of ``stride`` during round ``r-1`` -
-    the discrete analogue of "the nearest checkpoint at or before the
-    injection instant" for a checkpoint interval of ``stride`` blocks.
-    """
-    if stride < 1:
-        raise ValueError(f"checkpoint stride must be >= 1: {stride}")
-    if natural <= 0:
-        return 0
-    blocks = recording.round_end_blocks
-    for r in range(min(natural, recording.rounds), 0, -1):
-        prev = blocks[r - 2] if r >= 2 else 0
-        if blocks[r - 1] // stride > prev // stride:
-            return r
-    return 0
-
-
 @dataclass(frozen=True)
 class ReplayPlan:
     """The replayable prefix chosen for one trial."""
@@ -365,13 +305,10 @@ class ReplayPlan:
     calls_skipped: int
 
 
-def plan_replay(
-    recording: GoldenRecording, fault: FaultSpec, stride: int
-) -> ReplayPlan | None:
+def plan_replay(recording: GoldenRecording, fault: FaultSpec) -> ReplayPlan | None:
     """Choose the prefix of the recording this trial may replay, or
     ``None`` when the fault lands too early for any replay to help."""
-    natural = natural_switch_round(recording, fault)
-    switch = quantize_switch_round(recording, natural, stride)
+    switch = natural_switch_round(recording, fault)
     if switch <= 0:
         return None
     records = tuple(
@@ -411,62 +348,9 @@ def install_replay(job: Job, plan: ReplayPlan) -> None:
 
 
 def prepare_replay(ctx, fault: FaultSpec) -> ReplayPlan | None:
-    """Plan this trial's replay of the context's golden recording at
-    :data:`STRIDE`.  Returns ``None`` when the context carries no
-    recording or nothing can be replayed."""
+    """Plan this trial's replay of the context's golden recording up
+    to its natural switch round.  Returns ``None`` when the context
+    carries no recording or nothing can be replayed."""
     if ctx.checkpoint is None:
         return None
-    return plan_replay(ctx.checkpoint, fault, STRIDE)
-
-
-# ----------------------------------------------------------------------
-# recording cache
-# ----------------------------------------------------------------------
-class CheckpointStore:
-    """In-memory cache of golden recordings keyed per
-    ``(factory, JobConfig)``.
-
-    One recording serves every trial of every region of a campaign:
-    the driver attaches it to the execution context *before* the
-    executor pickles the context, so fork workers receive it exactly
-    once.
-    """
-
-    def __init__(self) -> None:
-        self._cache: dict[tuple, GoldenRecording] = {}
-
-    @staticmethod
-    def key_for(context) -> tuple:
-        # Keyed on the factory, not the app name: two factories of one
-        # application (``MoldynApp(checksums=True)`` and ``=False``)
-        # build different programs under an equal ``JobConfig``.
-        factory = context.factory
-        if isinstance(factory, functools.partial):
-            factory = (
-                factory.func,
-                repr(factory.args),
-                tuple(sorted((k, repr(v)) for k, v in factory.keywords.items())),
-            )
-        cfg = context.config
-        params = tuple(sorted((k, repr(v)) for k, v in cfg.app_params.items()))
-        return (factory, cfg.nprocs, cfg.seed, cfg.eager_threshold, params)
-
-    def get(self, context) -> GoldenRecording:
-        key = self.key_for(context)
-        recording = self._cache.get(key)
-        if recording is None:
-            recording = self._cache[key] = record_golden(context)
-        return recording
-
-    def clear(self) -> None:
-        self._cache.clear()
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-
-_DEFAULT_STORE = CheckpointStore()
-
-
-def default_store() -> CheckpointStore:
-    return _DEFAULT_STORE
+    return plan_replay(ctx.checkpoint, fault)

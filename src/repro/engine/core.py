@@ -54,11 +54,11 @@ class ExecutionContext:
     #: activates exactly the observability scope these request.
     trace: bool = False
     collect_metrics: bool = False
-    #: The shared :class:`~repro.engine.checkpoint.GoldenRecording`
-    #: whose prefix every trial replays (``None``: trials run from
-    #: block 0).  Deliberately *kept* by ``__getstate__``: the driver
-    #: attaches it before the executor pickles the context, so every
-    #: fork worker receives the one recording exactly once.
+    #: The :class:`~repro.engine.checkpoint.GoldenRecording` of the
+    #: campaign's reference run, whose prefix every trial replays
+    #: (``None``: trials run from block 0, as ``run_with_fault``'s do).
+    #: Deliberately *kept* by ``__getstate__``: every fork worker
+    #: receives the one recording exactly once, inside the context.
     checkpoint: object | None = field(default=None, repr=False, compare=False)
     _resolved_compare: Callable | None = field(
         default=None, repr=False, compare=False

@@ -38,7 +38,6 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.engine import checkpoint
 from repro.engine.core import ExecutionContext
 from repro.engine.executors import make_executor
 from repro.engine.progress import ProgressEmitter, ProgressEvent
@@ -340,8 +339,7 @@ class CampaignEngine:
     executor:
         A prebuilt executor used instead of ``make_executor(context,
         jobs)``, e.g. a :class:`~repro.engine.coordination.LeaseExecutor`
-        for a distributed campaign.  No golden run is recorded for it:
-        the engine executes nothing itself.
+        for a distributed campaign.
     """
 
     def __init__(
@@ -404,15 +402,9 @@ class CampaignEngine:
     # ------------------------------------------------------------------
     def executor(self):
         """The trial executor: the prebuilt one, or a local one built on
-        first use.  For a local executor the golden run is recorded here
-        (see :mod:`repro.engine.checkpoint`), *before* the executor
-        pickles the context: serial trials and every fork worker then
-        replay the same recording's prefix."""
+        first use."""
         if self._executor is None:
-            context = self.context
-            if context.checkpoint is None:
-                context.checkpoint = checkpoint.default_store().get(context)
-            self._executor = make_executor(context, self.jobs)
+            self._executor = make_executor(self.context, self.jobs)
         return self._executor
 
     def close(self) -> None:

@@ -30,6 +30,12 @@ def default_jobs() -> int:
         return 1
 
 
+def resolve_jobs(jobs: int | None) -> int:
+    """The worker count a local executor runs with: ``jobs`` (at least
+    1), or :func:`default_jobs` when it is ``None``."""
+    return default_jobs() if jobs is None else max(1, int(jobs))
+
+
 class SerialExecutor:
     """In-process execution: no pickling constraints, deterministic
     completion order (trial index order)."""
@@ -121,7 +127,7 @@ class ParallelExecutor:
 def make_executor(
     context: ExecutionContext, jobs: int | None
 ) -> SerialExecutor | ParallelExecutor:
-    jobs = default_jobs() if jobs is None else max(1, int(jobs))
+    jobs = resolve_jobs(jobs)
     if jobs == 1:
         return SerialExecutor(context)
     return ParallelExecutor(context, jobs)

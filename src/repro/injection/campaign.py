@@ -1,12 +1,14 @@
 """Fault-injection campaigns: the experiment driver behind Tables 2-4.
 
-A campaign (1) runs the application fault-free to obtain the reference
-outputs, the per-rank basic-block totals (the injection time axis), the
-per-rank received message volume (the message-byte axis) and the hang
-budgets; (2) samples fault specifications uniformly over the paper's
-three-axis injection space for each region; (3) executes one fresh job
-per injection with the fault armed; and (4) classifies every outcome into
-the six manifestation classes, reporting the same columns as the paper's
+A campaign (1) runs the application once fault-free to obtain the
+reference outputs, the per-rank basic-block totals (the injection time
+axis), the per-rank received message volume (the message-byte axis),
+the hang budgets and the golden recording whose prefix every trial
+replays (:mod:`repro.engine.checkpoint`); (2) samples fault
+specifications uniformly over the paper's three-axis injection space
+for each region; (3) executes one fresh job per injection with the
+fault armed; and (4) classifies every outcome into the six
+manifestation classes, reporting the same columns as the paper's
 tables together with the sampling-theory estimation error.
 """
 
@@ -17,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.engine import checkpoint
 from repro.engine.budgets import block_budget, round_budget
 from repro.injection.dictionary import FaultDictionary
 from repro.injection.faults import (
@@ -44,6 +47,9 @@ class ReferenceProfile:
     #: from (all ranks link identically); lets static analyses resolve a
     #: sampled fault address back to its symbol.
     symtab: object = None
+    #: The :class:`~repro.engine.checkpoint.GoldenRecording` made during
+    #: the reference run; every execution context carries it.
+    recording: object = None
 
     @property
     def block_limit(self) -> int:
@@ -211,7 +217,7 @@ class Campaign:
         if self._reference is not None:
             return self._reference
         job = Job(self.app_factory(), self.config)
-        result = job.run()
+        result, recording = checkpoint.record_golden(job)
         if not result.completed:
             raise RuntimeError(
                 f"fault-free reference run failed ({result.status}): {result.detail}"
@@ -226,6 +232,7 @@ class Campaign:
             rounds=result.rounds,
             dictionary=FaultDictionary(job.images[0], dict_rng),
             symtab=job.images[0].symtab,
+            recording=recording,
         )
         return self._reference
 
@@ -289,6 +296,7 @@ class Campaign:
             # An auto-derived comparator is re-derived on each worker
             # instead of being shipped across process boundaries.
             compare=self.compare if self._compare_explicit else None,
+            checkpoint=ref.recording,
         )
 
     def masking_oracle(self):

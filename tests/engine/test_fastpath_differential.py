@@ -9,10 +9,10 @@ lines, ``status()`` rows, region tallies, metric series and
 error-latency histograms are bit-identical: serial and through the
 process pool (whose forked workers receive the recording pickled
 inside the context), on every suite application.
-:mod:`tests.checkpoint.test_differential` sweeps the replay stride
-against the same oracle.  Only throughput and the two engines' own
-counters (``repro_vm_fastpath_total``, ``repro_checkpoint_*``) may
-differ.
+:mod:`tests.checkpoint.test_differential` runs register, stack, heap
+and message faults against the same oracle.  Only throughput and the
+two engines' own counters (``repro_vm_fastpath_total``,
+``repro_checkpoint_*``) may differ.
 """
 
 import dataclasses
@@ -79,9 +79,6 @@ def observe_oracle(campaign, regions, store_path, *, jobs=1):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(VM, "fastpath", False)
         mp.setattr(checkpoint, "prepare_replay", lambda ctx, fault: None)
-        # A private recording cache: the default path must record its
-        # own golden run, not reuse one the interpreter made.
-        mp.setattr(checkpoint, "default_store", checkpoint.CheckpointStore)
         fingerprint, work = observe(campaign, regions, store_path, jobs=jobs)
     assert work == (0, 0), "the oracle must interpret every trial from block 0"
     return fingerprint
@@ -165,7 +162,6 @@ def test_hand_placed_text_fault(case):
     )
     with campaign.engine() as eng:
         spec = dataclasses.replace(eng.make_spec(Region.TEXT, 0), fault=fault)
-        eng.executor()  # records the golden run the trial replays
         ctx = eng.context
     ctx.collect_metrics = True
     got = execute_trial(ctx, spec)

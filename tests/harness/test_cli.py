@@ -101,6 +101,13 @@ class TestCampaignCli:
         assert sum(1 for _ in open(store)) == 3
         assert err.count("[done]") == 1
 
+    def test_summary_reports_workers_from_the_environment(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_CAMPAIGN_JOBS", "2")
+        assert main(campaign_run_args(tmp_path / "out.jsonl", ["-n", "2"])) == 0
+        assert "with jobs=2" in capsys.readouterr().err
+
     def test_resume_requires_store(self, capsys):
         args = [
             "campaign", "run", "--app", "wavetoy", "--regions", "message",

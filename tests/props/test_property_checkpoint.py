@@ -1,15 +1,15 @@
 """Property tests for the checkpoint layer.
 
 The headline property: for every application and every fault region,
-``execute_trial`` on a context carrying the golden recording (replayed
-at :data:`~repro.engine.checkpoint.STRIDE`) is bit-identical to the
-same trial run from block 0 - same serialized ``TrialResult``, same
-injection record, same per-trial metrics (modulo the checkpoint's own
-counters, which exist only on the replay side).  Every app replays at
-least one of its trials, so the property cannot hold vacuously.
+``execute_trial`` on a campaign's execution context (which carries the
+golden recording of its reference run, replayed up to the natural
+switch round) is bit-identical to the same trial run from block 0 on
+that context without the recording - same serialized ``TrialResult``,
+same injection record, same per-trial metrics (modulo the checkpoint's
+own counters, which exist only on the replay side).  Every app replays
+at least one of its trials, so the property cannot hold vacuously.
 
-Plus unit properties of the switch-point arithmetic (natural switch
-round, stride quantization) on synthetic recordings, and the desync
+Plus the natural switch round on a real recording, and the desync
 guard: a tampered recording must raise ``CheckpointDesync`` rather than
 silently classify as a fault outcome.
 """
@@ -18,22 +18,15 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.apps import ClimateApp, MoldynApp, WavetoyApp
 from repro.engine.checkpoint import (
-    STRIDE,
-    GoldenRecording,
-    default_store,
     install_replay,
     natural_switch_round,
     plan_replay,
     prepare_replay,
-    quantize_switch_round,
 )
 from repro.engine.core import execute_trial
 from repro.errors import CheckpointDesync
@@ -67,8 +60,8 @@ def make_campaign(app_name):
 
 
 #: (context without a recording, context carrying one, spec per
-#: region), built once per app: the reference profile and golden
-#: recording dominate setup cost.
+#: region), built once per app: the reference run, which makes the
+#: golden recording, dominates setup cost.
 _CACHE: dict[str, tuple] = {}
 
 
@@ -77,11 +70,9 @@ def app_fixtures(app_name):
         campaign = make_campaign(app_name)
         with campaign.engine() as eng:
             specs = {region: eng.make_spec(region, 0) for region in Region}
-        plain = campaign.execution_context()
-        plain.collect_metrics = True
         replay = campaign.execution_context()
         replay.collect_metrics = True
-        replay.checkpoint = default_store().get(replay)
+        plain = dataclasses.replace(replay, checkpoint=None)
         _CACHE[app_name] = (plain, replay, specs)
     return _CACHE[app_name]
 
@@ -131,55 +122,6 @@ def test_some_trial_replays(app_name):
     )
 
 
-# ----------------------------------------------------------------------
-# switch-point arithmetic on synthetic recordings
-# ----------------------------------------------------------------------
-def synthetic_recording(round_end_blocks):
-    n = len(round_end_blocks)
-    return GoldenRecording(
-        app="synthetic",
-        nprocs=1,
-        rounds=n,
-        calls=((),),
-        round_end_blocks=tuple(round_end_blocks),
-        round_recv_bytes=tuple((0,) for _ in range(n)),
-        blocks_per_rank=(round_end_blocks[-1] if round_end_blocks else 0,),
-    )
-
-
-#: Strictly increasing golden block clocks (one entry per round).
-blocks_lists = st.lists(st.integers(1, 500), min_size=1, max_size=20).map(
-    lambda deltas: tuple(itertools.accumulate(deltas))
-)
-
-
-class TestSwitchPointProperties:
-    @given(blocks_lists, st.integers(0, 25), st.integers(1, 64))
-    @settings(max_examples=200)
-    def test_quantized_switch_is_bounded_and_restorable(
-        self, blocks, natural, stride
-    ):
-        rec = synthetic_recording(blocks)
-        q = quantize_switch_round(rec, natural, stride)
-        assert 0 <= q <= min(natural, rec.rounds)
-        if q >= 2:
-            assert blocks[q - 1] // stride > blocks[q - 2] // stride
-        elif q == 1:
-            assert blocks[0] // stride > 0
-
-    @given(blocks_lists, st.integers(0, 25))
-    @settings(max_examples=100)
-    def test_stride_one_never_quantizes(self, blocks, natural):
-        """Every round boundary is a checkpoint at stride 1 (the clock
-        advances at least one block per round)."""
-        rec = synthetic_recording(blocks)
-        assert quantize_switch_round(rec, natural, 1) == min(natural, rec.rounds)
-
-    def test_invalid_stride_rejected(self):
-        with pytest.raises(ValueError, match="stride"):
-            quantize_switch_round(synthetic_recording((10,)), 1, 0)
-
-
 class TestNaturalSwitchOnRealRecording:
     def recording(self):
         _, replay, _ = app_fixtures("wavetoy")
@@ -189,13 +131,13 @@ class TestNaturalSwitchOnRealRecording:
         rec = self.recording()
         fault = FaultSpec(Region.STACK, rank=0, time_blocks=0)
         assert natural_switch_round(rec, fault) == 0
-        assert plan_replay(rec, fault, STRIDE) is None
+        assert plan_replay(rec, fault) is None
 
     def test_fault_beyond_activity_replays_everything(self):
         rec = self.recording()
         fault = FaultSpec(Region.STACK, rank=0, time_blocks=10**9)
         assert natural_switch_round(rec, fault) == rec.rounds
-        plan = plan_replay(rec, fault, 1)
+        plan = plan_replay(rec, fault)
         assert plan.calls_skipped == rec.total_calls
 
     def test_message_fault_beyond_traffic_replays_everything(self):
@@ -209,7 +151,7 @@ class TestNaturalSwitchOnRealRecording:
             natural_switch_round(
                 rec, FaultSpec(Region.STACK, rank=0, time_blocks=t)
             )
-            for t in range(0, rec.round_end_blocks[-1] + 100, 97)
+            for t in range(0, rec.calls[0][-1].end_blocks + 100, 97)
         ]
         assert rounds == sorted(rounds)
 
@@ -224,7 +166,7 @@ class TestDesyncGuard:
             rec, calls=tuple(tuple(per_rank) for per_rank in calls)
         )
         fault = FaultSpec(Region.STACK, rank=0, time_blocks=10**9)
-        plan = plan_replay(tampered, fault, 1)
+        plan = plan_replay(tampered, fault)
         job = Job(replay.factory(), replay.job_config())
         install_replay(job, plan)
         # A desync is infrastructure breakage: it must escape the
