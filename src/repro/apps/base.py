@@ -119,6 +119,10 @@ class MPIApplication:
     DEFAULTS: dict = {}
 
     _program_cache: dict[tuple, Program] = {}
+    #: Linked, relocated images keyed on (class, params, track_memory):
+    #: the pristine templates that every rank of every job copies
+    #: (:meth:`ProcessImage.fresh`).  Never returned, so never run.
+    _image_cache: dict[tuple, ProcessImage] = {}
 
     def __init__(self, **params):
         unknown = set(params) - set(self.DEFAULTS)
@@ -191,9 +195,7 @@ class MPIApplication:
             MPIApplication._program_cache[key] = prog
         return prog
 
-    def build_process(
-        self, rank: int, nprocs: int, config: JobConfig
-    ) -> tuple[ProcessImage, VM]:
+    def _link(self, rank: int, track: bool) -> ProcessImage:
         linker = Linker()
         self.program().add_to_linker(linker)
         self.add_static_objects(linker)
@@ -205,7 +207,28 @@ class MPIApplication:
             rank=rank,
             heap_size=self.heap_size,
             stack_size=self.stack_size,
-            track=config.track_memory,
+            track=track,
         )
         self.program().relocate(image)
+        return image
+
+    def build_process(
+        self, rank: int, nprocs: int, config: JobConfig
+    ) -> tuple[ProcessImage, VM]:
+        """A fresh ``(image, VM)`` for one rank of one job.  The app is
+        linked once per process and configuration; every rank image is
+        a copy of that template.  Apps whose params do not hash link
+        every rank."""
+        key = (type(self), tuple(sorted(self.params.items())), config.track_memory)
+        try:
+            template = MPIApplication._image_cache.get(key)
+        except TypeError:
+            image = self._link(rank, config.track_memory)
+        else:
+            if template is None:
+                template = self._link(0, config.track_memory)
+                if len(MPIApplication._image_cache) >= 16:
+                    MPIApplication._image_cache.clear()
+                MPIApplication._image_cache[key] = template
+            image = template.fresh(rank)
         return image, VM(image)

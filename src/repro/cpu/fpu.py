@@ -218,10 +218,15 @@ class FPU:
     def capture_state(self) -> tuple:
         """Full picklable FPU state.  The physical registers travel as
         raw bytes so the 80-bit extended encoding round-trips exactly
-        (``float()`` conversion would discard mantissa bits)."""
+        (``float()`` conversion would discard mantissa bits).  Only the
+        ``_sig_bytes`` of each slot are kept; the padding after them is
+        uninitialized memory and is zeroed, so equal states capture
+        equal bytes."""
         self._sync()
+        raw = self._phys.view(np.uint8).reshape(8, -1).copy()
+        raw[:, self._sig_bytes :] = 0
         return (
-            self._phys.tobytes(),
+            raw.tobytes(),
             self.top,
             self.twd,
             self.cwd,

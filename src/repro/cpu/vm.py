@@ -48,8 +48,9 @@ _NO_HORIZON = 1 << 62
 
 _signed = _ops.signed
 
-#: Primed per-address decode caches, shared across VMs of identical
-#: text images: (text digest, version) -> {addr: (version, insn)}.
+#: Primed per-address decode caches, shared (until first write) by
+#: VMs of identical text images:
+#: (text digest, version) -> {addr: (version, insn)}.
 _PRIMED_TEXT: dict[tuple[bytes, int], dict] = {}
 
 
@@ -73,6 +74,9 @@ class VM:
         self._hooks: list[tuple[int, Callable[["VM"], None]]] = []
         self._next_hook: int | None = None
         self._decode_cache: dict[int, tuple[int, Insn]] = {}
+        #: True while ``_decode_cache`` is a shared primed prototype,
+        #: which ``_fetch`` copies before its first write.
+        self._decode_shared = False
         self._running = False
         self.instructions_retired = 0
         #: Optional control-flow signature monitor
@@ -299,7 +303,12 @@ class VM:
         decoder (:mod:`repro.cpu.decoder`), one stream per text symbol.
         The fetch path and the static CFG therefore consume the *same*
         decode of every shipped kernel.  Identical text images (every
-        rank and every trial of a campaign) share one primed prototype.
+        rank and every trial of a campaign) share one primed prototype,
+        and each VM holds that prototype itself until its first write
+        (a decode miss, e.g. after a text flip) makes it copy.  No
+        write may reach the shared dict: text versions are not unique
+        across VMs, since two trials that flip different bits reach the
+        same version number.
         """
         symtab = getattr(self.image, "symtab", None)
         if symtab is None:
@@ -323,7 +332,8 @@ class VM:
             if len(_PRIMED_TEXT) >= 64:
                 _PRIMED_TEXT.clear()
             _PRIMED_TEXT[key] = proto
-        self._decode_cache = dict(proto)
+        self._decode_cache = proto
+        self._decode_shared = True
 
     def _fetch(self, eip: int) -> Insn:
         text = self.image.text
@@ -345,6 +355,9 @@ class VM:
                 f"undefined opcode 0x{exc.opcode:02x} at 0x{eip:08x}"
             ) from None
         if text.contains(eip, INSN_SIZE):
+            if self._decode_shared:
+                self._decode_cache = dict(self._decode_cache)
+                self._decode_shared = False
             self._decode_cache[eip] = (text.version, insn)
         return insn
 

@@ -133,6 +133,17 @@ class GoldenRecording:
         return sum(len(per_rank) for per_rank in self.calls)
 
 
+def _changed_bytes(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Ascending positions where ``new`` differs from ``old``.  Compares
+    8-byte words first (segment sizes are page multiples), then only
+    the bytes of the words that changed."""
+    words = np.flatnonzero(new.view(np.uint64) != old.view(np.uint64))
+    if not words.size:
+        return words
+    idx = (words[:, None] * 8 + np.arange(8)).ravel()
+    return idx[new[idx] != old[idx]]
+
+
 class _RecordingVM:
     """Transparent VM wrapper that records each call's machine effect.
 
@@ -145,18 +156,23 @@ class _RecordingVM:
         self._vm = vm
         self._job = job
         self._sink = sink
+        # Segment buffers are never rebound, so one snapshot buffer per
+        # segment is refilled before every call.
+        self._segments = _rw_segments(vm.image)
+        self._before = [np.empty_like(seg.buf) for seg in self._segments]
 
     def call(self, function, args=()) -> int:
         vm = self._vm
         image = vm.image
-        segments = _rw_segments(image)
-        before = [seg.buf.copy() for seg in segments]
+        segments = self._segments
+        for seg, snap in zip(segments, self._before):
+            np.copyto(snap, seg.buf)
         start_blocks = vm.clock.blocks
         start_insns = vm.instructions_retired
         eax = vm.call(function, args)
         deltas = []
-        for i, (seg, old) in enumerate(zip(segments, before)):
-            changed = np.flatnonzero(seg.buf != old)
+        for i, (seg, old) in enumerate(zip(segments, self._before)):
+            changed = _changed_bytes(seg.buf, old)
             if changed.size:
                 deltas.append(
                     SegDelta(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.clock import Clock
 from repro.memory.address_space import AddressSpace
 from repro.memory.heap import HeapAllocator
@@ -46,6 +48,47 @@ class ProcessImage:
             heap=HeapAllocator(image.heap),
             stack=StackManager(image.stack),
             entry_points=dict(image.entry_points),
+        )
+
+    def fresh(self, rank: int) -> "ProcessImage":
+        """A new process of this linked binary, as a loader maps it.
+
+        The copy gets its own clock, address space, allocator, stack
+        and segment buffers: text and data bytes are copied, bss, heap
+        and stack start zeroed.  Segment versions (which key the primed
+        decode tables) and entry points are copied; the symbol table,
+        which nothing mutates after linking, is shared.  Copy only a
+        pristine image that never ran: a run image's bss, heap and
+        stack contents would not carry over.
+        """
+        clock = Clock()
+        space = AddressSpace(clock)
+
+        def remap(seg: Segment, load: bool) -> Segment:
+            new = space.map(seg.name, seg.base, seg.size, seg.perm, seg.tracking)
+            if load:
+                np.copyto(new.buf, seg.buf)
+            new.version = seg.version
+            return new
+
+        text = remap(self.text, True)
+        data = remap(self.data, True)
+        bss = remap(self.bss, False)
+        heap = remap(self.heap_segment, False)
+        stack = remap(self.stack_segment, False)
+        return ProcessImage(
+            rank=rank,
+            clock=clock,
+            address_space=space,
+            symtab=self.symtab,
+            text=text,
+            data=data,
+            bss=bss,
+            heap_segment=heap,
+            stack_segment=stack,
+            heap=HeapAllocator(heap),
+            stack=StackManager(stack),
+            entry_points=dict(self.entry_points),
         )
 
     # ------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.cpu.registers import EAX, ECX
+from repro.cpu.vm import VM
 from repro.errors import (
     HangDetected,
     SimFPE,
@@ -272,6 +273,23 @@ class TestFaults:
         # Flip a bit of 'movi eax, 1' imm -> reruns must see new value.
         image.text.flip_bit(image.addr_of("main") + 4, 1)
         assert vm.call("main") == 3
+
+    def test_vms_of_one_template_decode_their_own_flips(self, monkeypatch):
+        # Both copies share the template's primed decode table, and
+        # flipping different bits of the same word leaves both texts at
+        # the same version: a decode one VM caches must not reach the
+        # other.
+        monkeypatch.setattr(VM, "fastpath", False)
+        template, _ = build_image({"main": "movi eax, 7\nret"})
+        a, b = template.fresh(0), template.fresh(1)
+        vm_a, vm_b = VM(a), VM(b)
+        imm = template.addr_of("main") + 4
+        a.text.flip_bit(imm, 0)
+        b.text.flip_bit(imm, 1)
+        assert a.text.version == b.text.version
+        assert vm_a.call("main") == 6
+        assert vm_b.call("main") == 5
+        assert VM(template.fresh(2)).call("main") == 7
 
     def test_load_unmapped_faults(self):
         with pytest.raises(SimSegfault):
