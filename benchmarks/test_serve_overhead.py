@@ -1,9 +1,10 @@
 """Live telemetry serving overhead bound (observability contract).
 
-``campaign run --serve`` must not slow the campaign down.  Attaching a
-hub engages the same per-trial metrics collection ``--metrics`` does
-(whose cost is bounded by ``test_observability_overhead``); *serving*
-then adds only a summary fold under the hub lock per trial, with
+``campaign run --serve`` must not slow the campaign down.  A served
+campaign hands the hub's registry to the engine, which engages the
+same per-trial metrics collection ``--metrics`` does (whose cost is
+bounded by ``test_observability_overhead``); *serving* then adds only
+a summary fold under the registry's lock per trial, with
 scrapes rendering outside that lock from a snapshot copy.  This bench
 isolates the serving increment: the same metrics-collecting campaign
 runs unserved and served (scraper thread sweeping all three endpoints)
@@ -106,7 +107,7 @@ def test_served_campaign_overhead_under_5_percent(capsys):
         try:
 
             def served_run():
-                with _campaign().engine(telemetry=hub) as eng:
+                with _campaign().engine(sinks=[hub], metrics=hub.registry) as eng:
                     _run_regions(eng)
 
             for _ in range(WARMUP_RUNS):

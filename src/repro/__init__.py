@@ -53,6 +53,7 @@ from repro.engine import (
     ResultStore,
     SerialExecutor,
     TrialResult,
+    TrialSink,
     TrialSpec,
 )
 from repro.harness import EXPERIMENTS, run_fault_free, run_with_fault
@@ -95,6 +96,7 @@ __all__ = [
     "ResultStore",
     "SerialExecutor",
     "TrialResult",
+    "TrialSink",
     "TrialSpec",
     "EXPERIMENTS",
     "run_fault_free",

@@ -396,7 +396,7 @@ def _parse_regions(text: str | None):
                 f"unknown region {token!r}; choose from: "
                 f"{', '.join(r.value for r in Region)}"
             )
-    return tuple(dict.fromkeys(regions))  # a repeated region runs once
+    return tuple(regions)
 
 
 def _parse_params(text: str | None) -> dict:
@@ -433,7 +433,7 @@ def _checked(cast, valid, expected: str):
 
 def cmd_campaign_run(args) -> int:
     from repro.engine.executors import resolve_jobs
-    from repro.engine.progress import format_progress
+    from repro.engine.progress import ProgressPrinter
     from repro.harness.tables import render_campaign_table
     from repro.injection.campaign import Campaign
     from repro.observability.export import TraceCollector
@@ -466,11 +466,13 @@ def cmd_campaign_run(args) -> int:
     metrics = MetricsRegistry() if want_metrics else None
     collector = TraceCollector() if args.trace else None
 
-    telemetry = server = executor = None
+    sinks = [ProgressPrinter()] if args.log_interval else []
+    server = executor = None
     if args.serve:
         from repro.observability.serve import TelemetryHub, serve_endpoint
 
-        telemetry = source = TelemetryHub(registry=metrics)
+        hub = source = TelemetryHub(registry=metrics)
+        sinks.append(hub)
         if args.distribute:
             from repro.engine.coordination import (
                 CoordinatorService,
@@ -478,7 +480,7 @@ def cmd_campaign_run(args) -> int:
             )
 
             executor = LeaseExecutor()
-            source = CoordinatorService(campaign, executor, telemetry)
+            source = CoordinatorService(campaign, executor, hub)
         try:
             server = serve_endpoint(source, args.serve)
         except ValueError as exc:
@@ -513,10 +515,9 @@ def cmd_campaign_run(args) -> int:
                     "execution": context.describe(),
                     "command": reproduce_command(getattr(args, "_argv", None)),
                 },
+                registry=metrics,
             )
-
-        def progress(event):
-            print(format_progress(event), file=sys.stderr)
+            sinks.append(artifacts)
 
         t0 = time.time()
         try:
@@ -528,13 +529,11 @@ def cmd_campaign_run(args) -> int:
                 jobs=args.jobs,
                 store=args.store,
                 log_interval=args.log_interval,
-                progress=progress if args.log_interval else None,
                 metrics=metrics,
                 trace=collector,
                 prune_masked=args.prune_masked,
                 stratify=args.stratify,
-                telemetry=telemetry,
-                artifacts=artifacts,
+                sinks=sinks,
                 executor=executor,
             )
         except KeyboardInterrupt:
@@ -548,7 +547,7 @@ def cmd_campaign_run(args) -> int:
             return 1
         elapsed = time.time() - t0
         if artifacts is not None:
-            artifacts.finalize(metrics)
+            artifacts.finalize()
             print(f"wrote artifacts: {args.artifacts}", file=sys.stderr)
         if collector is not None:
             collector.write(
@@ -651,7 +650,6 @@ def cmd_campaign_work(args) -> int:
         jobs=args.jobs,
         name=args.name,
         poll_interval=args.poll_interval,
-        max_batches=args.max_batches,
         log=lambda msg: print(msg, file=sys.stderr),
     )
     try:
@@ -1079,10 +1077,6 @@ def main(argv: list[str] | None = None) -> int:
                        dest="poll_interval", metavar="SECONDS",
                        help="wait between connection retries "
                        "(default 0.5)")
-    cwork.add_argument("--max-batches", type=int, default=None,
-                       dest="max_batches",
-                       help="exit after this many batches (default: "
-                       "until the campaign is done)")
     cwork.set_defaults(fn=cmd_campaign_work)
 
     srv = sub.add_parser(

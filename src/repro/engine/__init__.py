@@ -2,9 +2,10 @@
 
 One authority for single-trial execution (budgets, install, classify),
 pluggable serial, process-pool and leased remote executors, result stores
-with resume/merge, adaptive Cochran-half-width sampling, and progress
-callbacks.  ``Campaign``, ``run_with_fault``, the experiment registry
-and the ``python -m repro campaign`` CLI all flow through this package.
+with resume/merge, adaptive Cochran-half-width sampling, and the trial
+sink protocol every view of a campaign implements.  ``Campaign``,
+``run_with_fault``, the experiment registry and the ``python -m repro
+campaign`` CLI all flow through this package.
 """
 
 from repro.engine.budgets import (
@@ -37,7 +38,12 @@ from repro.engine.executors import (
     default_jobs,
     make_executor,
 )
-from repro.engine.progress import ProgressEvent, format_progress
+from repro.engine.progress import (
+    ProgressEvent,
+    ProgressPrinter,
+    TrialSink,
+    format_progress,
+)
 from repro.engine.store import (
     ResultStore,
     StoreStatus,
@@ -83,6 +89,8 @@ __all__ = [
     "default_jobs",
     "make_executor",
     "ProgressEvent",
+    "ProgressPrinter",
+    "TrialSink",
     "format_progress",
     "ResultStore",
     "SQLiteResultStore",

@@ -20,10 +20,13 @@ and "a filled-in :class:`~repro.injection.campaign.RegionResult`":
   bound, which guarantees termination (adaptive); :class:`_Stratified`
   Neyman-allocates its waves across predicted-outcome strata.  Each
   wave reaches the executor as one dispatch;
-* a ``progress`` callback emits per-region
-  :class:`~repro.engine.progress.ProgressEvent` lines every
-  ``log_interval`` trials, reporting the d the design's stopping rule
-  uses.
+* every view of the trials - live telemetry, an artifact run
+  directory, the CLI's progress line - is a
+  :class:`~repro.engine.progress.TrialSink` in ``sinks``: each one sees
+  every region start, every finished trial, a
+  :class:`~repro.engine.progress.ProgressEvent` every ``log_interval``
+  trials per region and at region end (reporting the d the design's
+  stopping rule uses), and every region's final row.
 
 The layers above delegate here: ``Campaign.run_region``/``run`` build
 an engine per call, the CLI ``campaign`` subcommand drives it directly.
@@ -34,13 +37,13 @@ from __future__ import annotations
 import math
 import os
 from contextlib import nullcontext
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.engine.core import ExecutionContext
 from repro.engine.executors import make_executor
-from repro.engine.progress import ProgressEmitter, ProgressEvent
+from repro.engine.progress import ProgressEvent, TrialSink
 from repro.engine.store import ResultStore, open_store
 from repro.observability.export import TraceCollector
 from repro.observability.metrics import MetricsRegistry
@@ -259,6 +262,8 @@ class _RegionState:
         #: ``(trial index, (fault, record, manifestation))`` pairs,
         #: re-sorted by index before landing in ``result.records``.
         self.pending_records: list[tuple[int, tuple[FaultSpec, Any, Any]]] = []
+        #: Completed trials since the last periodic progress event.
+        self.since_event = 0
 
 
 class CampaignEngine:
@@ -292,15 +297,16 @@ class CampaignEngine:
         (default 1 = serial in-process).
     store:
         ``ResultStore`` or path; every finished trial is appended.
-    progress / log_interval:
-        Deprecated callback shim, kept for pre-observability callers:
-        both now feed a :class:`~repro.engine.progress.ProgressEmitter`
-        that throttles by completed-trial count per region and also
-        mirrors every event into ``metrics`` when given.
+    log_interval:
+        Completed trials per region between periodic progress events
+        (0: only each region's final event).  A periodic event that
+        would duplicate the final one is skipped.
     metrics:
         A :class:`~repro.observability.metrics.MetricsRegistry`; workers
         collect per-trial snapshots which the driver merges here, plus
-        driver-side error-latency histograms and outcome tallies.
+        driver-side error-latency histograms, outcome tallies and the
+        ``repro_campaign_*`` progress gauges.  Every write happens
+        under the registry's lock, which concurrent readers share.
     trace:
         A :class:`~repro.observability.export.TraceCollector`; each
         fresh trial's event list is filed under its (region, index).
@@ -324,18 +330,11 @@ class CampaignEngine:
         region estimate is the importance-weighted
         :class:`~repro.sampling.theory.StratifiedEstimate`.  Runs in the
         parent process only, like ``sampler``.
-    telemetry:
-        A :class:`~repro.observability.serve.TelemetryHub`; every
-        finished trial is folded into its live summary under its lock,
-        and (when no ``metrics`` registry was passed) the hub's own
-        registry becomes the campaign registry, so the ``/metrics``
-        endpoint scrapes the same state ``--metrics`` writes at exit.
-    artifacts:
-        A :class:`~repro.observability.artifacts.RunArtifacts`; every
-        trial, progress event and region-final lands in its
-        ``events.jsonl``, with periodic metrics snapshots flushed to
-        ``metrics.jsonl``.  The caller finalizes the directory after
-        the campaign returns.
+    sinks:
+        :class:`~repro.engine.progress.TrialSink` objects, called in
+        order for every region start, finished trial, progress event
+        and region-final row.  A sink that serves the registry to
+        other threads must be built on ``metrics``.
     executor:
         A prebuilt executor used instead of ``make_executor(context,
         jobs)``, e.g. a :class:`~repro.engine.coordination.LeaseExecutor`
@@ -352,14 +351,12 @@ class CampaignEngine:
         plan: CampaignPlan | None = None,
         jobs: int | None = 1,
         store: ResultStore | str | os.PathLike | None = None,
-        progress: Callable[[ProgressEvent], None] | None = None,
         log_interval: int = 0,
         metrics: MetricsRegistry | None = None,
         trace: TraceCollector | None = None,
         prune: Callable[[FaultSpec], Any] | None = None,
         stratifier: Callable[[FaultSpec], str] | None = None,
-        telemetry=None,
-        artifacts=None,
+        sinks: Sequence[TrialSink] = (),
         executor=None,
     ) -> None:
         self.context = context
@@ -371,13 +368,7 @@ class CampaignEngine:
         if store is not None:
             store = open_store(store)
         self.store = store
-        self.telemetry = telemetry
-        self.artifacts = artifacts
-        if telemetry is not None and metrics is None:
-            # One registry serves both the live ``/metrics`` endpoint
-            # and the end-of-run exports; scrapes and final files agree
-            # by construction.
-            metrics = telemetry.registry
+        self.log_interval = log_interval
         self.metrics = metrics
         self.trace = trace
         if trace is not None:
@@ -385,15 +376,13 @@ class CampaignEngine:
             trace.metrics = metrics
         self.prune = prune
         self.stratifier = stratifier
+        self.sinks = tuple(sinks)
         # The context ships to workers; flags must be set before the
         # executor pickles it.
         if metrics is not None:
             context.collect_metrics = True
         if trace is not None:
             context.trace = True
-        self.emitter = ProgressEmitter(
-            callback=progress, log_interval=log_interval, metrics=metrics
-        )
         self._executor = executor
         self._stored: dict[str, TrialResult] | None = None
 
@@ -450,18 +439,15 @@ class CampaignEngine:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _sink_lock(self):
-        """The lock shared with concurrent telemetry readers.
-
-        Every driver-side write to the metrics registry / live summary
-        happens under it (an RLock: progress emission nests inside
-        trial ingestion); without a telemetry hub there are no
-        concurrent readers and this is free.
-        """
-        return self.telemetry.lock if self.telemetry is not None else nullcontext()
+    def _lock(self):
+        """The registry's lock, held across every registry write and
+        every sink call so that a reader sharing the registry sees both
+        in step; without a registry there is nothing to share."""
+        return self.metrics.lock if self.metrics is not None else nullcontext()
 
     def _emit(self, state: _RegionState, final: bool) -> None:
-        if not self.emitter.active and self.artifacts is None:
+        registry = self.metrics
+        if registry is None and not self.sinks:
             return
         row, design = state.result, state.design
         event = ProgressEvent(
@@ -475,11 +461,19 @@ class CampaignEngine:
             target_d=design.target_d,
             final=final,
         )
-        if self.emitter.active:
-            with self._sink_lock():
-                self.emitter.emit(event)
-        if self.artifacts is not None:
-            self.artifacts.note_progress(event)
+        with self._lock():
+            if registry is not None:
+                labels = {"app": event.app, "region": event.region}
+                registry.gauge("repro_campaign_trials_done", **labels).set(event.done)
+                registry.gauge("repro_campaign_errors", **labels).set(event.errors)
+                registry.gauge("repro_campaign_achieved_d", **labels).set(
+                    event.achieved_d
+                )
+                registry.counter(
+                    "repro_campaign_progress_events_total", **labels
+                ).inc()
+            for sink in self.sinks:
+                sink.progress(event)
 
     def _ingest(
         self, state: _RegionState, result: TrialResult, spec: TrialSpec | None
@@ -503,18 +497,20 @@ class CampaignEngine:
                 )
         state.design.observe(result)
         self._observe(result)
-        due = self.emitter.note_trial(self.context.app, row.region.value)
+        state.since_event += 1
+        if not self.log_interval or state.since_event < self.log_interval:
+            return
+        state.since_event = 0
         # When log_interval divides the planned count, the last trial's
         # periodic event would duplicate the region-final event emitted
-        # by run_region (same done count) - a legacy callback would see
-        # the region-complete state twice.  Suppress the periodic one.
+        # by run_region (same done count), so sinks would see the
+        # region-complete state twice.  Suppress the periodic one.
         planned = state.design.planned
-        if due and not (planned is not None and row.executions >= planned):
+        if planned is None or row.executions < planned:
             self._emit(state, final=False)
 
     def _observe(self, result: TrialResult) -> None:
-        """Fold one trial into every sink: metrics, trace, telemetry and
-        artifacts (with their periodic metrics flush).
+        """Fold one trial into the registry, the trace and every sink.
 
         Counters/histograms are sums over the trial set, so the merged
         registry is identical regardless of worker count or completion
@@ -522,7 +518,7 @@ class CampaignEngine:
         resumed trials contribute exactly like fresh ones.
         """
         registry = self.metrics
-        with self._sink_lock():
+        with self._lock():
             if registry is not None:
                 registry.counter(
                     "repro_trial_outcomes_total",
@@ -547,12 +543,8 @@ class CampaignEngine:
                     f"{result.app} {result.region.value}#{result.index}",
                     result.trace_events,
                 )
-            if self.telemetry is not None:
-                self.telemetry.note_trial(result)
-            if self.artifacts is not None:
-                self.artifacts.note_trial(result)
-                if registry is not None and self.artifacts.metrics_flush_due():
-                    self.artifacts.flush_metrics(registry.snapshot())
+            for sink in self.sinks:
+                sink.trial(result)
 
     def _pruned_result(self, spec: TrialSpec, reason: str) -> TrialResult:
         """The synthetic outcome of a statically-proven-masked trial.
@@ -638,9 +630,9 @@ class CampaignEngine:
         if keep_records is None:
             keep_records = design.planned is not None and self.executor().jobs == 1
         state = _RegionState(RegionResult(region), design, resume, keep_records)
-        if self.telemetry is not None:
-            # Adaptive runs are open-ended; /progress reports no ETA.
-            self.telemetry.note_region(self.context.app, region.value, design.planned)
+        with self._lock():
+            for sink in self.sinks:
+                sink.region_start(self.context.app, region.value, design.planned)
         for specs in design.waves(state.result):
             self._run_specs(state, specs)
         design.finish(state.result)
@@ -651,8 +643,9 @@ class CampaignEngine:
             state.pending_records.sort(key=lambda item: item[0])
             state.result.records.extend(rec for _, rec in state.pending_records)
         self._emit(state, final=True)
-        if self.artifacts is not None:
-            self.artifacts.note_region_final(self.context.app, state.result)
+        with self._lock():
+            for sink in self.sinks:
+                sink.region_final(self.context.app, state.result)
         return state.result
 
     def run(
@@ -664,8 +657,8 @@ class CampaignEngine:
         resume: bool = False,
         keep_records: bool | None = None,
     ):
-        """Run a set of regions; returns a
-        :class:`~repro.injection.campaign.CampaignResult`."""
+        """Run a set of regions, each once however often it is named;
+        returns a :class:`~repro.injection.campaign.CampaignResult`."""
         from repro.injection.campaign import CampaignResult
 
         result = CampaignResult(
@@ -673,7 +666,7 @@ class CampaignEngine:
             nprocs=self.context.config.nprocs,
             seed=self.seed,
         )
-        for region in regions:
+        for region in dict.fromkeys(regions):
             result.regions[region] = self.run_region(
                 region,
                 n,

@@ -1,20 +1,20 @@
-"""Campaign observability: per-region progress events.
+"""Campaign observability: the trial sink protocol and progress events.
 
-The engine routes progress through a :class:`ProgressEmitter`: every
-``log_interval`` *completed trials* per ``(app, region)`` (and once at
-region end) it builds a :class:`ProgressEvent`, mirrors it into the
-campaign's metrics registry when one is attached, and forwards it to
-the legacy ``progress`` callback when one is set.  The callback is a
-deprecated shim - new consumers should read the registry
-(``repro_campaign_trials_done`` et al.) instead.
+Everything a campaign emits besides its result rows is a view of the
+same trials.  The engine feeds each view through one protocol,
+:class:`TrialSink`: it announces every region it starts, hands over
+every finished trial, publishes a :class:`ProgressEvent` every
+``log_interval`` completed trials per region (and once at region end),
+and passes on each region's final row.  The live telemetry hub, the
+artifact run directory and the CLI's stderr :class:`ProgressPrinter`
+are sinks; the engine mirrors progress into its metrics registry
+(``repro_campaign_trials_done`` et al.) itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
-
-from repro.observability.metrics import MetricsRegistry
+import sys
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -45,58 +45,28 @@ class ProgressEvent:
         return 100.0 * self.errors / self.done if self.done else 0.0
 
 
-@dataclass
-class ProgressEmitter:
-    """Trial-count-driven progress throttle and fan-out.
+class TrialSink:
+    """One consumer of a campaign's trials; every method is a no-op.
 
-    ``note_trial`` counts completed trials per ``(app, region)`` and
-    reports when a periodic event is due; ``emit`` publishes an event to
-    the metrics registry (gauges + an event counter) and to the
-    deprecated ``callback`` shim.  Emission works with either sink
-    absent, so a campaign run with only ``--metrics`` still surfaces
-    progress without any callback wired.
+    A sink overrides what it needs.  The engine calls the methods from
+    its driver thread only, in campaign order, while holding its
+    metrics registry's lock (when it has a registry), so a sink that
+    shares that registry sees registry and trial in step.
     """
 
-    #: Deprecated: pre-observability consumers passed a callable here
-    #: (the engine's old ``progress=`` argument routes to it unchanged).
-    callback: Callable[[ProgressEvent], None] | None = None
-    #: Completed trials per region between periodic events (0 = only
-    #: final events).
-    log_interval: int = 0
-    metrics: MetricsRegistry | None = None
-    _since: dict[tuple[str, str], int] = field(default_factory=dict)
+    def region_start(self, app: str, region: str, planned: int | None) -> None:
+        """A region begins; ``planned`` is ``None`` for adaptive runs."""
 
-    @property
-    def active(self) -> bool:
-        return self.callback is not None or self.metrics is not None
+    def trial(self, result) -> None:
+        """One finished :class:`~repro.engine.trial.TrialResult`
+        (executed, pruned or resumed from the store)."""
 
-    def note_trial(self, app: str, region: str) -> bool:
-        """Count one completed trial; True when a periodic emission is
-        due for that region."""
-        if not self.log_interval or not self.active:
-            return False
-        key = (app, region)
-        count = self._since.get(key, 0) + 1
-        if count >= self.log_interval:
-            self._since[key] = 0
-            return True
-        self._since[key] = count
-        return False
+    def progress(self, event: ProgressEvent) -> None:
+        """A periodic or region-final :class:`ProgressEvent`."""
 
-    def emit(self, event: ProgressEvent) -> None:
-        metrics = self.metrics
-        if metrics is not None:
-            labels = {"app": event.app, "region": event.region}
-            metrics.gauge("repro_campaign_trials_done", **labels).set(event.done)
-            metrics.gauge("repro_campaign_errors", **labels).set(event.errors)
-            metrics.gauge("repro_campaign_achieved_d", **labels).set(
-                event.achieved_d
-            )
-            metrics.counter(
-                "repro_campaign_progress_events_total", **labels
-            ).inc()
-        if self.callback is not None:
-            self.callback(event)
+    def region_final(self, app: str, row) -> None:
+        """A region's finished
+        :class:`~repro.injection.campaign.RegionResult`."""
 
 
 def format_progress(event: ProgressEvent) -> str:
@@ -112,3 +82,11 @@ def format_progress(event: ProgressEvent) -> str:
     if event.final:
         line += " [done]"
     return line
+
+
+class ProgressPrinter(TrialSink):
+    """Prints each progress event to stderr as one
+    :func:`format_progress` line: the CLI's progress output."""
+
+    def progress(self, event: ProgressEvent) -> None:
+        print(format_progress(event), file=sys.stderr)

@@ -342,14 +342,12 @@ class Campaign:
         *,
         jobs: int | None = 1,
         store=None,
-        progress=None,
         log_interval: int = 0,
         metrics=None,
         trace=None,
         prune_masked: bool = False,
         stratify: bool = False,
-        telemetry=None,
-        artifacts=None,
+        sinks=(),
         executor=None,
     ):
         """Build a :class:`~repro.engine.driver.CampaignEngine` bound to
@@ -372,14 +370,12 @@ class Campaign:
             plan=self.plan,
             jobs=jobs,
             store=store,
-            progress=progress,
             log_interval=log_interval,
             metrics=metrics,
             trace=trace,
             prune=prune,
             stratifier=stratifier,
-            telemetry=telemetry,
-            artifacts=artifacts,
+            sinks=sinks,
             executor=executor,
         )
 
@@ -411,7 +407,7 @@ class Campaign:
         Serial fixed-n calls (the default) behave exactly as the
         historical for-loop driver, records included; adaptive
         ``target_d`` and ``resume`` are run options, everything else
-        (``jobs``, ``store``, sinks, ``executor``...) goes to
+        (``jobs``, ``store``, ``sinks``, ``executor``...) goes to
         :meth:`engine`.
         """
         with self.engine(**engine_options) as eng:

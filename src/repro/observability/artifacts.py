@@ -9,9 +9,9 @@ self-contained, reproducible record:
 ``events.jsonl``
     Trial lifecycle events, appended live: ``campaign_start``, one
     ``trial`` event per finished trial (the stored result fields plus a
-    wall-clock stamp), throttled ``progress`` events from the
-    :class:`~repro.engine.progress.ProgressEmitter`, ``region_final``
-    rows (with stratified estimates when present), ``campaign_end``.
+    wall-clock stamp), the engine's throttled ``progress`` events,
+    ``region_final`` rows (with stratified estimates when present),
+    ``campaign_end``.
 ``metrics.jsonl``
     Periodic flushes of the live merged
     :class:`~repro.observability.metrics.MetricsSnapshot` (every
@@ -43,9 +43,10 @@ import time
 from pathlib import Path
 from typing import IO
 
+from repro.engine.progress import TrialSink
 from repro.engine.store import StoreSummary
 from repro.engine.trial import TrialResult
-from repro.observability.metrics import MetricsSnapshot
+from repro.observability.metrics import MetricsRegistry
 
 #: Version of the run-directory layout and of every JSON payload in it.
 ARTIFACT_SCHEMA_VERSION = 1
@@ -105,17 +106,19 @@ def _stratified_json(estimate) -> dict:
     }
 
 
-class RunArtifacts:
+class RunArtifacts(TrialSink):
     """Writer half of one artifact run directory.
 
-    The campaign engine calls :meth:`note_trial` (and the progress
-    emitter :meth:`note_progress`) as events happen; every line is
-    flushed, so an interrupted campaign still leaves a parseable
-    record.  :meth:`finalize` stamps ``campaign_end``, flushes the
-    final metrics snapshot, and derives ``summary.json`` +
-    ``report.html`` *from the files just written* - the same derivation
-    ``python -m repro report DIR`` re-runs later, which is what makes
-    regeneration bit-identical by construction.
+    A :class:`~repro.engine.progress.TrialSink`: the campaign engine
+    hands it every trial, progress event and region-final row as they
+    happen; every line is flushed, so an interrupted campaign still
+    leaves a parseable record.  Given the campaign's metrics
+    ``registry``, it also appends a snapshot of it to ``metrics.jsonl``
+    every ``metrics_interval`` trials.  :meth:`finalize` stamps
+    ``campaign_end``, flushes the final metrics snapshot, and derives
+    ``summary.json`` + ``report.html`` *from the files just written* -
+    the same derivation ``python -m repro report DIR`` re-runs later,
+    which is what makes regeneration bit-identical by construction.
     """
 
     def __init__(
@@ -124,10 +127,12 @@ class RunArtifacts:
         manifest: dict | None = None,
         *,
         metrics_interval: int = DEFAULT_METRICS_INTERVAL,
+        registry: MetricsRegistry | None = None,
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.metrics_interval = max(1, metrics_interval)
+        self.registry = registry
         self._events: IO[str] | None = None
         self._metrics: IO[str] | None = None
         self._trials = 0
@@ -150,7 +155,7 @@ class RunArtifacts:
         self.note_event("campaign_start")
 
     # ------------------------------------------------------------------
-    # event sinks (engine-facing)
+    # the sink (engine-facing)
     # ------------------------------------------------------------------
     def _append(self, name: str, text: str) -> IO[str]:
         attr = "_events" if name == EVENTS_NAME else "_metrics"
@@ -167,13 +172,14 @@ class RunArtifacts:
         event.update(fields)
         self._append(EVENTS_NAME, _dump_line(event))
 
-    def note_trial(self, result: TrialResult) -> None:
+    def trial(self, result: TrialResult) -> None:
         self._trials += 1
         self._since_flush += 1
         self.note_event("trial", resumed=result.resumed, **result.to_json())
+        if self.registry is not None and self._since_flush >= self.metrics_interval:
+            self._flush_metrics()
 
-    def note_progress(self, event) -> None:
-        """Mirror one :class:`~repro.engine.progress.ProgressEvent`."""
+    def progress(self, event) -> None:
         self.note_event(
             "progress",
             app=event.app,
@@ -187,7 +193,7 @@ class RunArtifacts:
             final=event.final,
         )
 
-    def note_region_final(self, app: str, region_result) -> None:
+    def region_final(self, app: str, region_result) -> None:
         self.note_event(
             "region_final",
             app=app,
@@ -204,10 +210,7 @@ class RunArtifacts:
             ),
         )
 
-    def metrics_flush_due(self) -> bool:
-        return self._since_flush >= self.metrics_interval
-
-    def flush_metrics(self, snapshot: MetricsSnapshot) -> None:
+    def _flush_metrics(self) -> None:
         self._flushes += 1
         self._since_flush = 0
         self._append(
@@ -217,7 +220,7 @@ class RunArtifacts:
                     "seq": self._flushes,
                     "t": time.time(),
                     "trials": self._trials,
-                    "snapshot": snapshot.to_json(),
+                    "snapshot": self.registry.snapshot().to_json(),
                 }
             ),
         )
@@ -225,14 +228,14 @@ class RunArtifacts:
     # ------------------------------------------------------------------
     # finalization
     # ------------------------------------------------------------------
-    def finalize(self, registry=None) -> dict:
+    def finalize(self) -> dict:
         """Close the run: final metrics flush, ``campaign_end``, then
         derive ``summary.json`` and ``report.html`` from the files."""
         if self._finalized:
             return build_summary(self.directory)
         self._finalized = True
-        if registry is not None:
-            self.flush_metrics(registry.snapshot())
+        if self.registry is not None:
+            self._flush_metrics()
         self.note_event("campaign_end", trials=self._trials)
         self.close()
         return write_outputs(self.directory)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -231,9 +232,19 @@ class MetricsSnapshot:
 
 
 class MetricsRegistry:
-    """Process-local registry of named, labelled metrics."""
+    """Process-local registry of named, labelled metrics.
+
+    :attr:`lock` guards the registry, and whatever state is kept in
+    step with it, against concurrent readers: the campaign engine
+    writes under it and a telemetry hub built on the registry scrapes
+    under it (an :class:`~threading.RLock`, because progress emission
+    nests inside trial ingestion).  Writers with no concurrent reader
+    may ignore it.  Registries stay in their process (workers ship
+    :class:`MetricsSnapshot` values), so the lock is never pickled.
+    """
 
     def __init__(self) -> None:
+        self.lock = threading.RLock()
         self._counters: dict[tuple[str, LabelItems], Counter] = {}
         self._gauges: dict[tuple[str, LabelItems], Gauge] = {}
         self._histograms: dict[tuple[str, LabelItems], Histogram] = {}

@@ -16,16 +16,18 @@ Three endpoints, all derived from state the campaign already maintains:
 
 Two sources can sit behind the endpoints:
 
-* :class:`TelemetryHub` - attached to a running campaign engine.  The
-  engine folds every finished trial into the hub under the hub's lock;
-  request handlers copy state under that lock and render *outside* it,
-  so a slow scraper can never stall trial dispatch (each request also
-  runs on its own daemon thread - the server applies backpressure to
-  clients, not to the campaign).
-* :class:`StoreTelemetry` - ``python -m repro serve --store X``: follows
-  an append-only result store *incrementally* (only bytes appended
-  since the previous scrape are parsed), so serving a million-trial
-  store needs memory for the summary fold, not the store.
+* :class:`TelemetryHub` - a :class:`~repro.engine.progress.TrialSink`
+  of a running campaign engine, built on the engine's metrics
+  registry.  The engine folds every finished trial into the hub under
+  the registry's lock; request handlers copy state under that lock and
+  render *outside* it, so a slow scraper can never stall trial
+  dispatch (each request also runs on its own daemon thread - the
+  server applies backpressure to clients, not to the campaign).
+* :class:`StoreTelemetry` - ``python -m repro serve --store X``: a hub
+  fed by following an append-only result store *incrementally* (only
+  bytes appended since the previous scrape are parsed), so serving a
+  million-trial store needs memory for the summary fold, not the
+  store.
 
 Everything is stdlib: :mod:`http.server` + :mod:`threading`.
 """
@@ -38,6 +40,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+from repro.engine.progress import TrialSink
 from repro.engine.store import StoreSummary, open_store
 from repro.observability.metrics import (
     MetricsRegistry,
@@ -79,36 +82,45 @@ def serve_endpoint(
     return TelemetryServer(telemetry, host, port).start()
 
 
-class TelemetryHub:
+class TelemetryHub(TrialSink):
     """Thread-safe live telemetry state for one running campaign.
 
-    The campaign engine is the only writer; every ingestion happens
-    under :attr:`lock` (an :class:`~threading.RLock`, because progress
-    emission nests inside trial ingestion).  Request handlers take the
-    same lock just long enough to copy - a metrics snapshot, a summary
-    row list - and do all rendering outside it.
+    Pass the campaign's metrics registry both here and to the engine,
+    which lists the hub among its sinks: ``/metrics`` then scrapes the
+    state ``--metrics`` writes at exit.  :attr:`lock` is that
+    registry's lock, so the engine's registry writes and the hub's
+    summary and planned counts change under one lock.  Request
+    handlers take it just long enough to copy - a metrics snapshot, a
+    summary row list - and do all rendering outside it.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.lock = threading.RLock()
         self.registry = registry if registry is not None else MetricsRegistry()
+        self.lock = self.registry.lock
         self.summary = StoreSummary()
         self.started = time.monotonic()
         self._done = 0
         #: ``(app, region) -> planned trials`` (``None`` = open-ended).
         self._planned: dict[tuple[str, str], int | None] = {}
 
-    # -- engine-side writers ------------------------------------------
-    def note_region(self, app: str, region: str, planned: int | None) -> None:
+    # -- sink side ----------------------------------------------------
+    def region_start(self, app: str, region: str, planned: int | None) -> None:
         with self.lock:
             self._planned[(app, region)] = planned
 
-    def note_trial(self, result) -> None:
+    def trial(self, result) -> None:
         with self.lock:
             self.summary.add(result)
             self._done += 1
 
     # -- reader-side payloads -----------------------------------------
+    def refresh(self) -> None:
+        """Bring the state up to date before a read; the engine pushes
+        into a live hub, so there is nothing to pull."""
+
+    def _payload(self, **fields) -> dict:
+        return {"schema_version": SERVE_SCHEMA_VERSION, **fields}
+
     def metrics_snapshot(self) -> MetricsSnapshot:
         with self.lock:
             return self.registry.snapshot()
@@ -117,14 +129,13 @@ class TelemetryHub:
         return render_prometheus(self.metrics_snapshot())
 
     def status_payload(self) -> dict:
+        self.refresh()
         with self.lock:
             rows = self.summary.rows()
-        return {
-            "schema_version": SERVE_SCHEMA_VERSION,
-            "regions": [row.to_json() for row in rows],
-        }
+        return self._payload(regions=[row.to_json() for row in rows])
 
     def progress_payload(self) -> dict:
+        self.refresh()
         with self.lock:
             done = self._done
             errors = self.summary.errors
@@ -137,40 +148,38 @@ class TelemetryHub:
         eta = None
         if total is not None and throughput > 0 and total > done:
             eta = (total - done) / throughput
-        return {
-            "schema_version": SERVE_SCHEMA_VERSION,
-            "trials_done": done,
-            "trials_planned": total,
-            "errors": errors,
-            "elapsed_seconds": elapsed,
-            "throughput_trials_per_second": throughput,
-            "eta_seconds": eta,
-            "regions": [
+        return self._payload(
+            trials_done=done,
+            trials_planned=total,
+            errors=errors,
+            elapsed_seconds=elapsed,
+            throughput_trials_per_second=throughput,
+            eta_seconds=eta,
+            regions=[
                 {"app": app, "region": region, "planned": n}
                 for (app, region), n in sorted(planned.items())
             ],
-        }
+        )
 
 
-class StoreTelemetry:
+class StoreTelemetry(TelemetryHub):
     """Store-backed telemetry source: the standalone ``serve`` mode.
 
-    Follows a result store of either backend incrementally through the
-    store's follower (byte offset for JSONL, rowid high-water mark for
-    SQLite): each refresh ingests only records appended since the last
-    one.  A follower-reported reset (the store was rewritten) restarts
-    the fold from zero.
+    A hub fed by a result store of either backend, followed
+    incrementally through the store's follower (byte offset for JSONL,
+    rowid high-water mark for SQLite): each refresh hands the hub only
+    the trials appended since the last one, once per key.  A
+    follower-reported reset (the store was rewritten) restarts the fold
+    from zero.  No region announces a plan, so ``/progress`` reports no
+    total, and ``/metrics`` is the registry derived from the summary.
     """
 
     def __init__(self, path) -> None:
         store = open_store(path)
+        super().__init__()
         self.path = Path(store.path)
-        self.lock = threading.RLock()
-        self.summary = StoreSummary()
-        self.started = time.monotonic()
         self._follower = store.follower()
         self._seen: set[str] = set()
-        self._done = 0
         store.close()
 
     def refresh(self) -> None:
@@ -181,11 +190,12 @@ class StoreTelemetry:
                 self.summary = StoreSummary()
                 self._done = 0
             for result in results:
-                if result.key in self._seen:
-                    continue
-                self._seen.add(result.key)
-                self.summary.add(result)
-                self._done += 1
+                if result.key not in self._seen:
+                    self._seen.add(result.key)
+                    self.trial(result)
+
+    def _payload(self, **fields) -> dict:
+        return super()._payload(store=str(self.path), **fields)
 
     def metrics_snapshot(self) -> MetricsSnapshot:
         self.refresh()
@@ -193,37 +203,6 @@ class StoreTelemetry:
         with self.lock:
             self.summary.fill_registry(registry)
         return registry.snapshot()
-
-    def metrics_text(self) -> str:
-        return render_prometheus(self.metrics_snapshot())
-
-    def status_payload(self) -> dict:
-        self.refresh()
-        with self.lock:
-            rows = self.summary.rows()
-        return {
-            "schema_version": SERVE_SCHEMA_VERSION,
-            "store": str(self.path),
-            "regions": [row.to_json() for row in rows],
-        }
-
-    def progress_payload(self) -> dict:
-        self.refresh()
-        with self.lock:
-            done = self._done
-            errors = self.summary.errors
-            elapsed = time.monotonic() - self.started
-        return {
-            "schema_version": SERVE_SCHEMA_VERSION,
-            "store": str(self.path),
-            "trials_done": done,
-            "trials_planned": None,
-            "errors": errors,
-            "elapsed_seconds": elapsed,
-            "throughput_trials_per_second": done / elapsed if elapsed > 0 else 0.0,
-            "eta_seconds": None,
-            "regions": [],
-        }
 
 
 _INDEX = (

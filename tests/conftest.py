@@ -7,6 +7,7 @@ import pytest
 
 from repro.cpu.assembler import Program
 from repro.cpu.vm import VM
+from repro.engine.progress import TrialSink
 from repro.memory.process import ProcessImage
 from repro.memory.symbols import Linker
 from repro.mpi.simulator import JobConfig
@@ -82,3 +83,35 @@ def small_climate(**overrides):
     from repro.apps import ClimateApp
 
     return ClimateApp(**{**SMALL_CLIMATE, **overrides})
+
+
+# ----------------------------------------------------------------------
+# a trial sink that records what the engine tells it
+# ----------------------------------------------------------------------
+class RecordingSink(TrialSink):
+    """Records every sink call the engine makes, in order: region
+    starts, trial keys, progress events and region-final rows (as
+    comparable tuples)."""
+
+    def __init__(self) -> None:
+        self.calls: list[tuple] = []
+
+    def region_start(self, app, region, planned):
+        self.calls.append(("region_start", app, region, planned))
+
+    def trial(self, result):
+        self.calls.append(("trial", result.key))
+
+    def progress(self, event):
+        self.calls.append(("progress", event))
+
+    def region_final(self, app, row):
+        self.calls.append((
+            "region_final", app, row.region.value, dict(row.tally.counts),
+            row.delivered, row.resumed, row.pruned, row.adaptive_d, row.stratified,
+        ))
+
+    @property
+    def events(self):
+        """The progress events alone."""
+        return [call[1] for call in self.calls if call[0] == "progress"]

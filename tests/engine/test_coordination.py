@@ -36,7 +36,7 @@ from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
 from repro.injection.outcomes import Manifestation
 from repro.observability.serve import TelemetryHub, TelemetryServer
-from tests.conftest import SMALL_NPROCS, SMALL_WAVETOY
+from tests.conftest import SMALL_NPROCS, SMALL_WAVETOY, RecordingSink
 
 REGIONS = (Region.MESSAGE, Region.STACK)
 N = 6
@@ -348,11 +348,15 @@ class TestDistributedEquivalence:
         behind a coordinator service and two in-process workers taking
         turns (one batch, then the rest): trial execution scopes a
         per-process observability runtime, so concurrent workers belong
-        in separate processes, as in the chaos test."""
+        in separate processes, as in the chaos test.  A recording sink
+        on each side must see the same calls in the same order."""
+        local_sink, dist_sink = RecordingSink(), RecordingSink()
         local = small_campaign().run(
             regions,
             jobs=2,
             store=tmp_path / "local.jsonl",
+            sinks=[local_sink],
+            log_interval=4,
             **run_options,
             **engine_options,
         )
@@ -360,7 +364,9 @@ class TestDistributedEquivalence:
         executor = LeaseExecutor(batch_size=4)
         engine = campaign.engine(
             executor=executor,
-            telemetry=hub,
+            sinks=[hub, dist_sink],
+            metrics=hub.registry,
+            log_interval=4,
             store=tmp_path / "dist.sqlite",
             **engine_options,
         )
@@ -392,6 +398,7 @@ class TestDistributedEquivalence:
         local_lines = sorted((tmp_path / "local.jsonl").read_text().splitlines())
         dist_lines = sorted((tmp_path / "dist.jsonl").read_text().splitlines())
         assert local_lines == dist_lines
+        assert dist_sink.events and dist_sink.calls == local_sink.calls
         # Every executed trial went to a worker; the first took one batch.
         executed = distributed.total_injections() - sum(
             r.pruned for r in distributed.regions.values()

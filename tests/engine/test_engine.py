@@ -1,5 +1,5 @@
 """Campaign-engine behaviour: determinism across executors, resume,
-adaptive sampling, record retention, and progress callbacks.
+adaptive sampling, record retention, and what trial sinks see.
 
 The parallel tests use a module-level factory (picklable by reference)
 so trials can cross process boundaries.
@@ -16,9 +16,10 @@ from repro.engine.executors import ParallelExecutor, SerialExecutor
 from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
 from repro.mpi.simulator import JobConfig
+from repro.observability.serve import TelemetryHub
 from repro.sampling.plans import CampaignPlan
 from repro.sampling.theory import sample_size_oversampled
-from tests.conftest import SMALL_NPROCS, SMALL_WAVETOY
+from tests.conftest import SMALL_NPROCS, SMALL_WAVETOY, RecordingSink
 
 #: Regions exercised by the cross-executor tests (kept small for speed;
 #: message/heap/regular cover the channel, memory and register paths).
@@ -51,6 +52,22 @@ class TestDeterminism:
         jobs1 = small_campaign().run(REGIONS, jobs=1)
         jobs4 = small_campaign().run(REGIONS, jobs=4)
         assert tallies(serial) == tallies(jobs1) == tallies(jobs4)
+
+    def test_sinks_see_the_same_calls_at_any_jobs(self):
+        sinks = {jobs: RecordingSink() for jobs in (1, 4)}
+        for jobs, sink in sinks.items():
+            small_campaign().run(REGIONS, jobs=jobs, sinks=[sink], log_interval=2)
+        assert sinks[1].events and sinks[1].calls == sinks[4].calls
+
+    def test_repeated_region_runs_once(self, tmp_path):
+        store, hub = tmp_path / "campaign.jsonl", TelemetryHub()
+        result = small_campaign().run(
+            (Region.MESSAGE, Region.MESSAGE), 3, store=store, sinks=[hub]
+        )
+        assert sum(1 for _ in open(store)) == 3
+        assert result.regions[Region.MESSAGE].executions == 3
+        assert hub.progress_payload()["trials_done"] == 3
+        assert [row["trials"] for row in hub.status_payload()["regions"]] == [3]
 
     def test_parallel_region_matches_serial_records(self):
         """With ``keep_records=True`` the parallel engine reproduces the
@@ -218,10 +235,11 @@ class TestAdaptive:
 
 class TestProgress:
     def test_events_fire_each_interval_and_at_end(self):
-        events = []
+        sink = RecordingSink()
         small_campaign().run_region(
-            Region.MESSAGE, 4, progress=events.append, log_interval=2
+            Region.MESSAGE, 4, sinks=[sink], log_interval=2
         )
+        events = sink.events
         # One periodic event at done=2, one final at done=4.  (The last
         # trial's periodic emission is suppressed: it would duplicate
         # the region-complete event when log_interval divides n.)
@@ -232,18 +250,20 @@ class TestProgress:
         assert events[-1].achieved_d > 0
 
     def test_legacy_callback_and_metrics_never_double_fire_final(self):
-        """Regression: with the deprecated callback shim AND a metrics
-        registry attached, a region whose trial count is a multiple of
-        log_interval used to get two done=n events (periodic + final).
-        Both sinks must now see exactly one."""
+        """Regression from the progress-callback days: with a callback
+        AND a metrics registry attached, a region whose trial count is a
+        multiple of log_interval used to get two done=n events
+        (periodic + final).  A sink and the registry must each see
+        exactly one."""
         from repro.observability.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-        events = []
+        sink = RecordingSink()
         small_campaign().run_region(
-            Region.MESSAGE, 4, progress=events.append, log_interval=2,
+            Region.MESSAGE, 4, sinks=[sink], log_interval=2,
             metrics=registry,
         )
+        events = sink.events
         finals = [e for e in events if e.final]
         assert len(finals) == 1
         assert finals[0].done == 4
@@ -255,20 +275,22 @@ class TestProgress:
         assert emitted == len(events) == 2
 
     def test_interval_one_fires_once_per_trial_single_final(self):
-        events = []
+        sink = RecordingSink()
         small_campaign().run_region(
-            Region.MESSAGE, 4, progress=events.append, log_interval=1
+            Region.MESSAGE, 4, sinks=[sink], log_interval=1
         )
+        events = sink.events
         assert [e.done for e in events] == [1, 2, 3, 4]
         assert [e.final for e in events] == [False, False, False, True]
 
     def test_resumed_counts_visible(self, tmp_path):
         store = tmp_path / "campaign.jsonl"
         small_campaign().run_region(Region.MESSAGE, 2, store=store)
-        events = []
+        sink = RecordingSink()
         small_campaign().run_region(
             Region.MESSAGE, 4, store=store, resume=True,
-            progress=events.append, log_interval=1,
+            sinks=[sink], log_interval=1,
         )
+        events = sink.events
         assert events[-1].resumed == 2
         assert events[-1].done == 4

@@ -24,7 +24,7 @@ from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
 from repro.observability.serve import TelemetryHub
 from repro.sampling.theory import sample_size_oversampled
-from tests.conftest import SMALL_WAVETOY
+from tests.conftest import SMALL_WAVETOY, RecordingSink
 
 APP = "wavetoy"
 SEED = 123
@@ -150,27 +150,27 @@ class TestOneLoop:
         assert len(row.records) == row.executed > 0
 
     def test_progress_reports_the_stratified_half_width(self):
-        events = []
+        sink = RecordingSink()
         row = small_campaign().run_region(
-            Region.TEXT, target_d=0.15, stratify=True, progress=events.append
+            Region.TEXT, target_d=0.15, stratify=True, sinks=[sink]
         )
-        final = events[-1]
+        final = sink.events[-1]
         assert final.final
         assert final.achieved_d == row.adaptive_d == row.stratified.half_width
         assert final.achieved_d <= 0.15
 
     def test_fixed_budget_emits_one_event_at_its_budget(self):
-        events = []
+        sink = RecordingSink()
         small_campaign().run_region(
-            Region.TEXT, 24, stratify=True, progress=events.append, log_interval=8
+            Region.TEXT, 24, stratify=True, sinks=[sink], log_interval=8
         )
-        assert [(e.done, e.planned, e.final) for e in events] == [
+        assert [(e.done, e.planned, e.final) for e in sink.events] == [
             (8, 24, False), (16, 24, False), (24, 24, True)
         ]
 
     def test_adaptive_region_is_open_ended_on_progress(self):
         hub = TelemetryHub()
         small_campaign().run_region(
-            Region.TEXT, target_d=0.15, stratify=True, telemetry=hub
+            Region.TEXT, target_d=0.15, stratify=True, sinks=[hub]
         )
         assert hub.progress_payload()["trials_planned"] is None

@@ -72,7 +72,10 @@ def test_sigkilled_worker_batch_is_requeued_and_tallies_match(tmp_path):
     executor = LeaseExecutor(batch_size=2, lease_timeout=LEASE_TIMEOUT)
     hub = TelemetryHub()
     engine = campaign.engine(
-        executor=executor, telemetry=hub, store=tmp_path / "dist.jsonl"
+        executor=executor,
+        sinks=[hub],
+        metrics=hub.registry,
+        store=tmp_path / "dist.jsonl",
     )
     outcome = {}
 

@@ -45,13 +45,14 @@ def run_dir(tmp_path_factory):
             "command": "python -m repro campaign run --app wavetoy",
         },
         metrics_interval=3,
+        registry=registry,
     )
     with campaign.engine(
-        metrics=registry, artifacts=artifacts, log_interval=2
+        metrics=registry, sinks=[artifacts], log_interval=2
     ) as eng:
         eng.run_region(Region.STACK, N)
         eng.run_region(Region.HEAP, N)
-    artifacts.finalize(registry)
+    artifacts.finalize()
     return directory
 
 

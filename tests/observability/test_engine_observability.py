@@ -17,7 +17,7 @@ from repro.injection.outcomes import Manifestation
 from repro.observability import runtime
 from repro.observability.export import TraceCollector, validate_chrome_trace
 from repro.observability.metrics import MetricsRegistry
-from tests.conftest import SMALL_NPROCS, SMALL_WAVETOY
+from tests.conftest import SMALL_NPROCS, SMALL_WAVETOY, RecordingSink
 
 SEED = 20260806
 N = 4
@@ -192,16 +192,17 @@ class TestForkSafety:
         assert not runtime.enabled()
         assert traced.tally.counts == baseline.tally.counts
 
-    def test_engine_progress_shim_and_registry(self, campaign):
-        events = []
+    def test_engine_progress_sink_and_registry(self, campaign):
+        sink = RecordingSink()
         reg = MetricsRegistry()
         campaign.run_region(
             Region.MESSAGE,
             2,
             metrics=reg,
-            progress=events.append,
+            sinks=[sink],
             log_interval=1,
         )
+        events = sink.events
         assert events and events[-1].final
         assert all(e.region == "message" for e in events)
         assert (

@@ -1,7 +1,33 @@
-"""ProgressEmitter: trial-count throttling and registry fan-out."""
+"""Progress events through the trial sink protocol: the engine's
+per-region throttle and its fan-out to the registry and every sink."""
 
-from repro.engine.progress import ProgressEmitter, ProgressEvent, format_progress
+import pytest
+
+from repro.engine import driver
+from repro.engine.progress import (
+    ProgressEvent,
+    ProgressPrinter,
+    TrialSink,
+    format_progress,
+)
+from repro.injection.campaign import Campaign
+from repro.injection.faults import Region
 from repro.observability.metrics import MetricsRegistry
+from tests.conftest import SMALL_NPROCS, SMALL_WAVETOY, RecordingSink
+
+
+@pytest.fixture(scope="module")
+def campaign():
+    return Campaign.from_registry(
+        "wavetoy", nprocs=SMALL_NPROCS, app_params=SMALL_WAVETOY, seed=20260808
+    )
+
+
+def run_events(campaign, regions, n, **options):
+    """``(region, done, final)`` of every progress event a sink saw."""
+    sink = RecordingSink()
+    campaign.run(regions, n, sinks=[sink], **options)
+    return [(e.region, e.done, e.final) for e in sink.events]
 
 
 def make_event(done=10, final=False, target_d=None):
@@ -19,65 +45,101 @@ def make_event(done=10, final=False, target_d=None):
 
 
 class TestThrottle:
-    def test_every_nth_trial_per_region(self):
-        em = ProgressEmitter(callback=lambda e: None, log_interval=3)
-        due = [em.note_trial("app", "stack") for _ in range(7)]
-        assert due == [False, False, True, False, False, True, False]
+    def test_every_nth_trial_per_region(self, campaign):
+        events = run_events(campaign, [Region.MESSAGE], 7, log_interval=3)
+        assert events == [
+            ("message", 3, False), ("message", 6, False), ("message", 7, True)
+        ]
 
-    def test_regions_counted_independently(self):
-        em = ProgressEmitter(callback=lambda e: None, log_interval=2)
-        assert not em.note_trial("app", "stack")
-        assert not em.note_trial("app", "heap")
-        assert em.note_trial("app", "stack")
-        assert em.note_trial("app", "heap")
+    def test_regions_counted_independently(self, campaign):
+        # A count shared across regions would carry message's third
+        # trial into heap and fire at heap's first.
+        events = run_events(
+            campaign, [Region.MESSAGE, Region.HEAP], 3, log_interval=2
+        )
+        assert events == [
+            ("message", 2, False), ("message", 3, True),
+            ("heap", 2, False), ("heap", 3, True),
+        ]
 
-    def test_zero_interval_never_due(self):
-        em = ProgressEmitter(callback=lambda e: None, log_interval=0)
-        assert not any(em.note_trial("app", "stack") for _ in range(10))
+    def test_zero_interval_never_due(self, campaign):
+        events = run_events(campaign, [Region.MESSAGE], 4, log_interval=0)
+        assert events == [("message", 4, True)]
 
-    def test_inactive_emitter_never_due(self):
-        em = ProgressEmitter(log_interval=2)  # no callback, no metrics
-        assert not em.active
-        assert not any(em.note_trial("app", "stack") for _ in range(4))
+    def test_one_final_event_when_interval_divides_n(self, campaign):
+        events = run_events(campaign, [Region.MESSAGE], 4, log_interval=2)
+        assert events == [("message", 2, False), ("message", 4, True)]
+
+    def test_each_run_of_a_region_counts_from_zero(self, campaign):
+        sink = RecordingSink()
+        with campaign.engine(sinks=[sink], log_interval=2) as eng:
+            eng.run_region(Region.MESSAGE, 3)
+            eng.run_region(Region.MESSAGE, 3)
+        assert [(e.done, e.final) for e in sink.events] == [
+            (2, False), (3, True), (2, False), (3, True)
+        ]
+
+    def test_unobserved_engine_builds_no_event(self, campaign, monkeypatch):
+        built = []
+
+        def counting(**fields):
+            built.append(fields)
+            return ProgressEvent(**fields)
+
+        monkeypatch.setattr(driver, "ProgressEvent", counting)
+        campaign.run_region(Region.MESSAGE, 3, log_interval=1)
+        assert built == []
+        campaign.run_region(Region.MESSAGE, 3, log_interval=1, sinks=[TrialSink()])
+        assert len(built) == 3
 
 
 class TestFanOut:
-    def test_metrics_only_emission(self):
+    def test_metrics_only_emission(self, campaign):
         reg = MetricsRegistry()
-        em = ProgressEmitter(log_interval=1, metrics=reg)
-        assert em.active
-        em.emit(make_event(done=10))
-        em.emit(make_event(done=15))
+        row = campaign.run_region(Region.MESSAGE, 3, metrics=reg, log_interval=1)
         snap = reg.snapshot()
-        labels = (("app", "wavetoy"), ("region", "stack"))
-        assert snap.gauges[("repro_campaign_trials_done", labels)] == 15.0
-        assert snap.gauges[("repro_campaign_errors", labels)] == 2.0
+        labels = (("app", "wavetoy"), ("region", "message"))
+        assert snap.gauges[("repro_campaign_trials_done", labels)] == 3.0
+        assert snap.gauges[("repro_campaign_errors", labels)] == row.tally.errors
         assert (
             reg.counter_value(
-                "repro_campaign_progress_events_total", app="wavetoy", region="stack"
+                "repro_campaign_progress_events_total", app="wavetoy", region="message"
+            )
+            == 3  # periodic at 1 and 2, then the final one
+        )
+
+    def test_both_sinks_fed(self, campaign):
+        sink = RecordingSink()
+        reg = MetricsRegistry()
+        campaign.run_region(
+            Region.MESSAGE, 3, metrics=reg, sinks=[sink], log_interval=2
+        )
+        assert [(e.done, e.final) for e in sink.events] == [(2, False), (3, True)]
+        assert (
+            reg.counter_value(
+                "repro_campaign_progress_events_total", app="wavetoy", region="message"
             )
             == 2
         )
 
-    def test_deprecated_callback_shim_still_fires(self):
-        seen = []
-        em = ProgressEmitter(callback=seen.append, log_interval=1)
-        event = make_event()
-        em.emit(event)
-        assert seen == [event]
+    def test_sink_sees_the_region_in_order(self, campaign):
+        sink = RecordingSink()
+        row = campaign.run_region(Region.MESSAGE, 2, sinks=[sink], log_interval=1)
+        kinds = [call[0] for call in sink.calls]
+        assert kinds == [
+            "region_start", "trial", "progress", "trial", "progress", "region_final"
+        ]
+        assert sink.calls[0] == ("region_start", "wavetoy", "message", 2)
+        assert sink.calls[-1][2:4] == ("message", dict(row.tally.counts))
 
-    def test_both_sinks_fed(self):
-        seen = []
-        reg = MetricsRegistry()
-        em = ProgressEmitter(callback=seen.append, log_interval=1, metrics=reg)
-        em.emit(make_event())
-        assert len(seen) == 1
-        assert (
-            reg.counter_value(
-                "repro_campaign_progress_events_total", app="wavetoy", region="stack"
-            )
-            == 1
+    def test_printer_sink_prints_each_event(self, campaign, capsys):
+        sink = RecordingSink()
+        campaign.run_region(
+            Region.MESSAGE, 3, sinks=[sink, ProgressPrinter()], log_interval=2
         )
+        assert capsys.readouterr().err.splitlines() == [
+            format_progress(event) for event in sink.events
+        ]
 
 
 class TestFormat:

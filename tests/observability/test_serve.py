@@ -77,7 +77,7 @@ class TestTelemetryHub:
     def test_final_metrics_equal_merged_registry(self, campaign):
         hub = TelemetryHub()
         with TelemetryServer(hub) as srv:
-            with campaign.engine(telemetry=hub) as eng:
+            with campaign.engine(sinks=[hub], metrics=hub.registry) as eng:
                 eng.run_region(Region.STACK, N)
             text = _get(srv.url + "/metrics")
         # The scrape and the end-of-run export read the same registry.
@@ -102,7 +102,7 @@ class TestTelemetryHub:
     def test_status_and_progress_payloads(self, campaign):
         hub = TelemetryHub()
         with TelemetryServer(hub) as srv:
-            with campaign.engine(telemetry=hub) as eng:
+            with campaign.engine(sinks=[hub], metrics=hub.registry) as eng:
                 eng.run_region(Region.STACK, N)
             status = json.loads(_get(srv.url + "/status"))
             progress = json.loads(_get(srv.url + "/progress"))
@@ -128,7 +128,7 @@ class TestTelemetryHub:
 
         def run():
             try:
-                with campaign.engine(telemetry=hub) as eng:
+                with campaign.engine(sinks=[hub], metrics=hub.registry) as eng:
                     eng.run_region(Region.STACK, 3 * N)
                     eng.run_region(Region.HEAP, 3 * N)
             finally:
@@ -158,7 +158,9 @@ class TestTelemetryHub:
         for jobs in (1, 4):
             hub = TelemetryHub()
             with TelemetryServer(hub) as srv:
-                with campaign.engine(telemetry=hub, jobs=jobs) as eng:
+                with campaign.engine(
+                    sinks=[hub], metrics=hub.registry, jobs=jobs
+                ) as eng:
                     eng.run_region(Region.STACK, N)
                 payloads[jobs] = (
                     _comparable(parse_prometheus(_get(srv.url + "/metrics"))),
