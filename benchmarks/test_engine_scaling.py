@@ -55,7 +55,7 @@ def test_parallel_speedup(benchmark):
     serial_campaign = make_campaign(n)
     serial_campaign.reference()  # profile outside the timed section
     t0 = time.perf_counter()
-    serial = serial_campaign.run_region(SCALING_REGION, n, keep_records=False)
+    serial = serial_campaign.run_region(SCALING_REGION, n)
     serial_s = time.perf_counter() - t0
 
     parallel_campaign = make_campaign(n)

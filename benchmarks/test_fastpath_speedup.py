@@ -31,6 +31,7 @@ import pytest
 from repro.cpu.assembler import Program
 from repro.cpu.vm import VM
 from repro.engine import checkpoint
+from repro.engine.progress import TrialCollector
 from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
 from repro.memory.process import ProcessImage
@@ -140,36 +141,48 @@ CAMPAIGN_REGIONS = (Region.TEXT, Region.DATA, Region.REGULAR_REG)
 CAMPAIGN_N = max(4, min(BENCH_CAMPAIGN_N, 16))
 
 
-def run_campaign(fastpath: bool) -> tuple[float, object]:
+def run_campaign(fastpath: bool) -> tuple[float, tuple]:
+    """One timed campaign; its result is the region rows and every
+    trial result a collecting sink saw."""
     campaign = Campaign.from_registry("wavetoy", nprocs=2, seed=7)
+    trials = TrialCollector()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(VM, "fastpath", fastpath)
         mp.setattr(checkpoint, "prepare_replay", lambda ctx, fault: None)
         t0 = time.perf_counter()
-        result = campaign.run(CAMPAIGN_REGIONS, CAMPAIGN_N, jobs=1, stratify=True)
-        return time.perf_counter() - t0, result
+        result = campaign.run(
+            CAMPAIGN_REGIONS, CAMPAIGN_N, jobs=1, stratify=True, sinks=[trials]
+        )
+        return time.perf_counter() - t0, (result, trials.results)
 
 
-def fingerprint(result) -> list:
+def fingerprint(run) -> list:
+    """Per region: the tally and every executed trial's injection
+    record and outcome, in trial index order."""
+    result, trials = run
     rows = []
     for region in sorted(result.regions, key=lambda r: r.value):
         rr = result.regions[region]
+        executed = sorted(
+            (t for t in trials if t.region is region and t.record is not None),
+            key=lambda t: t.index,
+        )
         rows.append(
             (
                 region.value,
                 {m.value: c for m, c in rr.tally.counts.items()},
                 [
                     (
-                        fault,
-                        rec.delivered,
-                        rec.address,
-                        rec.symbol,
-                        rec.detail,
-                        rec.old_value,
-                        rec.new_value,
-                        m,
+                        t.record.spec,
+                        t.record.delivered,
+                        t.record.address,
+                        t.record.symbol,
+                        t.record.detail,
+                        t.record.old_value,
+                        t.record.new_value,
+                        t.manifestation,
                     )
-                    for fault, rec, m in rr.records
+                    for t in executed
                 ],
             )
         )

@@ -8,11 +8,13 @@ a summary fold under the registry's lock per trial, with
 scrapes rendering outside that lock from a snapshot copy.  This bench
 isolates the serving increment: the same metrics-collecting campaign
 runs unserved and served (scraper thread sweeping all three endpoints)
-in interleaved pairs - so CPU-frequency ramps and container-quota
-epochs hit both sides alike - and the best served wall time must stay
-within 5% of the best unserved wall time.
+in alternating rounds (:func:`benchmarks.conftest.interleave`) - so
+CPU-frequency ramps and container-quota epochs hit both sides alike -
+and the median of the per-round served/unserved wall-time ratios must
+stay within 5% of 1.
 """
 
+import statistics
 import threading
 import time
 import urllib.request
@@ -21,6 +23,8 @@ from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.serve import TelemetryHub, TelemetryServer
+
+from .conftest import interleave
 
 #: Same small-but-real wavetoy as the disabled-path bench: long enough
 #: to amortize process startup, short enough for CI.
@@ -34,8 +38,9 @@ N = 12
 #: Interleaved measurement rounds (one unserved + one served run each).
 ROUNDS = 5
 
-#: Untimed runs before measuring: the first seconds on a cold or
-#: quota-throttled machine run up to 20% slow, on both sides.
+#: Untimed runs before measuring, besides ``interleave``'s one per
+#: side: the first seconds on a cold or quota-throttled machine run up
+#: to 20% slow, on both sides.
 WARMUP_RUNS = 3
 
 #: Pause between scrape sweeps.  Still ~60x harsher than a stock
@@ -101,36 +106,43 @@ class _Scraper:
 
 def test_served_campaign_overhead_under_5_percent(capsys):
     hub = TelemetryHub()
-    unserved_times, served_times = [], []
     with TelemetryServer(hub) as srv:
         scraper = _Scraper(srv.url)
+
+        def served_run():
+            with _campaign().engine(sinks=[hub], metrics=hub.registry) as eng:
+                _run_regions(eng)
+
+        def served():
+            scraper.armed.set()
+            try:
+                return _timed(served_run), None
+            finally:
+                scraper.armed.clear()
+
+        def unserved():
+            return _timed(_unserved_run), None
+
         try:
-
-            def served_run():
-                with _campaign().engine(sinks=[hub], metrics=hub.registry) as eng:
-                    _run_regions(eng)
-
             for _ in range(WARMUP_RUNS):
                 _unserved_run()
-            for _ in range(ROUNDS):
-                unserved_times.append(_timed(_unserved_run))
-                scraper.armed.set()
-                served_times.append(_timed(served_run))
-                scraper.armed.clear()
+            # The served side is the "slow" one: ``speedup`` is then the
+            # median of the per-round served/unserved ratios.
+            run = interleave(served, unserved, ROUNDS)
         finally:
             scraper.stop()
     assert scraper.sweeps > 0, "scraper never completed a sweep"
 
-    unserved, served = min(unserved_times), min(served_times)
-    overhead = served / unserved - 1.0
+    overhead = run.speedup - 1.0
     with capsys.disabled():
         print(
             f"\n=== live telemetry serving overhead ===\n"
-            f"unserved (best of {ROUNDS}): {unserved * 1e3:.1f} ms\n"
+            f"unserved (median of {ROUNDS}): "
+            f"{statistics.median(run.fast_s) * 1e3:.1f} ms\n"
             f"served + scraped every {SCRAPE_PERIOD * 1e3:.0f} ms "
-            f"(best of {ROUNDS}): {served * 1e3:.1f} ms\n"
+            f"(median of {ROUNDS}): {statistics.median(run.slow_s) * 1e3:.1f} ms\n"
             f"scrape sweeps completed: {scraper.sweeps}\n"
-            f"overhead: {100 * overhead:+.2f}% (bound: "
-            f"{100 * OVERHEAD_BOUND:.0f}%)"
+            f"overhead (median of per-round ratios): {100 * overhead:+.2f}% "
+            f"(bound: {100 * OVERHEAD_BOUND:.0f}%)"
         )
     assert overhead < OVERHEAD_BOUND

@@ -52,6 +52,7 @@ from repro.engine import (
     ProgressEvent,
     ResultStore,
     SerialExecutor,
+    TrialCollector,
     TrialResult,
     TrialSink,
     TrialSpec,
@@ -95,6 +96,7 @@ __all__ = [
     "ProgressEvent",
     "ResultStore",
     "SerialExecutor",
+    "TrialCollector",
     "TrialResult",
     "TrialSink",
     "TrialSpec",

@@ -145,10 +145,6 @@ class MPIApplication:
     def main(self, ctx: RankContext) -> Generator:
         raise NotImplementedError
 
-    def compare_outputs(self, reference: dict, observed: dict) -> bool:
-        """Silent-data-corruption test; default is bitwise equality."""
-        return reference == observed
-
     def propagation_model(self):
         """Declared fault-propagation model for the static analyzer
         (:mod:`repro.staticanalysis.propagation`): which tokens feed the

@@ -518,15 +518,6 @@ def vector_len_reg(insn: Insn) -> int:
     return getattr(insn, field) & 7
 
 
-def insn_cost(insn: Insn, peek) -> int:
-    """Block-clock cost of one instruction; ``peek`` maps a register
-    index to its (uncounted) current value."""
-    if insn.op in VECTOR_OPS:
-        n = peek(vector_len_reg(insn))
-        return max(1, n >> 3)
-    return 1
-
-
 #: Interpreter dispatch: every defined opcode has exactly one entry.
 EXEC = {
     Op.NOP: _nop,

@@ -41,6 +41,7 @@ from repro.engine.executors import (
 from repro.engine.progress import (
     ProgressEvent,
     ProgressPrinter,
+    TrialCollector,
     TrialSink,
     format_progress,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "make_executor",
     "ProgressEvent",
     "ProgressPrinter",
+    "TrialCollector",
     "TrialSink",
     "format_progress",
     "ResultStore",

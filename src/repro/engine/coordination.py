@@ -231,9 +231,6 @@ class LeaseExecutor:
     and a condition variable hands results to the waiting engine.
     """
 
-    #: No local worker processes; trial records stay with the workers.
-    jobs = 0
-
     def __init__(
         self,
         *,

@@ -19,7 +19,7 @@ from repro.engine import checkpoint as _checkpoint
 from repro.engine.budgets import hang_budgets
 from repro.engine.trial import TrialResult, TrialSpec, restore_rng
 from repro.injection.faults import FaultSpec, InjectionRecord
-from repro.injection.outcomes import Manifestation, classify, default_compare
+from repro.injection.outcomes import Manifestation, classify
 from repro.injection.wrappers import install
 from repro.mpi.simulator import Job, JobConfig, JobResult
 from repro.observability import runtime as _obs_runtime
@@ -32,8 +32,8 @@ from repro.observability.tracer import Tracer
 class ExecutionContext:
     """Everything needed to execute and classify one trial.
 
-    Picklable whenever ``factory`` and ``compare`` are (module-level
-    callables, classes, :func:`functools.partial` of either); the
+    Plain data, picklable whenever ``factory`` is (a module-level
+    callable or class, or a :func:`functools.partial` of one); the
     parallel executor ships one context per worker.
     """
 
@@ -43,11 +43,6 @@ class ExecutionContext:
     reference: JobResult
     round_limit: int
     block_limit: int
-    #: ``None`` means "derive from a fresh application instance"
-    #: (``compare_outputs`` when present, else bitwise equality) - the
-    #: derivation then happens on the worker, so the callable never
-    #: crosses a process boundary.
-    compare: Callable | None = None
     #: Collect per-trial trace events / metrics snapshots.  Plain flags
     #: (set by the campaign engine from ``--trace`` / ``--metrics``) so
     #: they ship to workers inside the pickled context; each trial then
@@ -57,12 +52,9 @@ class ExecutionContext:
     #: The :class:`~repro.engine.checkpoint.GoldenRecording` of the
     #: campaign's reference run, whose prefix every trial replays
     #: (``None``: trials run from block 0, as ``run_with_fault``'s do).
-    #: Deliberately *kept* by ``__getstate__``: every fork worker
-    #: receives the one recording exactly once, inside the context.
+    #: Every fork worker receives the one recording exactly once,
+    #: inside the context.
     checkpoint: object | None = field(default=None, repr=False, compare=False)
-    _resolved_compare: Callable | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @classmethod
     def from_reference(
@@ -72,43 +64,24 @@ class ExecutionContext:
         reference: JobResult,
         *,
         app: str | None = None,
-        compare: Callable | None = None,
     ) -> "ExecutionContext":
         """Build a context from a completed fault-free run, deriving the
-        hang budgets from the one formula home."""
+        hang budgets from the one formula home (and the app name from a
+        probe instance when ``app`` is not given)."""
         round_limit, block_limit = hang_budgets(
             reference.rounds, reference.blocks_per_rank
         )
-        probe = None
         if app is None:
             probe = factory()
             app = getattr(probe, "name", type(probe).__name__)
-        ctx = cls(
+        return cls(
             app=app,
             factory=factory,
             config=config,
             reference=reference,
             round_limit=round_limit,
             block_limit=block_limit,
-            compare=compare,
         )
-        if compare is None and probe is not None:
-            # Reuse the probe instance for comparator derivation rather
-            # than building a second application; stays local to this
-            # process (never pickled - see ``__getstate__``).
-            ctx._resolved_compare = (
-                getattr(probe, "compare_outputs", None) or default_compare
-            )
-        return ctx
-
-    def resolved_compare(self) -> Callable:
-        if self._resolved_compare is None:
-            compare = self.compare
-            if compare is None:
-                app = self.factory()
-                compare = getattr(app, "compare_outputs", None) or default_compare
-            self._resolved_compare = compare
-        return self._resolved_compare
 
     def job_config(self) -> JobConfig:
         return JobConfig(
@@ -133,13 +106,6 @@ class ExecutionContext:
             "round_limit": self.round_limit,
             "block_limit": self.block_limit,
         }
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        # Never ship a resolved comparator (it may be a bound method of
-        # an application instance); workers re-derive their own.
-        state["_resolved_compare"] = None
-        return state
 
 
 @dataclass
@@ -232,7 +198,7 @@ def run_observed(
             )
         record = install(job, fault, rng)
         result = job.run()
-        manifestation = classify(result, ctx.reference, ctx.resolved_compare())
+        manifestation = classify(result, ctx.reference)
         _finalize_timeline(timeline, manifestation, result)
         if registry is not None:
             _harvest_job_metrics(registry, job, result, ctx)

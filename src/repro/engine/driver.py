@@ -254,14 +254,10 @@ class _Stratified:
 class _RegionState:
     """Mutable aggregation state for one region's run."""
 
-    def __init__(self, result, design, resume: bool, keep_records: bool) -> None:
+    def __init__(self, result, design, resume: bool) -> None:
         self.result = result  # RegionResult
         self.design = design  # _Uniform | _Stratified
         self.resume = resume
-        self.keep_records = keep_records
-        #: ``(trial index, (fault, record, manifestation))`` pairs,
-        #: re-sorted by index before landing in ``result.records``.
-        self.pending_records: list[tuple[int, tuple[FaultSpec, Any, Any]]] = []
         #: Completed trials since the last periodic progress event.
         self.since_event = 0
 
@@ -281,7 +277,7 @@ class CampaignEngine:
     ----------
     context:
         The single-trial execution authority (factory, reference run,
-        hang budgets, comparator policy).
+        hang budgets, golden recording).
     sampler:
         ``(region, rng) -> FaultSpec``; usually
         ``Campaign.sample_spec``.  Runs in the parent process only.
@@ -475,9 +471,7 @@ class CampaignEngine:
             for sink in self.sinks:
                 sink.progress(event)
 
-    def _ingest(
-        self, state: _RegionState, result: TrialResult, spec: TrialSpec | None
-    ) -> None:
+    def _ingest(self, state: _RegionState, result: TrialResult) -> None:
         row = state.result
         row.tally.add(result.manifestation)
         row.delivered += int(result.delivered)
@@ -488,13 +482,8 @@ class CampaignEngine:
             row.pruned += 1
         if result.resumed:
             row.resumed += 1
-        else:
-            if self.store is not None:
-                self.store.append(result)
-            if state.keep_records and spec is not None and result.record is not None:
-                state.pending_records.append(
-                    (spec.index, (spec.fault, result.record, result.manifestation))
-                )
+        elif self.store is not None:
+            self.store.append(result)
         state.design.observe(result)
         self._observe(result)
         state.since_event += 1
@@ -571,19 +560,16 @@ class CampaignEngine:
         for spec in specs:
             hit = stored.get(spec.key)
             if hit is not None:
-                self._ingest(state, hit, None)
+                self._ingest(state, hit)
                 continue
             if self.prune is not None:
                 verdict = self.prune(spec.fault)
                 if verdict.masked:
-                    self._ingest(
-                        state, self._pruned_result(spec, verdict.reason), spec
-                    )
+                    self._ingest(state, self._pruned_result(spec, verdict.reason))
                     continue
             missing.append(spec)
-        by_key = {spec.key: spec for spec in missing}
         for result in self.executor().run(missing):
-            self._ingest(state, result, by_key.get(result.key))
+            self._ingest(state, result)
 
     def run_trials(self, specs: list[TrialSpec]) -> list[TrialResult]:
         """Execute explicit trial specs through the executor, folding
@@ -605,7 +591,6 @@ class CampaignEngine:
         *,
         target_d: float | None = None,
         resume: bool = False,
-        keep_records: bool | None = None,
     ):
         """Run one region; returns a filled
         :class:`~repro.injection.campaign.RegionResult`.
@@ -613,11 +598,8 @@ class CampaignEngine:
         Fixed-n (``target_d is None``) spends a budget of ``n`` trials
         (default: the plan's sample size).  Adaptive runs until the
         design's half-width drops below ``target_d``, capped by the
-        oversampling bound.
-
-        ``keep_records`` defaults to True only for serial fixed-n runs;
-        adaptive and parallel campaigns keep tallies (and the store)
-        instead of retaining every per-trial record tuple.
+        oversampling bound.  The row holds tallies only; every trial's
+        result goes to the sinks and the store.
         """
         from repro.injection.campaign import RegionResult
 
@@ -627,21 +609,13 @@ class CampaignEngine:
             raise ValueError(f"target_d must be in (0, 1): {target_d}")
         design_cls = _Uniform if self.stratifier is None else _Stratified
         design = design_cls(self, region, n, target_d)
-        if keep_records is None:
-            keep_records = design.planned is not None and self.executor().jobs == 1
-        state = _RegionState(RegionResult(region), design, resume, keep_records)
+        state = _RegionState(RegionResult(region), design, resume)
         with self._lock():
             for sink in self.sinks:
                 sink.region_start(self.context.app, region.value, design.planned)
         for specs in design.waves(state.result):
             self._run_specs(state, specs)
         design.finish(state.result)
-
-        # Deterministic record order: stored/pruned results are ingested
-        # before executed ones, so re-sort by trial index.
-        if state.pending_records:
-            state.pending_records.sort(key=lambda item: item[0])
-            state.result.records.extend(rec for _, rec in state.pending_records)
         self._emit(state, final=True)
         with self._lock():
             for sink in self.sinks:
@@ -655,7 +629,6 @@ class CampaignEngine:
         *,
         target_d: float | None = None,
         resume: bool = False,
-        keep_records: bool | None = None,
     ):
         """Run a set of regions, each once however often it is named;
         returns a :class:`~repro.injection.campaign.CampaignResult`."""
@@ -668,10 +641,6 @@ class CampaignEngine:
         )
         for region in dict.fromkeys(regions):
             result.regions[region] = self.run_region(
-                region,
-                n,
-                target_d=target_d,
-                resume=resume,
-                keep_records=keep_records,
+                region, n, target_d=target_d, resume=resume
             )
         return result

@@ -40,8 +40,6 @@ class SerialExecutor:
     """In-process execution: no pickling constraints, deterministic
     completion order (trial index order)."""
 
-    jobs = 1
-
     def __init__(self, context: ExecutionContext) -> None:
         self.context = context
 
@@ -62,9 +60,6 @@ _WORKER_CONTEXT: ExecutionContext | None = None
 def _init_worker(context: ExecutionContext) -> None:
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = context
-    # Resolve the output comparator once per worker (it may require an
-    # application instance, which we do not ship across processes).
-    context.resolved_compare()
 
 
 def _worker_execute(spec: TrialSpec) -> TrialResult:
@@ -90,11 +85,10 @@ class ParallelExecutor:
             raise TypeError(
                 "parallel campaign execution requires a picklable "
                 "application factory (a module-level class/function or a "
-                "functools.partial of one) and comparator; got "
-                f"unpicklable execution context: {exc}"
+                "functools.partial of one); got unpicklable execution "
+                f"context: {exc}"
             ) from exc
         self.context = context
-        self.jobs = jobs
         import multiprocessing as mp
 
         method = "fork" if "fork" in mp.get_all_start_methods() else None

@@ -6,9 +6,10 @@ same trials.  The engine feeds each view through one protocol,
 every finished trial, publishes a :class:`ProgressEvent` every
 ``log_interval`` completed trials per region (and once at region end),
 and passes on each region's final row.  The live telemetry hub, the
-artifact run directory and the CLI's stderr :class:`ProgressPrinter`
-are sinks; the engine mirrors progress into its metrics registry
-(``repro_campaign_trials_done`` et al.) itself.
+artifact run directory, the CLI's stderr :class:`ProgressPrinter` and
+the :class:`TrialCollector` that gives Python callers every trial's
+result are sinks; the engine mirrors progress into its metrics
+registry (``repro_campaign_trials_done`` et al.) itself.
 """
 
 from __future__ import annotations
@@ -90,3 +91,16 @@ class ProgressPrinter(TrialSink):
 
     def progress(self, event: ProgressEvent) -> None:
         print(format_progress(event), file=sys.stderr)
+
+
+class TrialCollector(TrialSink):
+    """Keeps every finished trial's result in ``results``, in the order
+    the engine ingests them.  Executed trials carry their
+    :class:`~repro.injection.faults.InjectionRecord` in ``record``;
+    pruned and resumed ones carry ``None`` there."""
+
+    def __init__(self) -> None:
+        self.results: list = []
+
+    def trial(self, result) -> None:
+        self.results.append(result)

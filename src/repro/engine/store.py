@@ -9,9 +9,13 @@ close):
   at most the trial in flight; a partially written final line is
   tolerated (and skipped) on load.
 * :class:`~repro.engine.store_sqlite.SQLiteResultStore` - a WAL-mode
-  SQLite table keyed by the trial content hash, for many concurrent
-  writer processes (distributed workers) merging without append-file
-  contention.
+  SQLite table keyed by the trial content hash, for several writer
+  processes sharing one database (separate campaigns merging without
+  append-file contention) and readers following a running campaign.
+
+Within one campaign, distributed or not, only the engine's driver
+thread appends: distributed workers submit their results to the
+coordinator over HTTP, and its engine stores them.
 
 Both are keyed by the trial content hash (see
 :func:`repro.engine.trial.trial_key`).  Because trial execution is

@@ -1,11 +1,12 @@
 """SQLite-backed result store: idempotent multi-writer merge.
 
-The JSONL store is ideal for one appender per file, but a fleet of
-distributed workers funneling results through one coordinator - or
-several coordinators sharing one database - needs concurrent writers
-without append-file contention.  This backend keeps the exact record
-payload the JSONL store writes (the sorted-keys JSON line) in a WAL-mode
-SQLite table whose primary key is the trial content hash:
+The JSONL store is ideal for one appender per file, but several
+campaign processes sharing one database need concurrent writers without
+append-file contention.  (Within one campaign only the engine's driver
+thread appends; distributed workers submit their results to the
+coordinator over HTTP.)  This backend keeps the exact record payload
+the JSONL store writes (the sorted-keys JSON line) in a WAL-mode SQLite
+table whose primary key is the trial content hash:
 
 * ``INSERT OR IGNORE`` makes every append idempotent - two writers
   landing the same deterministic trial store exactly one row, the same
@@ -71,8 +72,9 @@ class SQLiteResultStore:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             # Autocommit (isolation_level=None): every append is its own
             # transaction, so a crash loses at most the trial in flight.
-            # check_same_thread off: the coordinator appends from HTTP
-            # handler threads (serialized under its own lock).
+            # check_same_thread off: an engine driven from a background
+            # thread uses a store that another thread built.  Only the
+            # engine's driver thread appends, so calls never overlap.
             conn = sqlite3.connect(
                 self.path,
                 timeout=BUSY_TIMEOUT_MS / 1000.0,

@@ -219,19 +219,21 @@ def _run_sampling(n: int | None) -> tuple[str, dict]:
 # E5: Cactus message-fault decomposition
 # ----------------------------------------------------------------------
 def _run_cactus_messages(n: int | None) -> tuple[str, dict]:
+    from repro.engine.progress import TrialCollector
     from repro.injection.outcomes import Manifestation
 
     trials = n or 60
     campaign = Campaign(WavetoyApp, _config(WavetoyApp))
-    row = campaign.run_region(Region.MESSAGE, trials)
-    header_hits = [r for r in row.records if r[1].detail == "header"]
-    payload_hits = [r for r in row.records if r[1].detail == "payload"]
+    collector = TrialCollector()
+    row = campaign.run_region(Region.MESSAGE, trials, sinks=[collector])
+    header_hits = [r for r in collector.results if r.detail == "header"]
+    payload_hits = [r for r in collector.results if r.detail == "payload"]
 
-    def corrupt_rate(records):
-        if not records:
+    def corrupt_rate(results):
+        if not results:
             return 0.0
-        bad = sum(1 for _, _, m in records if m is not Manifestation.CORRECT)
-        return bad / len(records)
+        bad = sum(1 for r in results if r.manifestation is not Manifestation.CORRECT)
+        return bad / len(results)
 
     hfrac = len(header_hits) / max(row.executions, 1)
     text = (

@@ -32,7 +32,6 @@ def run_with_fault(
     *,
     reference: JobResult | None = None,
     seed: int = 0,
-    compare=None,
 ) -> tuple[Manifestation, InjectionRecord, JobResult]:
     """Execute once with one fault armed and classify the outcome.
 
@@ -41,7 +40,5 @@ def run_with_fault(
     """
     if reference is None:
         reference = run_fault_free(app_factory, config)
-    ctx = ExecutionContext.from_reference(
-        app_factory, config, reference, compare=compare
-    )
+    ctx = ExecutionContext.from_reference(app_factory, config, reference)
     return run_single(ctx, spec, np.random.default_rng(seed))

@@ -28,7 +28,6 @@ from repro.injection.outcomes import (
     Manifestation,
     OutcomeTally,
     classify,
-    default_compare,
 )
 from repro.injection.config import ConfigError, InjectionConfig, format_config, parse_config
 from repro.injection.wrappers import install, install_from_config_text
@@ -59,7 +58,6 @@ __all__ = [
     "Manifestation",
     "OutcomeTally",
     "classify",
-    "default_compare",
     "ConfigError",
     "InjectionConfig",
     "format_config",

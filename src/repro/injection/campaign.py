@@ -29,7 +29,7 @@ from repro.injection.faults import (
     Region,
     fp_target_from_bitindex,
 )
-from repro.injection.outcomes import Manifestation, OutcomeTally, default_compare
+from repro.injection.outcomes import Manifestation, OutcomeTally
 from repro.mpi.simulator import Job, JobConfig, JobResult
 from repro.sampling.plans import CampaignPlan, default_plan
 from repro.sampling.theory import StratifiedEstimate, achieved_error
@@ -62,18 +62,17 @@ class ReferenceProfile:
 
 @dataclass
 class RegionResult:
-    """Per-region campaign outcome: one row of Tables 2-4."""
+    """Per-region campaign outcome: one row of Tables 2-4.
+
+    Tallies only, the same whichever executor ran the region: per-trial
+    results (each executed trial's :class:`InjectionRecord`) reach a
+    :class:`~repro.engine.progress.TrialSink` passed as ``sinks=``, and
+    the result store.
+    """
 
     region: Region
     tally: OutcomeTally = field(default_factory=OutcomeTally)
     delivered: int = 0
-    #: Full per-trial record tuples.  Retention is opt-in for adaptive
-    #: and parallel runs (``keep_records``): a 10^5-injection region
-    #: must not hold every record alive - the tally and the result
-    #: store carry the data.
-    records: list[tuple[FaultSpec, InjectionRecord, Manifestation]] = field(
-        default_factory=list
-    )
     #: Trials satisfied from a result store instead of being executed.
     resumed: int = 0
     #: Observed Cochran half-width at the end of an adaptive run
@@ -140,9 +139,6 @@ class Campaign:
         Job configuration (nprocs, seed, app parameters).
     plan:
         Injections per region; defaults honour ``REPRO_CAMPAIGN_N``.
-    compare:
-        Output comparator; defaults to the application's
-        ``compare_outputs`` when present, else bitwise equality.
     app_params:
         Application build parameters, recorded in trial content hashes
         so result stores from different configurations never alias.
@@ -155,7 +151,6 @@ class Campaign:
         config: JobConfig,
         plan: CampaignPlan | None = None,
         seed: int = 20040607,
-        compare=None,
         app_params: dict | None = None,
     ) -> None:
         self.app_factory = app_factory
@@ -163,11 +158,7 @@ class Campaign:
         self.plan = plan or default_plan()
         self.seed = seed
         self.app_params = dict(app_params or {})
-        self._compare_explicit = compare is not None
         app = app_factory()
-        if compare is None:
-            compare = getattr(app, "compare_outputs", None) or default_compare
-        self.compare = compare
         self.app_name = getattr(app, "name", type(app).__name__)
         self._reference: ReferenceProfile | None = None
 
@@ -181,7 +172,6 @@ class Campaign:
         config: JobConfig | None = None,
         plan: CampaignPlan | None = None,
         seed: int = 20040607,
-        compare=None,
     ) -> "Campaign":
         """Build a campaign over a suite application by name.
 
@@ -206,7 +196,6 @@ class Campaign:
             config or JobConfig(nprocs=nprocs),
             plan=plan,
             seed=seed,
-            compare=compare,
             app_params=params,
         )
 
@@ -293,9 +282,6 @@ class Campaign:
             reference=ref.result,
             round_limit=ref.round_limit,
             block_limit=ref.block_limit,
-            # An auto-derived comparator is re-derived on each worker
-            # instead of being shipped across process boundaries.
-            compare=self.compare if self._compare_explicit else None,
             checkpoint=ref.recording,
         )
 
@@ -399,25 +385,17 @@ class Campaign:
         *,
         target_d: float | None = None,
         resume: bool = False,
-        keep_records: bool | None = None,
         **engine_options,
     ) -> RegionResult:
         """Run one region through the campaign engine.
 
-        Serial fixed-n calls (the default) behave exactly as the
-        historical for-loop driver, records included; adaptive
-        ``target_d`` and ``resume`` are run options, everything else
-        (``jobs``, ``store``, ``sinks``, ``executor``...) goes to
-        :meth:`engine`.
+        Adaptive ``target_d`` and ``resume`` are run options; everything
+        else (``jobs``, ``store``, ``sinks``, ``executor``...) goes to
+        :meth:`engine`.  A caller that wants every trial's result passes
+        a sink, e.g. a :class:`~repro.engine.progress.TrialCollector`.
         """
         with self.engine(**engine_options) as eng:
-            return eng.run_region(
-                region,
-                n,
-                target_d=target_d,
-                resume=resume,
-                keep_records=keep_records,
-            )
+            return eng.run_region(region, n, target_d=target_d, resume=resume)
 
     def run(
         self,
@@ -426,15 +404,8 @@ class Campaign:
         *,
         target_d: float | None = None,
         resume: bool = False,
-        keep_records: bool | None = None,
         **engine_options,
     ) -> CampaignResult:
         """Run a set of regions; options as for :meth:`run_region`."""
         with self.engine(**engine_options) as eng:
-            return eng.run(
-                regions,
-                n,
-                target_d=target_d,
-                resume=resume,
-                keep_records=keep_records,
-            )
+            return eng.run(regions, n, target_d=target_d, resume=resume)

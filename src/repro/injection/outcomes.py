@@ -36,26 +36,15 @@ ERROR_CLASSES = (
 )
 
 
-def default_compare(reference: dict, observed: dict) -> bool:
-    """Bitwise output equality - the strictest correctness definition.
-
-    Applications override this: Cactus Wavetoy's plain-text comparison is
-    exact string equality of *rounded* text (which masks low-order
-    perturbations), moldyn's console energies allow the nondeterminism
-    tolerance of section 4.2.2.
-    """
-    return reference == observed
-
-
-def classify(
-    result: JobResult,
-    reference: JobResult,
-    compare=default_compare,
-) -> Manifestation:
+def classify(result: JobResult, reference: JobResult) -> Manifestation:
     """Map one faulty run onto the paper's taxonomy.
 
     Crash detection follows the paper exactly: "Application crashes were
     detected by identifying MPICH error messages in the STDERR output."
+    A completed run is Incorrect when its outputs differ in any byte
+    from the fault-free reference's.  What masks a perturbation is the
+    application's output format (wavetoy's fixed-precision text hides
+    low-order flips, section 6.2), not a lenient comparison.
     """
     status = result.status
     if status is JobStatus.HUNG:
@@ -69,7 +58,7 @@ def classify(
     ):
         return Manifestation.CRASH
     # Completed: compare outputs against the fault-free reference.
-    if compare(reference.outputs, result.outputs):
+    if result.outputs == reference.outputs:
         return Manifestation.CORRECT
     return Manifestation.INCORRECT
 

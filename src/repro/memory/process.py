@@ -109,13 +109,6 @@ class ProcessImage:
             "stack": self.stack.used_bytes(),
         }
 
-    def user_text_range(self) -> list[tuple[int, int]]:
-        """Address ranges of *user* text symbols (the stack walker uses
-        these to decide which frames belong to the application)."""
-        return [
-            (s.addr, s.end) for s in self.symtab.symbols("text", "user")
-        ]
-
     def in_user_text(self, addr: int) -> bool:
         sym = self.symtab.resolve(addr)
         return sym is not None and sym.section == "text" and sym.library == "user"

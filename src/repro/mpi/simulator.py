@@ -273,10 +273,10 @@ class Job:
         rank = self._current_rank
         if isinstance(exc, (KeyboardInterrupt, SystemExit, CheckpointDesync)):
             raise exc
-        status, detail = self._classify(exc, rank)
+        status, detail, kind = self._classify(exc, rank)
         if _obs.TIMELINE is not None or _obs.TRACER is not None:
             _obs.note_termination(
-                self._termination_kind(exc),
+                kind,
                 rank=rank,
                 blocks=self.images[rank].clock.blocks,
                 detail=detail,
@@ -293,22 +293,15 @@ class Job:
             faulting_rank=rank,
         )
 
-    @staticmethod
-    def _termination_kind(exc: BaseException) -> str:
-        """Short timeline tag for an abnormal termination."""
-        if isinstance(exc, SimSignal):
-            return f"signal:{exc.signame}"
-        if isinstance(exc, (ChannelProtocolError, HeapCorruption, StackOverflow)):
-            return "protocol"
-        if isinstance(exc, AppAbort):
-            return "app_abort"
-        if isinstance(exc, MPIAbort):
-            return "mpi_abort"
-        if isinstance(exc, HangDetected):
-            return "hang"
-        return "unhandled"
+    def _classify(
+        self, exc: BaseException, rank: int
+    ) -> tuple[JobStatus, str, str]:
+        """Status, detail and timeline kind of an abnormal termination.
 
-    def _classify(self, exc: BaseException, rank: int) -> tuple[JobStatus, str]:
+        ``"unhandled"`` marks what may be a harness exception rather
+        than a modelled failure; the simulation errors without a kind of
+        their own (MPIError, InvalidFaultSpec, CFGError) carry it too.
+        """
         if isinstance(exc, SimSignal):
             # MPICH catches the fatal signal and prints its diagnostic.
             self.stderr.append(
@@ -317,27 +310,30 @@ class Job:
             self.stderr.append(
                 f"p4_error: latest msg from perror: killing all MPI processes"
             )
-            return JobStatus.CRASHED, f"{exc.signame} on rank {rank}"
+            return (
+                JobStatus.CRASHED, f"{exc.signame} on rank {rank}",
+                f"signal:{exc.signame}",
+            )
         if isinstance(exc, (ChannelProtocolError, HeapCorruption, StackOverflow)):
             self.stderr.append(f"p4_error: net_recv failed on rank {rank}: {exc}")
-            return JobStatus.CRASHED, f"runtime fault on rank {rank}: {exc}"
+            return JobStatus.CRASHED, f"runtime fault on rank {rank}: {exc}", "protocol"
         if isinstance(exc, MemoryError):
             self.stderr.append(f"p4_error: out of memory on rank {rank}: {exc}")
-            return JobStatus.CRASHED, f"heap exhaustion on rank {rank}"
+            return JobStatus.CRASHED, f"heap exhaustion on rank {rank}", "oom"
         if isinstance(exc, AppAbort):
             self.stdout.append(f"[{rank}] ABORT {exc}")
-            return JobStatus.APP_DETECTED, str(exc)
+            return JobStatus.APP_DETECTED, str(exc), "app_abort"
         if isinstance(exc, MPIAbort):
             if self.comms[rank].errhandler.user_invocations > 0:
                 self.stdout.append(f"[{rank}] MPI error handler invoked: {exc}")
-                return JobStatus.MPI_DETECTED, str(exc)
+                return JobStatus.MPI_DETECTED, str(exc), "mpi_abort"
             self.stderr.append(f"p4_error: {exc} (rank {rank})")
-            return JobStatus.CRASHED, str(exc)
+            return JobStatus.CRASHED, str(exc), "mpi_abort"
         if isinstance(exc, HangDetected):
-            return JobStatus.HUNG, str(exc)
+            return JobStatus.HUNG, str(exc), "hang"
         if isinstance(exc, SimulationError):
             self.stderr.append(f"p4_error: {type(exc).__name__} on rank {rank}: {exc}")
-            return JobStatus.CRASHED, f"{type(exc).__name__}: {exc}"
+            return JobStatus.CRASHED, f"{type(exc).__name__}: {exc}", "unhandled"
         # Anything else is a genuine bug in the *simulator or application
         # harness* unless a fault was injected, in which case corrupted
         # values reaching orchestration code are also a crash (e.g. a
@@ -346,7 +342,9 @@ class Job:
         traceback.print_exception(exc, file=buf)
         self.stderr.append(f"p4_error: unhandled {type(exc).__name__} on rank {rank}")
         self.stderr.append(buf.getvalue())
-        return JobStatus.CRASHED, f"unhandled {type(exc).__name__}: {exc}"
+        return (
+            JobStatus.CRASHED, f"unhandled {type(exc).__name__}: {exc}", "unhandled"
+        )
 
     # ------------------------------------------------------------------
     # aggregate queries

@@ -33,8 +33,9 @@ class TimelineEvent:
     """One notable instant of a trial."""
 
     #: What happened: ``"injection"``, ``"detector:<family>"``,
-    #: ``"signal:<name>"``, ``"protocol"``, ``"hang"``, ``"app_abort"``,
-    #: ``"mpi_abort"``, ``"output_mismatch"``.
+    #: ``"signal:<name>"``, ``"protocol"``, ``"oom"``, ``"hang"``,
+    #: ``"app_abort"``, ``"mpi_abort"``, ``"unhandled"``,
+    #: ``"output_mismatch"``.
     kind: str
     #: MPI rank the instant was observed on (None when unknown).
     rank: int | None = None

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.engine.progress import TrialCollector
 from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
 from repro.injection.outcomes import Manifestation
@@ -105,12 +106,14 @@ def validate_message_vulnerability(
 
         # Dynamic side: one channel-layer injection campaign per app.
         campaign = Campaign(factory, JobConfig(nprocs=nprocs), seed=seed)
-        region = campaign.run_region(Region.MESSAGE, trials)
+        collector = TrialCollector()
+        campaign.run_region(Region.MESSAGE, trials, sinks=[collector])
         per_rank_total = [0] * nprocs
         per_rank_structural = [0] * nprocs
-        for spec, _record, manifestation in region.records:
-            per_rank_total[spec.rank] += 1
-            per_rank_structural[spec.rank] += manifestation in STRUCTURAL
+        for result in collector.results:
+            rank = result.record.spec.rank
+            per_rank_total[rank] += 1
+            per_rank_structural[rank] += result.manifestation in STRUCTURAL
         for rank in range(nprocs):
             if per_rank_total[rank]:
                 report.dynamic_rates[(name, rank)] = (

@@ -222,12 +222,6 @@ class HangAnalysis:
             indexed |= loop.memory_indexed_counters
         return frozenset(pure - indexed)
 
-    def memory_indexed_counter_regs(self) -> frozenset[int]:
-        out: set[int] = set()
-        for loop in self.loops:
-            out |= loop.memory_indexed_counters
-        return frozenset(out)
-
     # ------------------------------------------------------------------
     # text-level summary
     # ------------------------------------------------------------------

@@ -344,22 +344,26 @@ class TestDistributedEquivalence:
     designs."""
 
     def _check(self, tmp_path, regions, run_options, **engine_options):
-        """Run locally at ``jobs=2``, then with the engine on a thread
-        behind a coordinator service and two in-process workers taking
-        turns (one batch, then the rest): trial execution scopes a
-        per-process observability runtime, so concurrent workers belong
-        in separate processes, as in the chaos test.  A recording sink
-        on each side must see the same calls in the same order."""
-        local_sink, dist_sink = RecordingSink(), RecordingSink()
-        local = small_campaign().run(
-            regions,
-            jobs=2,
-            store=tmp_path / "local.jsonl",
-            sinks=[local_sink],
-            log_interval=4,
-            **run_options,
-            **engine_options,
-        )
+        """Run locally at ``jobs=1`` and ``jobs=2``, then with the engine
+        on a thread behind a coordinator service and two in-process
+        workers taking turns (one batch, then the rest): trial execution
+        scopes a per-process observability runtime, so concurrent
+        workers belong in separate processes, as in the chaos test.  The
+        three runs must return equal region rows, and a recording sink
+        on each must see the same calls in the same order."""
+        local, local_sinks = {}, {}
+        for jobs in (1, 2):
+            local_sinks[jobs] = RecordingSink()
+            local[jobs] = small_campaign().run(
+                regions,
+                jobs=jobs,
+                store=tmp_path / f"jobs{jobs}.jsonl",
+                sinks=[local_sinks[jobs]],
+                log_interval=4,
+                **run_options,
+                **engine_options,
+            )
+        dist_sink = RecordingSink()
         campaign, hub = small_campaign(), TelemetryHub()
         executor = LeaseExecutor(batch_size=4)
         engine = campaign.engine(
@@ -388,17 +392,20 @@ class TestDistributedEquivalence:
             coordinator.join(timeout=60)
         assert not coordinator.is_alive()
         distributed = outcome["result"]
-        for region in regions:
-            a, b = local.regions[region], distributed.regions[region]
-            assert dict(a.tally.counts) == dict(b.tally.counts)
-            for field in ("delivered", "pruned", "resumed", "adaptive_d", "stratified"):
-                assert getattr(a, field) == getattr(b, field), field
+        serial_rows, pool_rows, dist_rows = (
+            [run.regions[region] for region in regions]
+            for run in (local[1], local[2], distributed)
+        )
+        assert serial_rows == pool_rows == dist_rows
         # Byte-identical stores across backends and executors.
         merge_stores([tmp_path / "dist.sqlite"], tmp_path / "dist.jsonl")
-        local_lines = sorted((tmp_path / "local.jsonl").read_text().splitlines())
-        dist_lines = sorted((tmp_path / "dist.jsonl").read_text().splitlines())
-        assert local_lines == dist_lines
-        assert dist_sink.events and dist_sink.calls == local_sink.calls
+        serial_lines, pool_lines, dist_lines = (
+            sorted((tmp_path / name).read_text().splitlines())
+            for name in ("jobs1.jsonl", "jobs2.jsonl", "dist.jsonl")
+        )
+        assert serial_lines == pool_lines == dist_lines
+        assert dist_sink.events
+        assert local_sinks[1].calls == local_sinks[2].calls == dist_sink.calls
         # Every executed trial went to a worker; the first took one batch.
         executed = distributed.total_injections() - sum(
             r.pruned for r in distributed.regions.values()

@@ -1,5 +1,5 @@
 """Campaign-engine behaviour: determinism across executors, resume,
-adaptive sampling, record retention, and what trial sinks see.
+adaptive sampling, and what trial sinks see.
 
 The parallel tests use a module-level factory (picklable by reference)
 so trials can cross process boundaries.
@@ -13,6 +13,7 @@ from repro.apps import WavetoyApp
 from repro.engine import ResultStore, driver
 from repro.engine.driver import observed_half_width
 from repro.engine.executors import ParallelExecutor, SerialExecutor
+from repro.engine.progress import TrialCollector
 from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
 from repro.mpi.simulator import JobConfig
@@ -70,15 +71,16 @@ class TestDeterminism:
         assert [row["trials"] for row in hub.status_payload()["regions"]] == [3]
 
     def test_parallel_region_matches_serial_records(self):
-        """With ``keep_records=True`` the parallel engine reproduces the
-        serial record list exactly (same order, same outcomes)."""
-        serial = small_campaign().run_region(Region.MESSAGE, 4)
-        parallel = small_campaign().run_region(
-            Region.MESSAGE, 4, jobs=2, keep_records=True
-        )
-        assert [(s, m) for s, _, m in serial.records] == [
-            (s, m) for s, _, m in parallel.records
-        ]
+        """A collecting sink sees the same injection records and
+        outcomes, in the same order, from the serial and the parallel
+        engine."""
+        records = {}
+        for jobs in (1, 2):
+            sink = TrialCollector()
+            small_campaign().run_region(Region.MESSAGE, 4, jobs=jobs, sinks=[sink])
+            records[jobs] = [(r.record, r.manifestation) for r in sink.results]
+        assert len(records[1]) == 4
+        assert records[1] == records[2]
 
     def test_unpicklable_factory_fails_loudly(self):
         campaign = Campaign(
@@ -92,27 +94,6 @@ class TestDeterminism:
     def test_parallel_executor_rejects_single_job(self):
         with pytest.raises(ValueError):
             ParallelExecutor(small_campaign().execution_context(), jobs=1)
-
-
-class TestRecordsRetention:
-    def test_serial_fixed_n_keeps_records_by_default(self):
-        row = small_campaign().run_region(Region.HEAP, 3)
-        assert len(row.records) == 3
-
-    def test_parallel_drops_records_by_default(self):
-        row = small_campaign().run_region(Region.HEAP, 3, jobs=2)
-        assert row.records == []
-        assert row.executions == 3  # tallies survive
-
-    def test_adaptive_drops_records_by_default(self):
-        row = small_campaign().run_region(Region.HEAP, target_d=0.5)
-        assert row.executions > 0
-        assert row.records == []
-
-    def test_explicit_opt_out(self):
-        row = small_campaign().run_region(Region.HEAP, 3, keep_records=False)
-        assert row.records == []
-        assert row.executions == 3
 
 
 class TestResume:

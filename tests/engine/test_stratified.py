@@ -12,8 +12,8 @@ The contracts under test:
   the uniform Cochran budget;
 * the store/resume path applies per wave exactly as in uniform mode;
 * the one region loop treats the stratified design like any other: a
-  wave reaches the executor in one dispatch, records are kept on
-  request, and progress reports the d and the plan the design uses.
+  wave reaches the executor in one dispatch, and progress reports the
+  d and the plan the design uses.
 """
 
 import pytest
@@ -142,12 +142,6 @@ class TestOneLoop:
         assert len(live) > 1
         assert pilot == live
         assert sum(map(len, calls)) == row.executed
-
-    def test_records_kept_for_every_executed_trial(self):
-        row = small_campaign().run_region(
-            Region.TEXT, 24, stratify=True, keep_records=True
-        )
-        assert len(row.records) == row.executed > 0
 
     def test_progress_reports_the_stratified_half_width(self):
         sink = RecordingSink()

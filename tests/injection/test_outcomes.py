@@ -59,13 +59,6 @@ class TestClassify:
             is Manifestation.MPI_DETECTED
         )
 
-    def test_custom_comparator(self):
-        r = result(JobStatus.COMPLETED, outputs={"out": "OK"})
-        assert (
-            classify(r, REF, compare=lambda a, b: a["out"].lower() == b["out"].lower())
-            is Manifestation.CORRECT
-        )
-
 
 class TestTally:
     def test_error_rate(self):

@@ -2,9 +2,24 @@
 
 import pytest
 
-from repro.errors import AppAbort, SimSegfault
+from repro.errors import (
+    AppAbort,
+    HangDetected,
+    InvalidFaultSpec,
+    MPIAbort,
+    MPIError,
+    SimIllegalInstruction,
+    SimSegfault,
+)
+from repro.memory.heap import HeapCorruption
+from repro.memory.stack import StackOverflow
+from repro.mpi.adi import ChannelProtocolError
 from repro.mpi.datatypes import MPI_INT
+from repro.mpi.errhandler import ErrorClass
 from repro.mpi.simulator import JobConfig, JobStatus
+from repro.observability import runtime
+from repro.observability.timeline import PropagationTimeline
+from repro.staticanalysis.cfg import CFGError
 from tests.conftest import (
     SMALL_NPROCS,
     small_climate,
@@ -131,6 +146,80 @@ class TestFailureClassification:
         assert result.status is JobStatus.CRASHED
         # Other ranks must not have run to completion (100 iterations).
         assert len(progress) < 10
+
+
+def run_with_timeline(main_fn, nprocs: int = 2):
+    """Run ``main_fn`` under a propagation timeline; returns the result
+    and the timeline's divergence kind."""
+    timeline = PropagationTimeline()
+    with runtime.activate(timeline=timeline):
+        result, _ = run_app(main_fn, nprocs=nprocs)
+    return result, timeline.summary().get("divergence_kind")
+
+
+def raising(exc):
+    def main(ctx):
+        yield None
+        if ctx.rank == 0:
+            raise exc
+
+    return main
+
+
+#: ``(exception, status, timeline kind)`` of every termination path.
+TERMINATIONS = [
+    (SimSegfault("x"), JobStatus.CRASHED, "signal:SIGSEGV"),
+    (SimIllegalInstruction("x"), JobStatus.CRASHED, "signal:SIGILL"),
+    (ChannelProtocolError("x"), JobStatus.CRASHED, "protocol"),
+    (HeapCorruption("x"), JobStatus.CRASHED, "protocol"),
+    (StackOverflow("x"), JobStatus.CRASHED, "protocol"),
+    (AppAbort("check"), JobStatus.APP_DETECTED, "app_abort"),
+    (MPIAbort("killed"), JobStatus.CRASHED, "mpi_abort"),
+    (HangDetected("stuck"), JobStatus.HUNG, "hang"),
+    (MPIError("MPI_ERR_ARG", "bad"), JobStatus.CRASHED, "unhandled"),
+    (InvalidFaultSpec("x"), JobStatus.CRASHED, "unhandled"),
+    (CFGError("x"), JobStatus.CRASHED, "unhandled"),
+    (ValueError("x"), JobStatus.CRASHED, "unhandled"),
+]
+
+
+class TestTerminationKind:
+    """One dispatch decides a failed job's status and its timeline kind;
+    ``unhandled`` is the marker of a possible harness exception."""
+
+    def test_heap_exhaustion_is_a_modelled_crash(self):
+        def main(ctx):
+            yield None
+            if ctx.rank == 0:
+                ctx.image.heap.malloc(1 << 30)
+
+        result, kind = run_with_timeline(main)
+        assert result.status is JobStatus.CRASHED
+        assert result.detail == "heap exhaustion on rank 0"
+        assert any("out of memory" in line for line in result.stderr)
+        assert kind == "oom"
+
+    @pytest.mark.parametrize(
+        "exc, status, kind",
+        TERMINATIONS,
+        ids=[f"{type(exc).__name__}-{kind}" for exc, _, kind in TERMINATIONS],
+    )
+    def test_status_and_kind(self, exc, status, kind):
+        result, got = run_with_timeline(raising(exc))
+        assert (result.status, got) == (status, kind)
+
+    def test_user_handler_abort_is_mpi_detected(self):
+        def handler(comm, error):
+            raise MPIAbort(f"handled {error}")
+
+        def main(ctx):
+            ctx.comm.set_errhandler(handler)
+            yield None
+            if ctx.rank == 0:
+                ctx.comm._error(ErrorClass.MPI_ERR_COUNT, "negative count")
+
+        result, kind = run_with_timeline(main)
+        assert (result.status, kind) == (JobStatus.MPI_DETECTED, "mpi_abort")
 
 
 class TestConfig:

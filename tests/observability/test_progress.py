@@ -130,7 +130,7 @@ class TestFanOut:
             "region_start", "trial", "progress", "trial", "progress", "region_final"
         ]
         assert sink.calls[0] == ("region_start", "wavetoy", "message", 2)
-        assert sink.calls[-1][2:4] == ("message", dict(row.tally.counts))
+        assert sink.calls[-1] == ("region_final", "wavetoy", row)
 
     def test_printer_sink_prints_each_event(self, campaign, capsys):
         sink = RecordingSink()
