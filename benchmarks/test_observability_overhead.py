@@ -62,7 +62,6 @@ def test_disabled_observability_overhead_under_5_percent(capsys):
     campaign = Campaign.from_registry(
         "wavetoy", nprocs=NPROCS, app_params=PARAMS, seed=20040607
     )
-    runtime.disable()
 
     def fault_free():
         job = Job(campaign.app_factory(), campaign.config)

@@ -1,14 +1,13 @@
 """Live telemetry serving overhead bound (observability contract).
 
 ``campaign run --serve`` must not slow the campaign down.  A served
-campaign hands the hub's registry to the engine, which engages the
-same per-trial metrics collection ``--metrics`` does (whose cost is
-bounded by ``test_observability_overhead``); *serving* then adds only
-a summary fold under the registry's lock per trial, with
-scrapes rendering outside that lock from a snapshot copy.  This bench
-isolates the serving increment: the same metrics-collecting campaign
-runs unserved and served (scraper thread sweeping all three endpoints)
-in alternating rounds (:func:`benchmarks.conftest.interleave`) - so
+campaign's telemetry hub is the same sink ``--metrics`` adds: it reads
+per-trial metrics (whose collection cost is bounded by
+``test_observability_overhead``) and folds each trial under its lock;
+*serving* then adds only scrapes, which copy under that lock and
+render outside it.  This bench isolates the serving increment: the
+same hub-fed campaign runs unserved and served (scraper thread
+sweeping all three endpoints) in alternating rounds (:func:`benchmarks.conftest.interleave`) - so
 CPU-frequency ramps and container-quota epochs hit both sides alike -
 and the median of the per-round served/unserved wall-time ratios must
 stay within 5% of 1.
@@ -21,7 +20,6 @@ import urllib.request
 
 from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
-from repro.observability.metrics import MetricsRegistry
 from repro.observability.serve import TelemetryHub, TelemetryServer
 
 from .conftest import interleave
@@ -69,7 +67,7 @@ def _timed(fn):
 
 
 def _unserved_run():
-    with _campaign().engine(metrics=MetricsRegistry()) as eng:
+    with _campaign().engine(sinks=[TelemetryHub()]) as eng:
         _run_regions(eng)
 
 
@@ -110,7 +108,7 @@ def test_served_campaign_overhead_under_5_percent(capsys):
         scraper = _Scraper(srv.url)
 
         def served_run():
-            with _campaign().engine(sinks=[hub], metrics=hub.registry) as eng:
+            with _campaign().engine(sinks=[hub]) as eng:
                 _run_regions(eng)
 
         def served():

@@ -436,16 +436,13 @@ def cmd_campaign_run(args) -> int:
     from repro.engine.progress import ProgressPrinter
     from repro.harness.tables import render_campaign_table
     from repro.injection.campaign import Campaign
-    from repro.observability.export import TraceCollector
-    from repro.observability.metrics import MetricsRegistry, render_prometheus
 
     if args.resume and not args.store:
         print("--resume requires --store", file=sys.stderr)
         return 2
-    if args.distribute and (not args.serve or args.jobs is not None or args.trace):
-        # Workers run the trials, so there is no local pool to size,
-        # and trace events do not cross the wire.
-        print("--distribute requires --serve and excludes --jobs and --trace",
+    if args.distribute and (not args.serve or args.jobs is not None):
+        # Workers run the trials, so there is no local pool to size.
+        print("--distribute requires --serve and excludes --jobs",
               file=sys.stderr)
         return 2
     try:
@@ -459,20 +456,28 @@ def cmd_campaign_run(args) -> int:
         print(exc.args[0], file=sys.stderr)
         return 2
     regions = _parse_regions(args.regions)
-    # A single registry backs every metrics consumer: the textfile
-    # export, the live /metrics endpoint, and the artifact flushes all
-    # read the same state, so their totals agree exactly.
-    want_metrics = bool(args.metrics or args.serve or args.artifacts)
-    metrics = MetricsRegistry() if want_metrics else None
-    collector = TraceCollector() if args.trace else None
-
     sinks = [ProgressPrinter()] if args.log_interval else []
-    server = executor = None
-    if args.serve:
-        from repro.observability.serve import TelemetryHub, serve_endpoint
+    hub = collector = server = executor = None
+    if args.metrics or args.serve or args.artifacts:
+        # One hub backs every metrics consumer: the textfile export, the
+        # live /metrics endpoint and the artifact flushes all read it,
+        # so their totals agree exactly.
+        from repro.observability.serve import TelemetryHub
 
-        hub = source = TelemetryHub(registry=metrics)
+        hub = TelemetryHub()
         sinks.append(hub)
+    if args.trace:
+        from repro.observability.export import TraceCollector
+
+        collector = TraceCollector()
+        if hub is not None:
+            # Dropped trials show on the scrape path too.
+            collector.metrics = hub.registry
+        sinks.append(collector)
+    if args.serve:
+        from repro.observability.serve import serve_endpoint
+
+        source = hub
         if args.distribute:
             from repro.engine.coordination import (
                 CoordinatorService,
@@ -480,7 +485,7 @@ def cmd_campaign_run(args) -> int:
             )
 
             executor = LeaseExecutor()
-            source = CoordinatorService(campaign, executor, hub)
+            source = CoordinatorService(campaign, executor, hub, sinks)
         try:
             server = serve_endpoint(source, args.serve)
         except ValueError as exc:
@@ -515,7 +520,7 @@ def cmd_campaign_run(args) -> int:
                     "execution": context.describe(),
                     "command": reproduce_command(getattr(args, "_argv", None)),
                 },
-                registry=metrics,
+                hub=hub,
             )
             sinks.append(artifacts)
 
@@ -529,8 +534,6 @@ def cmd_campaign_run(args) -> int:
                 jobs=args.jobs,
                 store=args.store,
                 log_interval=args.log_interval,
-                metrics=metrics,
-                trace=collector,
                 prune_masked=args.prune_masked,
                 stratify=args.stratify,
                 sinks=sinks,
@@ -556,7 +559,7 @@ def cmd_campaign_run(args) -> int:
             print(f"wrote trace: {args.trace}", file=sys.stderr)
         if args.metrics:
             with open(args.metrics, "w") as fh:
-                fh.write(render_prometheus(metrics))
+                fh.write(hub.metrics_text())
             print(f"wrote metrics: {args.metrics}", file=sys.stderr)
         print(
             render_campaign_table(
@@ -668,10 +671,10 @@ def cmd_campaign_work(args) -> int:
 def cmd_trace_run(args) -> int:
     """Trace one chosen injection trial end to end: spans from the VM,
     the MPI stack, and the injector land in one Perfetto-loadable file,
-    with the per-trial metrics registry rendered alongside."""
+    with the trial's metrics rendered alongside."""
     from repro.injection.campaign import Campaign
     from repro.observability.export import TraceCollector
-    from repro.observability.metrics import MetricsRegistry, render_prometheus
+    from repro.observability.serve import TelemetryHub
 
     try:
         campaign = Campaign.from_registry(
@@ -684,9 +687,8 @@ def cmd_trace_run(args) -> int:
         print(exc.args[0], file=sys.stderr)
         return 2
     regions = _parse_regions(args.region)
-    metrics = MetricsRegistry()
-    collector = TraceCollector()
-    with campaign.engine(metrics=metrics, trace=collector) as eng:
+    hub, collector = TelemetryHub(), TraceCollector()
+    with campaign.engine(sinks=[hub, collector]) as eng:
         specs = [eng.make_spec(region, args.index) for region in regions]
         results = eng.run_trials(specs)
     for result in sorted(results, key=lambda r: r.region.value):
@@ -708,7 +710,7 @@ def cmd_trace_run(args) -> int:
     print(f"wrote trace: {args.out}", file=sys.stderr)
     if args.metrics_out:
         with open(args.metrics_out, "w") as fh:
-            fh.write(render_prometheus(metrics))
+            fh.write(hub.metrics_text())
         print(f"wrote metrics: {args.metrics_out}", file=sys.stderr)
     return 0
 
@@ -766,28 +768,36 @@ def cmd_campaign_merge(args) -> int:
     return 0
 
 
+def _select_kernels(target: str) -> list:
+    """The shipped ``(owner, kernel)`` pairs an app or kernel name
+    selects; an unknown name is reported on stderr (the caller exits
+    2) and selects nothing."""
+    from repro.staticanalysis.lint import iter_shipped_kernels
+
+    kernels = list(iter_shipped_kernels())
+    selected = [
+        (owner, fn) for owner, fn in kernels if target in (owner, fn.name)
+    ]
+    if not selected:
+        owners = {owner for owner, _ in kernels}
+        names = sorted(owners | {fn.name for _, fn in kernels})
+        print(
+            f"unknown analysis target {target!r}; choose an "
+            f"application or kernel: {', '.join(names)}",
+            file=sys.stderr,
+        )
+    return selected
+
+
 def cmd_analyze_translate(args) -> int:
     """Translatability audit: which instructions of each shipped kernel
     the fast path runs translated, and why the rest fall back to the
     interpreter.  Report-only (always exit 0): an untranslatable block
     costs throughput, not correctness."""
     from repro.cpu.translate import audit_function
-    from repro.staticanalysis.lint import iter_shipped_kernels
 
-    kernels = list(iter_shipped_kernels())
-    owners = {owner for owner, _ in kernels}
-    selected = [
-        (owner, fn)
-        for owner, fn in kernels
-        if args.target in (owner, fn.name)
-    ]
+    selected = _select_kernels(args.target)
     if not selected:
-        names = sorted(owners | {fn.name for _, fn in kernels})
-        print(
-            f"unknown analysis target {args.target!r}; choose an "
-            f"application or kernel: {', '.join(names)}",
-            file=sys.stderr,
-        )
         return 2
 
     reports = [(owner, audit_function(fn)) for owner, fn in selected]
@@ -835,22 +845,9 @@ def cmd_analyze(args) -> int:
         return cmd_analyze_translate(args)
     from repro.staticanalysis.avf import analyze_function
     from repro.staticanalysis.lint import lint_function
-    from repro.staticanalysis.lint import iter_shipped_kernels
 
-    kernels = list(iter_shipped_kernels())
-    owners = {owner for owner, _ in kernels}
-    selected = [
-        (owner, fn)
-        for owner, fn in kernels
-        if args.target in (owner, fn.name)
-    ]
+    selected = _select_kernels(args.target)
     if not selected:
-        names = sorted(owners | {fn.name for _, fn in kernels})
-        print(
-            f"unknown analysis target {args.target!r}; choose an "
-            f"application or kernel: {', '.join(names)}",
-            file=sys.stderr,
-        )
         return 2
 
     reports = [(fn, analyze_function(fn)) for _, fn in selected]
@@ -1021,8 +1018,7 @@ def main(argv: list[str] | None = None) -> int:
     crun.add_argument("--distribute", action="store_true",
                       help="run the trials on 'campaign work' workers: "
                       "the --serve endpoint also leases trial batches "
-                      "(/manifest /lease /submit /work); excludes --jobs "
-                      "and --trace")
+                      "(/manifest /lease /submit /work); excludes --jobs")
     crun.add_argument("--artifacts", default=None, metavar="DIR",
                       help="write an artifact-grade run directory: "
                       "manifest.json, events.jsonl, metrics.jsonl, "

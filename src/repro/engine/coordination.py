@@ -26,10 +26,14 @@ executor whose trials run in other processes, on other machines:
 
 Both directions of the wire are plain JSON: a lease carries
 :meth:`~repro.engine.trial.TrialSpec.to_json` payloads, a submission
-:meth:`~repro.engine.trial.TrialResult.to_json` payloads.  Submitted
-keys are validated against the leased batch and duplicates (a requeued
-batch delivered twice) are dropped, so a confused or duplicate worker
-cannot corrupt or double-count a tally.
+:meth:`~repro.engine.trial.TrialResult.to_json` payloads plus the
+observations the campaign's sinks read (``/manifest`` lists them): a
+``metrics`` snapshot (:meth:`~repro.observability.metrics.MetricsSnapshot.to_json`)
+and ``trace_events``.  A distributed campaign's metrics and trace
+therefore equal a local run's.  Submitted keys are validated against
+the leased batch and duplicates (a requeued batch delivered twice) are
+dropped, so a confused or duplicate worker cannot corrupt or
+double-count a tally.
 """
 
 from __future__ import annotations
@@ -44,11 +48,13 @@ import urllib.request
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from repro.engine.progress import observations
 from repro.engine.trial import TrialResult, TrialSpec
+from repro.observability.metrics import MetricsSnapshot
 
 #: Version stamped into the ``/manifest`` and ``/work`` payloads and
 #: checked by workers before executing anything.
-WORK_SCHEMA_VERSION = 3
+WORK_SCHEMA_VERSION = 4
 
 #: Default trials per leased batch.
 DEFAULT_BATCH_SIZE = 8
@@ -218,6 +224,34 @@ class LeaseBook:
         }
 
 
+def _result_payload(result: TrialResult) -> dict:
+    """One result on the submission wire: its store fields plus the
+    observations it collected."""
+    obj = result.to_json()
+    if result.metrics is not None:
+        obj["metrics"] = result.metrics.to_json()
+    if result.trace_events is not None:
+        obj["trace_events"] = result.trace_events
+    return obj
+
+
+def _parse_result(obj: dict) -> TrialResult:
+    """Inverse of :func:`_result_payload`; raises ``KeyError``,
+    ``ValueError``, ``TypeError`` or ``AttributeError`` on a malformed
+    payload, observations included."""
+    result = TrialResult.from_json(obj)
+    if obj.get("metrics") is not None:
+        result.metrics = MetricsSnapshot.from_json(obj["metrics"])
+    events = obj.get("trace_events")
+    if events is not None:
+        if not isinstance(events, list) or not all(
+            isinstance(event, dict) for event in events
+        ):
+            raise TypeError("trace_events must be a list of objects")
+        result.trace_events = events
+    return result
+
+
 class LeaseExecutor:
     """The engine's executor for a distributed campaign.
 
@@ -306,9 +340,9 @@ class LeaseExecutor:
         """Accept one batch's results; idempotent per key.
 
         A result counts only for a key of the named batch whose region
-        and index match the leased spec, and only once; the batch is
-        acknowledged when all its keys have arrived (in this submission
-        or earlier ones).
+        and index match the leased spec, whose observations parse, and
+        only once; the batch is acknowledged when all its keys have
+        arrived (in this submission or earlier ones).
         """
         with self.cond:
             batch = self._batches.get(batch_id)
@@ -318,7 +352,7 @@ class LeaseExecutor:
             accepted = duplicate = rejected = 0
             for obj in payloads:
                 try:
-                    result = TrialResult.from_json(obj)
+                    result = _parse_result(obj)
                 except (KeyError, ValueError, TypeError, AttributeError):
                     rejected += 1
                     continue
@@ -370,14 +404,16 @@ class CoordinatorService:
     feeds as results arrive; the coordination routes are served via
     the handler's ``handle_get``/``handle_post`` extension points.
     ``/manifest`` needs only the
-    :class:`~repro.injection.campaign.Campaign`, so the service can
+    :class:`~repro.injection.campaign.Campaign` and the engine's
+    ``sinks`` (for the observations they read), so the service can
     serve before the engine exists: early workers are told to wait.
     """
 
-    def __init__(self, campaign, executor: LeaseExecutor, hub) -> None:
+    def __init__(self, campaign, executor: LeaseExecutor, hub, sinks=()) -> None:
         self.campaign = campaign
         self.executor = executor
         self.hub = hub
+        self.observations = observations(sinks)
 
     # -- scrape endpoints (delegated) ---------------------------------
     def metrics_text(self) -> str:
@@ -402,6 +438,7 @@ class CoordinatorService:
             "seed": campaign.seed,
             "config_seed": campaign.config.seed,
             "lease_timeout": self.executor.book.lease_timeout,
+            "observations": self.observations,
         }
 
     def handle_get(self, path: str):
@@ -450,7 +487,8 @@ class WorkerClient:
     Builds its campaign from the coordinator's ``/manifest`` through
     the same registry path the local CLI uses, so
     ``execute_trial`` runs under a context equal to the coordinator's -
-    the precondition for bit-identical results.  ``jobs`` forwards to
+    the precondition for bit-identical results - and collects the
+    observations the manifest lists.  ``jobs`` forwards to
     the worker's own engine, so one worker can drive a local process
     pool between HTTP round-trips.
 
@@ -532,7 +570,10 @@ class WorkerClient:
             app_params=manifest.get("app_params") or {},
             seed=int(manifest["seed"]),
         )
-        return campaign.engine(jobs=self.jobs)
+        engine = campaign.engine(jobs=self.jobs)
+        # Before the first dispatch, which may pickle the context.
+        engine.context.observe(manifest.get("observations") or ())
+        return engine
 
     def _check_specs(self, engine, specs: list[TrialSpec]) -> None:
         """A leased spec must match the worker's rebuilt execution
@@ -542,13 +583,14 @@ class WorkerClient:
         for spec in specs:
             if (
                 spec.app != ctx.app
+                or spec.app_params != engine.app_params
                 or spec.nprocs != ctx.config.nprocs
                 or spec.config_seed != ctx.config.seed
                 or spec.campaign_seed != engine.seed
             ):
                 raise WorkerError(
                     f"leased spec {spec.key} does not match the "
-                    f"manifest-built context (app/nprocs/seed drift)"
+                    f"manifest-built context (app/params/nprocs/seed drift)"
                 )
 
     def _lease(self) -> tuple[dict, list[TrialSpec]] | None:
@@ -605,7 +647,7 @@ class WorkerClient:
                 reply = json.loads(self._post_json("/submit", {
                     "worker": self.name,
                     "batch": grant["batch"],
-                    "results": [result.to_json() for result in results],
+                    "results": [_result_payload(result) for result in results],
                 }).decode())
                 self.stats.batches += 1
                 self.stats.trials += len(results)

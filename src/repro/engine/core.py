@@ -44,9 +44,9 @@ class ExecutionContext:
     round_limit: int
     block_limit: int
     #: Collect per-trial trace events / metrics snapshots.  Plain flags
-    #: (set by the campaign engine from ``--trace`` / ``--metrics``) so
-    #: they ship to workers inside the pickled context; each trial then
-    #: activates exactly the observability scope these request.
+    #: (set through :meth:`observe` from what the campaign's sinks read)
+    #: so they ship to workers inside the pickled context; each trial
+    #: then activates exactly the observability scope these request.
     trace: bool = False
     collect_metrics: bool = False
     #: The :class:`~repro.engine.checkpoint.GoldenRecording` of the
@@ -82,6 +82,12 @@ class ExecutionContext:
             round_limit=round_limit,
             block_limit=block_limit,
         )
+
+    def observe(self, fields) -> None:
+        """Collect exactly the optional result fields named in
+        ``fields``: ``"metrics"`` and/or ``"trace_events"``."""
+        self.collect_metrics = "metrics" in fields
+        self.trace = "trace_events" in fields
 
     def job_config(self) -> JobConfig:
         return JobConfig(

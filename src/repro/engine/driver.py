@@ -20,13 +20,14 @@ and "a filled-in :class:`~repro.injection.campaign.RegionResult`":
   bound, which guarantees termination (adaptive); :class:`_Stratified`
   Neyman-allocates its waves across predicted-outcome strata.  Each
   wave reaches the executor as one dispatch;
-* every view of the trials - live telemetry, an artifact run
-  directory, the CLI's progress line - is a
-  :class:`~repro.engine.progress.TrialSink` in ``sinks``: each one sees
-  every region start, every finished trial, a
+* every view of the trials - campaign metrics and live telemetry, the
+  merged trace, an artifact run directory, the CLI's progress line - is
+  a :class:`~repro.engine.progress.TrialSink` in ``sinks``: each one
+  sees every region start, every finished trial, a
   :class:`~repro.engine.progress.ProgressEvent` every ``log_interval``
   trials per region and at region end (reporting the d the design's
-  stopping rule uses), and every region's final row.
+  stopping rule uses), and every region's final row.  Trials collect a
+  metrics snapshot or trace events only when a sink reads them.
 
 The layers above delegate here: ``Campaign.run_region``/``run`` build
 an engine per call, the CLI ``campaign`` subcommand drives it directly.
@@ -36,17 +37,14 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import nullcontext
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.engine.core import ExecutionContext
 from repro.engine.executors import make_executor
-from repro.engine.progress import ProgressEvent, TrialSink
+from repro.engine.progress import ProgressEvent, TrialSink, observations
 from repro.engine.store import ResultStore, open_store
-from repro.observability.export import TraceCollector
-from repro.observability.metrics import MetricsRegistry
 from repro.engine.trial import (
     TrialResult,
     TrialSpec,
@@ -297,15 +295,6 @@ class CampaignEngine:
         Completed trials per region between periodic progress events
         (0: only each region's final event).  A periodic event that
         would duplicate the final one is skipped.
-    metrics:
-        A :class:`~repro.observability.metrics.MetricsRegistry`; workers
-        collect per-trial snapshots which the driver merges here, plus
-        driver-side error-latency histograms, outcome tallies and the
-        ``repro_campaign_*`` progress gauges.  Every write happens
-        under the registry's lock, which concurrent readers share.
-    trace:
-        A :class:`~repro.observability.export.TraceCollector`; each
-        fresh trial's event list is filed under its (region, index).
     prune:
         ``FaultSpec -> PruneVerdict`` masking oracle (see
         :mod:`repro.staticanalysis.propagation.pruning`).  Specs with a
@@ -329,8 +318,11 @@ class CampaignEngine:
     sinks:
         :class:`~repro.engine.progress.TrialSink` objects, called in
         order for every region start, finished trial, progress event
-        and region-final row.  A sink that serves the registry to
-        other threads must be built on ``metrics``.
+        and region-final row.  Campaign metrics are a
+        :class:`~repro.observability.serve.TelemetryHub` sink, the
+        merged trace a :class:`~repro.observability.export.TraceCollector`
+        sink; executed trials collect the optional result fields these
+        sinks read and nothing else.
     executor:
         A prebuilt executor used instead of ``make_executor(context,
         jobs)``, e.g. a :class:`~repro.engine.coordination.LeaseExecutor`
@@ -348,8 +340,6 @@ class CampaignEngine:
         jobs: int | None = 1,
         store: ResultStore | str | os.PathLike | None = None,
         log_interval: int = 0,
-        metrics: MetricsRegistry | None = None,
-        trace: TraceCollector | None = None,
         prune: Callable[[FaultSpec], Any] | None = None,
         stratifier: Callable[[FaultSpec], str] | None = None,
         sinks: Sequence[TrialSink] = (),
@@ -365,20 +355,12 @@ class CampaignEngine:
             store = open_store(store)
         self.store = store
         self.log_interval = log_interval
-        self.metrics = metrics
-        self.trace = trace
-        if trace is not None:
-            # Dropped-trial accounting lands on the scrape path too.
-            trace.metrics = metrics
         self.prune = prune
         self.stratifier = stratifier
         self.sinks = tuple(sinks)
         # The context ships to workers; flags must be set before the
         # executor pickles it.
-        if metrics is not None:
-            context.collect_metrics = True
-        if trace is not None:
-            context.trace = True
+        context.observe(observations(self.sinks))
         self._executor = executor
         self._stored: dict[str, TrialResult] | None = None
 
@@ -435,15 +417,8 @@ class CampaignEngine:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _lock(self):
-        """The registry's lock, held across every registry write and
-        every sink call so that a reader sharing the registry sees both
-        in step; without a registry there is nothing to share."""
-        return self.metrics.lock if self.metrics is not None else nullcontext()
-
     def _emit(self, state: _RegionState, final: bool) -> None:
-        registry = self.metrics
-        if registry is None and not self.sinks:
+        if not self.sinks:
             return
         row, design = state.result, state.design
         event = ProgressEvent(
@@ -457,19 +432,8 @@ class CampaignEngine:
             target_d=design.target_d,
             final=final,
         )
-        with self._lock():
-            if registry is not None:
-                labels = {"app": event.app, "region": event.region}
-                registry.gauge("repro_campaign_trials_done", **labels).set(event.done)
-                registry.gauge("repro_campaign_errors", **labels).set(event.errors)
-                registry.gauge("repro_campaign_achieved_d", **labels).set(
-                    event.achieved_d
-                )
-                registry.counter(
-                    "repro_campaign_progress_events_total", **labels
-                ).inc()
-            for sink in self.sinks:
-                sink.progress(event)
+        for sink in self.sinks:
+            sink.progress(event)
 
     def _ingest(self, state: _RegionState, result: TrialResult) -> None:
         row = state.result
@@ -485,7 +449,8 @@ class CampaignEngine:
         elif self.store is not None:
             self.store.append(result)
         state.design.observe(result)
-        self._observe(result)
+        for sink in self.sinks:
+            sink.trial(result)
         state.since_event += 1
         if not self.log_interval or state.since_event < self.log_interval:
             return
@@ -497,43 +462,6 @@ class CampaignEngine:
         planned = state.design.planned
         if planned is None or row.executions < planned:
             self._emit(state, final=False)
-
-    def _observe(self, result: TrialResult) -> None:
-        """Fold one trial into the registry, the trace and every sink.
-
-        Counters/histograms are sums over the trial set, so the merged
-        registry is identical regardless of worker count or completion
-        order; latency comes from the serialized timeline digest, so
-        resumed trials contribute exactly like fresh ones.
-        """
-        registry = self.metrics
-        with self._lock():
-            if registry is not None:
-                registry.counter(
-                    "repro_trial_outcomes_total",
-                    manifestation=result.manifestation.value,
-                ).inc()
-                if result.detail.startswith("pruned:"):
-                    registry.counter(
-                        "repro_trials_pruned_total",
-                        region=result.region.value,
-                        reason=result.detail.split(":", 1)[1],
-                    ).inc()
-                if result.latency_blocks is not None:
-                    registry.histogram(
-                        "repro_error_latency_blocks", region=result.region.value
-                    ).observe(result.latency_blocks)
-                if result.metrics is not None:
-                    registry.merge(result.metrics)
-            if self.trace is not None and result.trace_events is not None:
-                self.trace.add_trial(
-                    result.region.value,
-                    result.index,
-                    f"{result.app} {result.region.value}#{result.index}",
-                    result.trace_events,
-                )
-            for sink in self.sinks:
-                sink.trial(result)
 
     def _pruned_result(self, spec: TrialSpec, reason: str) -> TrialResult:
         """The synthetic outcome of a statically-proven-masked trial.
@@ -572,13 +500,15 @@ class CampaignEngine:
             self._ingest(state, result)
 
     def run_trials(self, specs: list[TrialSpec]) -> list[TrialResult]:
-        """Execute explicit trial specs through the executor, folding
-        each result into the observability sinks (no tallying, no store
-        resume); returns results in trial order.  The ``trace``
-        CLI uses this to trace a single chosen trial."""
+        """Execute explicit trial specs through the executor, handing
+        each result to the sinks (no tallying, no store resume);
+        returns results in trial order.  The ``trace`` CLI uses this to
+        trace a single chosen trial, and a distributed worker to run
+        its leased batches."""
         out = []
         for result in self.executor().run(specs):
-            self._observe(result)
+            for sink in self.sinks:
+                sink.trial(result)
             if self.store is not None and not result.resumed:
                 self.store.append(result)
             out.append(result)
@@ -610,16 +540,14 @@ class CampaignEngine:
         design_cls = _Uniform if self.stratifier is None else _Stratified
         design = design_cls(self, region, n, target_d)
         state = _RegionState(RegionResult(region), design, resume)
-        with self._lock():
-            for sink in self.sinks:
-                sink.region_start(self.context.app, region.value, design.planned)
+        for sink in self.sinks:
+            sink.region_start(self.context.app, region.value, design.planned)
         for specs in design.waves(state.result):
             self._run_specs(state, specs)
         design.finish(state.result)
         self._emit(state, final=True)
-        with self._lock():
-            for sink in self.sinks:
-                sink.region_final(self.context.app, state.result)
+        for sink in self.sinks:
+            sink.region_final(self.context.app, state.result)
         return state.result
 
     def run(

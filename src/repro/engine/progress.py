@@ -5,11 +5,12 @@ same trials.  The engine feeds each view through one protocol,
 :class:`TrialSink`: it announces every region it starts, hands over
 every finished trial, publishes a :class:`ProgressEvent` every
 ``log_interval`` completed trials per region (and once at region end),
-and passes on each region's final row.  The live telemetry hub, the
-artifact run directory, the CLI's stderr :class:`ProgressPrinter` and
-the :class:`TrialCollector` that gives Python callers every trial's
-result are sinks; the engine mirrors progress into its metrics
-registry (``repro_campaign_trials_done`` et al.) itself.
+and passes on each region's final row.  The live telemetry hub (the
+campaign's one metrics fold), the merged Chrome trace, the artifact
+run directory, the CLI's stderr :class:`ProgressPrinter` and the
+:class:`TrialCollector` that gives Python callers every trial's result
+are sinks.  A sink declares which optional per-trial observations it
+reads (:attr:`TrialSink.reads`); trials collect only those.
 """
 
 from __future__ import annotations
@@ -50,10 +51,16 @@ class TrialSink:
     """One consumer of a campaign's trials; every method is a no-op.
 
     A sink overrides what it needs.  The engine calls the methods from
-    its driver thread only, in campaign order, while holding its
-    metrics registry's lock (when it has a registry), so a sink that
-    shares that registry sees registry and trial in step.
+    its driver thread only, in campaign order, and holds no lock: a
+    sink whose state other threads read (a scrape, say) guards that
+    state itself.
     """
+
+    #: The optional :class:`~repro.engine.trial.TrialResult` fields this
+    #: sink reads: ``"metrics"`` (the trial's metrics snapshot) and/or
+    #: ``"trace_events"``.  Executors collect a field only when some
+    #: sink of the campaign reads it (see :func:`observations`).
+    reads: frozenset[str] = frozenset()
 
     def region_start(self, app: str, region: str, planned: int | None) -> None:
         """A region begins; ``planned`` is ``None`` for adaptive runs."""
@@ -68,6 +75,13 @@ class TrialSink:
     def region_final(self, app: str, row) -> None:
         """A region's finished
         :class:`~repro.injection.campaign.RegionResult`."""
+
+
+def observations(sinks) -> list[str]:
+    """The optional result fields any of ``sinks`` reads, sorted: what
+    an engine's trials collect, and what a distributed campaign's
+    manifest asks its workers to send."""
+    return sorted(set().union(*(sink.reads for sink in sinks)))
 
 
 def format_progress(event: ProgressEvent) -> str:

@@ -99,8 +99,8 @@ class StoreSummary:
     """
 
     def __init__(self) -> None:
-        #: ``(app, region) -> {"trials": n, "errors": n, "pruned": n,
-        #: "manifestations": {class: n}}``
+        #: ``(app, region) -> {"trials": n, "errors": n, "pruned":
+        #: {reason: n}, "manifestations": {class: n}}``
         self._groups: dict[tuple[str, str], dict] = {}
         #: ``(app, region) -> latency Histogram`` (only trials whose
         #: timeline recorded a divergence latency contribute).
@@ -120,14 +120,15 @@ class StoreSummary:
             group = self._groups[key] = {
                 "trials": 0,
                 "errors": 0,
-                "pruned": 0,
+                "pruned": {},
                 "manifestations": {},
             }
         group["trials"] += 1
         if result.manifestation is not Manifestation.CORRECT:
             group["errors"] += 1
         if result.detail.startswith("pruned:"):
-            group["pruned"] += 1
+            reason = result.detail.split(":", 1)[1]
+            group["pruned"][reason] = group["pruned"].get(reason, 0) + 1
         name = result.manifestation.value
         tally = group["manifestations"]
         tally[name] = tally.get(name, 0) + 1
@@ -157,15 +158,17 @@ class StoreSummary:
                 trials=group["trials"],
                 errors=group["errors"],
                 manifestations=dict(sorted(group["manifestations"].items())),
-                pruned=group["pruned"],
+                pruned=sum(group["pruned"].values()),
             )
             for (app, region), group in sorted(self._groups.items())
         ]
 
     def fill_registry(self, registry) -> None:
-        """Mirror the fold into a metrics registry using the same
-        metric names a live campaign emits, so a store-backed
-        ``/metrics`` endpoint is scrape-compatible with a live one."""
+        """Write the fold's campaign metric families into a metrics
+        registry: trials done and errors per (app, region), outcomes,
+        pruned trials per (region, reason) and error latencies.  The one
+        writer of these families, for a live campaign and a followed
+        store alike."""
         for (app, region), group in sorted(self._groups.items()):
             registry.gauge(
                 "repro_campaign_trials_done", app=app, region=region
@@ -176,6 +179,11 @@ class StoreSummary:
             for name, count in sorted(group["manifestations"].items()):
                 counter = registry.counter(
                     "repro_trial_outcomes_total", manifestation=name
+                )
+                counter.value += count
+            for reason, count in sorted(group["pruned"].items()):
+                counter = registry.counter(
+                    "repro_trials_pruned_total", region=region, reason=reason
                 )
                 counter.value += count
         for (app, region), hist in sorted(self._latency.items()):

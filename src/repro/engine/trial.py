@@ -164,10 +164,11 @@ class TrialResult:
     diverged_at_blocks: int | None = None
     divergence_kind: str | None = None
     latency_blocks: int | None = None
-    #: Worker-side metrics snapshot (fresh trials under ``--metrics``
-    #: only; merged by the driver, never serialized to the store).
+    #: Optional observations, collected by fresh trials only when a
+    #: campaign sink reads them (``TrialSink.reads``): the worker-side
+    #: metrics snapshot and the trace events.  Both cross the lease
+    #: wire but are never serialized to the store.
     metrics: MetricsSnapshot | None = None
-    #: Per-trial trace events (fresh trials under ``--trace`` only).
     trace_events: list | None = None
 
     def to_json(self) -> dict:

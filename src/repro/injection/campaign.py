@@ -329,8 +329,6 @@ class Campaign:
         jobs: int | None = 1,
         store=None,
         log_interval: int = 0,
-        metrics=None,
-        trace=None,
         prune_masked: bool = False,
         stratify: bool = False,
         sinks=(),
@@ -357,8 +355,6 @@ class Campaign:
             jobs=jobs,
             store=store,
             log_interval=log_interval,
-            metrics=metrics,
-            trace=trace,
             prune=prune,
             stratifier=stratifier,
             sinks=sinks,

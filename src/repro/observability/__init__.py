@@ -21,9 +21,10 @@ layer:
   mismatch), yielding error-latency histograms per region in the
   spirit of section 5 of the paper;
 * :mod:`repro.observability.export` - Chrome ``trace_event`` JSON
-  (viewable in Perfetto) and validation helpers;
-* :mod:`repro.observability.runtime` - the per-process activation
-  scope the instrumented layers consult;
+  (viewable in Perfetto), validation helpers and the campaign sink that
+  merges per-trial traces;
+* :mod:`repro.observability.runtime` - the per-trial activation scope
+  the instrumented layers consult;
 * :mod:`repro.observability.serve` - the live HTTP telemetry service
   (``campaign run --serve``, ``python -m repro serve``): /metrics,
   /status, /progress from a running campaign or a followed store;
@@ -44,23 +45,17 @@ from repro.observability.metrics import (
 )
 from repro.observability.tracer import Tracer
 from repro.observability.timeline import PropagationTimeline, TimelineEvent
-from repro.observability.export import (
-    TraceCollector,
-    chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.observability.runtime import (
-    activate,
-    disable,
-    enable,
-    enabled,
-)
+from repro.observability.runtime import activate
 
-#: Symbols resolved lazily (PEP 562): ``serve`` and ``artifacts`` pull
-#: in :mod:`repro.engine.store`, which must not load as a side effect
-#: of importing the observability package from low-level layers.
+#: Symbols resolved lazily (PEP 562): ``export``, ``serve`` and
+#: ``artifacts`` are campaign sinks and pull in :mod:`repro.engine`,
+#: which must not load as a side effect of importing the observability
+#: package from low-level layers.
 _LAZY_EXPORTS = {
+    "TraceCollector": "repro.observability.export",
+    "chrome_trace": "repro.observability.export",
+    "validate_chrome_trace": "repro.observability.export",
+    "write_chrome_trace": "repro.observability.export",
     "TelemetryHub": "repro.observability.serve",
     "TelemetryServer": "repro.observability.serve",
     "StoreTelemetry": "repro.observability.serve",
@@ -89,13 +84,6 @@ __all__ = [
     "Tracer",
     "PropagationTimeline",
     "TimelineEvent",
-    "TraceCollector",
-    "chrome_trace",
-    "validate_chrome_trace",
-    "write_chrome_trace",
     "activate",
-    "enable",
-    "disable",
-    "enabled",
     *sorted(_LAZY_EXPORTS),
 ]

@@ -13,10 +13,10 @@ self-contained, reproducible record:
     ``region_final`` rows (with stratified estimates when present),
     ``campaign_end``.
 ``metrics.jsonl``
-    Periodic flushes of the live merged
-    :class:`~repro.observability.metrics.MetricsSnapshot` (every
-    ``metrics_interval`` trials and once at the end), so metric
-    time-series survive the run.
+    Periodic flushes of the campaign's
+    :class:`~repro.observability.metrics.MetricsSnapshot`, read from its
+    telemetry hub (every ``metrics_interval`` trials and once at the
+    end), so metric time-series survive the run.
 ``summary.json`` / ``report.html``
     Final tallies, stratified estimates, wall time/throughput, and the
     dashboard - both are *pure functions of the three files above*:
@@ -46,7 +46,6 @@ from typing import IO
 from repro.engine.progress import TrialSink
 from repro.engine.store import StoreSummary
 from repro.engine.trial import TrialResult
-from repro.observability.metrics import MetricsRegistry
 
 #: Version of the run-directory layout and of every JSON payload in it.
 ARTIFACT_SCHEMA_VERSION = 1
@@ -112,9 +111,12 @@ class RunArtifacts(TrialSink):
     A :class:`~repro.engine.progress.TrialSink`: the campaign engine
     hands it every trial, progress event and region-final row as they
     happen; every line is flushed, so an interrupted campaign still
-    leaves a parseable record.  Given the campaign's metrics
-    ``registry``, it also appends a snapshot of it to ``metrics.jsonl``
-    every ``metrics_interval`` trials.  :meth:`finalize` stamps
+    leaves a parseable record.  Given the campaign's
+    :class:`~repro.observability.serve.TelemetryHub` as ``hub``, it
+    also appends the hub's metrics snapshot to ``metrics.jsonl`` every
+    ``metrics_interval`` trials; list it after the hub among the
+    engine's sinks, so each flush includes the trial the hub just
+    folded.  :meth:`finalize` stamps
     ``campaign_end``, flushes the final metrics snapshot, and derives
     ``summary.json`` + ``report.html`` *from the files just written* -
     the same derivation ``python -m repro report DIR`` re-runs later,
@@ -127,12 +129,12 @@ class RunArtifacts(TrialSink):
         manifest: dict | None = None,
         *,
         metrics_interval: int = DEFAULT_METRICS_INTERVAL,
-        registry: MetricsRegistry | None = None,
+        hub=None,
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.metrics_interval = max(1, metrics_interval)
-        self.registry = registry
+        self.hub = hub
         self._events: IO[str] | None = None
         self._metrics: IO[str] | None = None
         self._trials = 0
@@ -176,7 +178,7 @@ class RunArtifacts(TrialSink):
         self._trials += 1
         self._since_flush += 1
         self.note_event("trial", resumed=result.resumed, **result.to_json())
-        if self.registry is not None and self._since_flush >= self.metrics_interval:
+        if self.hub is not None and self._since_flush >= self.metrics_interval:
             self._flush_metrics()
 
     def progress(self, event) -> None:
@@ -220,7 +222,7 @@ class RunArtifacts(TrialSink):
                     "seq": self._flushes,
                     "t": time.time(),
                     "trials": self._trials,
-                    "snapshot": self.registry.snapshot().to_json(),
+                    "snapshot": self.hub.metrics_snapshot().to_json(),
                 }
             ),
         )
@@ -234,7 +236,7 @@ class RunArtifacts(TrialSink):
         if self._finalized:
             return build_summary(self.directory)
         self._finalized = True
-        if self.registry is not None:
+        if self.hub is not None:
             self._flush_metrics()
         self.note_event("campaign_end", trials=self._trials)
         self.close()

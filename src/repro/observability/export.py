@@ -5,10 +5,10 @@ Perfetto (https://ui.perfetto.dev) and the legacy ``chrome://tracing``
 viewer.  Timestamps are simulated basic blocks; ``displayTimeUnit`` is
 milliseconds, so one block renders as one microsecond.
 
-:class:`TraceCollector` merges per-trial event lists from a campaign:
-each trial becomes one Perfetto "process" (``pid``), each MPI rank one
-thread, with metadata events naming both.  Trials are sorted by
-``(region, index)`` before pid assignment, so the merged trace is
+:class:`TraceCollector` is the campaign sink that merges per-trial event
+lists: each trial becomes one Perfetto "process" (``pid``), each MPI
+rank one thread, with metadata events naming both.  Trials are sorted
+by ``(region, index)`` before pid assignment, so the merged trace is
 deterministic regardless of executor completion order.
 """
 
@@ -18,6 +18,8 @@ import json
 import warnings
 from pathlib import Path
 from typing import Any
+
+from repro.engine.progress import TrialSink
 
 _VALID_PHASES = {"X", "B", "E", "i", "I", "C", "M", "b", "e", "n", "s", "t", "f"}
 
@@ -91,8 +93,9 @@ def trace_categories(obj: dict) -> set[str]:
     }
 
 
-class TraceCollector:
-    """Accumulates per-trial event lists into one merged trace.
+class TraceCollector(TrialSink):
+    """A campaign sink that accumulates per-trial event lists into one
+    merged trace; it reads each trial's ``trace_events``.
 
     ``max_trials`` bounds memory for large campaigns.  Beyond it trials
     are *dropped*, never silently: the count lands in the trace
@@ -101,11 +104,14 @@ class TraceCollector:
     :class:`UserWarning` naming the cap to raise.
     """
 
+    reads = frozenset({"trace_events"})
+
     def __init__(self, max_trials: int = 256) -> None:
         self.max_trials = max_trials
         self.dropped = 0
-        #: Campaign metrics registry; the engine attaches its own so
-        #: every dropped trial is visible on the scrape path.
+        #: Campaign metrics registry (the CLI attaches its telemetry
+        #: hub's) so every dropped trial is visible on the scrape path;
+        #: written under the registry's lock.
         self.metrics = None
         self._warned = False
         #: ``(region, index) -> (label, events)``
@@ -122,7 +128,8 @@ class TraceCollector:
         if len(self._trials) >= self.max_trials:
             self.dropped += 1
             if self.metrics is not None:
-                self.metrics.counter("repro_trace_trials_dropped_total").inc()
+                with self.metrics.lock:
+                    self.metrics.counter("repro_trace_trials_dropped_total").inc()
             if not self._warned:
                 self._warned = True
                 warnings.warn(
@@ -135,6 +142,15 @@ class TraceCollector:
             return False
         self._trials[key] = (label, events)
         return True
+
+    def trial(self, result) -> None:
+        if result.trace_events is not None:
+            self.add_trial(
+                result.region.value,
+                result.index,
+                f"{result.app} {result.region.value}#{result.index}",
+                result.trace_events,
+            )
 
     def __len__(self) -> int:
         return len(self._trials)

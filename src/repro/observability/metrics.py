@@ -323,11 +323,6 @@ class MetricsRegistry:
             return None
         return (metric.bounds, tuple(metric.counts), metric.sum, metric.count)
 
-    def histograms_named(self, name: str) -> dict[LabelItems, Histogram]:
-        return {
-            labels: h for (n, labels), h in self._histograms.items() if n == name
-        }
-
 
 # ----------------------------------------------------------------------
 # Prometheus textfile round trip

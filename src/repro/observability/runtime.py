@@ -13,9 +13,9 @@ disabled path essentially free:
 
 :func:`activate` installs a scope (one trial) and restores the previous
 state on exit, which makes it safe under fork-based workers: whatever
-the parent had enabled at fork time, each trial runs under exactly the
-scope its execution context requested, and :func:`enable` /
-:func:`disable` are idempotent.
+scope the parent had active at fork time, each trial runs under exactly
+the scope its execution context requested.  Outside a scope every
+global is ``None``.
 """
 
 from __future__ import annotations
@@ -49,35 +49,6 @@ def activate(
         yield
     finally:
         TRACER, METRICS, TIMELINE = prior
-
-
-def enable(
-    tracer: Tracer | None = None, metrics: MetricsRegistry | None = None
-) -> tuple[Tracer, MetricsRegistry]:
-    """Enable ambient tracing/metrics (idempotent: enabling while
-    enabled keeps the existing sinks unless new ones are passed)."""
-    global TRACER, METRICS
-    if tracer is not None:
-        TRACER = tracer
-    elif TRACER is None:
-        TRACER = Tracer()
-    if metrics is not None:
-        METRICS = metrics
-    elif METRICS is None:
-        METRICS = MetricsRegistry()
-    return TRACER, METRICS
-
-
-def disable() -> None:
-    """Disable ambient tracing/metrics (idempotent)."""
-    global TRACER, METRICS, TIMELINE
-    TRACER = None
-    METRICS = None
-    TIMELINE = None
-
-
-def enabled() -> bool:
-    return TRACER is not None or METRICS is not None
 
 
 # ----------------------------------------------------------------------

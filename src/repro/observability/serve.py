@@ -3,9 +3,9 @@
 Three endpoints, all derived from state the campaign already maintains:
 
 ``/metrics``
-    The live merged :class:`~repro.observability.metrics.MetricsRegistry`
-    in the Prometheus textfile exposition format - the same bytes
-    ``campaign run --metrics`` writes at exit, scrapeable mid-run.
+    The campaign's metrics in the Prometheus textfile exposition
+    format - the same bytes ``campaign run --metrics`` writes at exit,
+    scrapeable mid-run.
 ``/status``
     JSON per-(app, region) tallies with Cochran CI half-widths - the
     same rows as ``campaign status --json``, but folded incrementally
@@ -17,10 +17,12 @@ Three endpoints, all derived from state the campaign already maintains:
 Two sources can sit behind the endpoints:
 
 * :class:`TelemetryHub` - a :class:`~repro.engine.progress.TrialSink`
-  of a running campaign engine, built on the engine's metrics
-  registry.  The engine folds every finished trial into the hub under
-  the registry's lock; request handlers copy state under that lock and
-  render *outside* it, so a slow scraper can never stall trial
+  of a running campaign engine and the campaign's one metrics fold:
+  ``/metrics``, ``--metrics FILE``, artifact flushes and ``trace run
+  --metrics-out`` all read :meth:`TelemetryHub.metrics_text` or
+  :meth:`TelemetryHub.metrics_snapshot`.  The hub folds every finished
+  trial under its lock; readers copy state under that lock and compose
+  and render *outside* it, so a slow scraper can never stall trial
   dispatch (each request also runs on its own daemon thread - the
   server applies backpressure to clients, not to the campaign).
 * :class:`StoreTelemetry` - ``python -m repro serve --store X``: a hub
@@ -29,7 +31,9 @@ Two sources can sit behind the endpoints:
   million-trial store needs memory for the summary fold, not the
   store.
 
-Everything is stdlib: :mod:`http.server` + :mod:`threading`.
+Everything is stdlib: :mod:`http.server` + :mod:`threading`.  The HTTP
+half is imported only when a :class:`TelemetryServer` is built, so a
+campaign that only writes ``--metrics`` never loads it.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from repro.engine.progress import TrialSink
@@ -83,23 +86,27 @@ def serve_endpoint(
 
 
 class TelemetryHub(TrialSink):
-    """Thread-safe live telemetry state for one running campaign.
+    """Thread-safe live telemetry state, and the metrics, of one
+    campaign.
 
-    Pass the campaign's metrics registry both here and to the engine,
-    which lists the hub among its sinks: ``/metrics`` then scrapes the
-    state ``--metrics`` writes at exit.  :attr:`lock` is that
-    registry's lock, so the engine's registry writes and the hub's
-    summary and planned counts change under one lock.  Request
-    handlers take it just long enough to copy - a metrics snapshot, a
-    summary row list - and do all rendering outside it.
+    Two folds make up the campaign's metrics.  :attr:`summary` (a
+    :class:`~repro.engine.store.StoreSummary`) counts every trial, and
+    :meth:`~repro.engine.store.StoreSummary.fill_registry` derives the
+    campaign families from it (trials done and errors, outcomes, pruned
+    trials, error latencies).  :attr:`registry` merges each executed
+    trial's worker-side snapshot (VM, channel, injection and detector
+    families) and holds the progress families.  :attr:`lock` is the
+    registry's lock and guards both; readers take it just long enough
+    to copy and do all composing and rendering outside it.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+    reads = frozenset({"metrics"})
+
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
         self.lock = self.registry.lock
         self.summary = StoreSummary()
         self.started = time.monotonic()
-        self._done = 0
         #: ``(app, region) -> planned trials`` (``None`` = open-ended).
         self._planned: dict[tuple[str, str], int | None] = {}
 
@@ -111,7 +118,18 @@ class TelemetryHub(TrialSink):
     def trial(self, result) -> None:
         with self.lock:
             self.summary.add(result)
-            self._done += 1
+            if result.metrics is not None:
+                self.registry.merge(result.metrics)
+
+    def progress(self, event) -> None:
+        labels = {"app": event.app, "region": event.region}
+        with self.lock:
+            self.registry.gauge("repro_campaign_achieved_d", **labels).set(
+                event.achieved_d
+            )
+            self.registry.counter(
+                "repro_campaign_progress_events_total", **labels
+            ).inc()
 
     # -- reader-side payloads -----------------------------------------
     def refresh(self) -> None:
@@ -122,8 +140,13 @@ class TelemetryHub(TrialSink):
         return {"schema_version": SERVE_SCHEMA_VERSION, **fields}
 
     def metrics_snapshot(self) -> MetricsSnapshot:
+        """The registry composed with the summary's campaign families."""
+        self.refresh()
+        campaign = MetricsRegistry()
         with self.lock:
-            return self.registry.snapshot()
+            snapshot = self.registry.snapshot()
+            self.summary.fill_registry(campaign)
+        return snapshot.merge(campaign.snapshot())
 
     def metrics_text(self) -> str:
         return render_prometheus(self.metrics_snapshot())
@@ -137,7 +160,7 @@ class TelemetryHub(TrialSink):
     def progress_payload(self) -> dict:
         self.refresh()
         with self.lock:
-            done = self._done
+            done = self.summary.trials
             errors = self.summary.errors
             planned = dict(self._planned)
             elapsed = time.monotonic() - self.started
@@ -171,7 +194,7 @@ class StoreTelemetry(TelemetryHub):
     the trials appended since the last one, once per key.  A
     follower-reported reset (the store was rewritten) restarts the fold
     from zero.  No region announces a plan, so ``/progress`` reports no
-    total, and ``/metrics`` is the registry derived from the summary.
+    total, and ``/metrics`` holds the campaign families only.
     """
 
     def __init__(self, path) -> None:
@@ -188,7 +211,6 @@ class StoreTelemetry(TelemetryHub):
             if reset:
                 self._seen.clear()
                 self.summary = StoreSummary()
-                self._done = 0
             for result in results:
                 if result.key not in self._seen:
                     self._seen.add(result.key)
@@ -196,13 +218,6 @@ class StoreTelemetry(TelemetryHub):
 
     def _payload(self, **fields) -> dict:
         return super()._payload(store=str(self.path), **fields)
-
-    def metrics_snapshot(self) -> MetricsSnapshot:
-        self.refresh()
-        registry = MetricsRegistry()
-        with self.lock:
-            self.summary.fill_registry(registry)
-        return registry.snapshot()
 
 
 _INDEX = (
@@ -213,8 +228,11 @@ _INDEX = (
 )
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """One scrape request.  ``telemetry`` is bound per server class.
+class _Handler:
+    """One scrape request: the routes of a request handler that
+    :class:`TelemetryServer` mixes into
+    :class:`http.server.BaseHTTPRequestHandler` and binds
+    ``telemetry`` on.
 
     Beyond the three scrape endpoints, a telemetry source may expose
     extra routes by defining ``handle_get(path) -> (body, ctype) |
@@ -311,8 +329,14 @@ class TelemetryServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         self.telemetry = telemetry
-        handler = type("BoundHandler", (_Handler,), {"telemetry": telemetry})
+        handler = type(
+            "BoundHandler",
+            (_Handler, BaseHTTPRequestHandler),
+            {"telemetry": telemetry},
+        )
         self._httpd = ThreadingHTTPServer((host, port), handler)
         self._httpd.daemon_threads = True
         self._thread: threading.Thread | None = None

@@ -10,6 +10,7 @@ equivalence tests run the engine on a thread behind a real coordinator
 service and execute its leases with in-process workers.
 """
 
+import dataclasses
 import itertools
 import json
 import sys
@@ -35,6 +36,8 @@ from repro.engine.trial import TrialResult, TrialSpec
 from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
 from repro.injection.outcomes import Manifestation
+from repro.observability.export import TraceCollector
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.serve import TelemetryHub, TelemetryServer
 from tests.conftest import SMALL_NPROCS, SMALL_WAVETOY, RecordingSink
 
@@ -212,6 +215,47 @@ class TestCoordinatorProtocol:
         assert executor.book.state(grant["batch"]) == "leased"
         assert "error" in executor.submit("w", 999, [])
 
+    def test_submitted_observations_are_parsed_or_rejected(
+        self, specs, quick_polls
+    ):
+        """A well-formed submission attaches its metrics snapshot and
+        trace events; a malformed observation rejects the result, which
+        stays missing."""
+        executor = LeaseExecutor(batch_size=4)
+        stream = executor.run(specs[:4])
+        grant = executor.lease_payload("w")
+        leased = granted(grant)
+        registry = MetricsRegistry()
+        registry.counter("repro_vm_blocks_total").inc(7)
+        registry.histogram("repro_error_latency_blocks", region="stack").observe(3)
+        snapshot = registry.snapshot()
+        events = [{"name": "kernel:k", "ph": "X", "ts": 0, "dur": 2, "tid": 1}]
+        bad = [
+            {"metrics": [1, 2]},
+            {"metrics": {"counters": {}}},
+            {"metrics": {"counters": {"x": "many"}, "gauges": {}, "histograms": {}}},
+            {"trace_events": {"name": "not a list"}},
+            {"trace_events": [events[0], "not an object"]},
+        ]
+        for spec in leased[1:]:
+            for fields in bad:
+                reply = executor.submit(
+                    "w", grant["batch"], [dict(correct(spec), **fields)]
+                )
+                assert (reply["accepted"], reply["rejected"]) == (0, 1), fields
+        assert executor._missing[grant["batch"]] == {s.key for s in leased}
+        wire = dict(
+            correct(leased[0]), metrics=snapshot.to_json(), trace_events=events
+        )
+        reply = executor.submit("w", grant["batch"], [json.loads(json.dumps(wire))])
+        assert reply["accepted"] == 1
+        for spec in leased[1:]:
+            executor.submit("w", grant["batch"], [correct(spec)])
+        first, *rest = list(stream)
+        assert first.metrics == snapshot
+        assert first.trace_events == events
+        assert all(r.metrics is None and r.trace_events is None for r in rest)
+
     def test_requeued_batch_counts_once(self, specs, quick_polls):
         now = [0.0]
         executor = LeaseExecutor(
@@ -274,8 +318,9 @@ class TestCoordinatorProtocol:
         assert executor.book.all_done
 
     def test_manifest_carries_execution_identity(self):
+        hub = TelemetryHub()
         service = CoordinatorService(
-            small_campaign(), LeaseExecutor(), TelemetryHub()
+            small_campaign(), LeaseExecutor(), hub, [RecordingSink(), hub]
         )
         assert service.manifest() == {
             "schema_version": WORK_SCHEMA_VERSION,
@@ -285,7 +330,42 @@ class TestCoordinatorProtocol:
             "seed": 20040607,
             "config_seed": small_campaign().config.seed,
             "lease_timeout": coordination.DEFAULT_LEASE_TIMEOUT,
+            "observations": ["metrics"],
         }
+        traced = CoordinatorService(
+            small_campaign(), LeaseExecutor(), hub, [TraceCollector(), hub]
+        )
+        assert traced.manifest()["observations"] == ["metrics", "trace_events"]
+
+    def test_worker_collects_what_the_manifest_lists(self):
+        hub = TelemetryHub()
+        for sinks, flags in (
+            ((), (False, False)),
+            ((hub,), (True, False)),
+            ((TraceCollector(), hub), (True, True)),
+        ):
+            service = CoordinatorService(
+                small_campaign(), LeaseExecutor(), hub, sinks
+            )
+            manifest = json.loads(json.dumps(service.manifest()))
+            with WorkerClient("127.0.0.1:9")._build_engine(manifest) as engine:
+                ctx = engine.context
+                assert (ctx.collect_metrics, ctx.trace) == flags
+
+    def test_worker_refuses_a_spec_with_other_params(self, specs):
+        service = CoordinatorService(
+            small_campaign(), LeaseExecutor(), TelemetryHub()
+        )
+        manifest = json.loads(json.dumps(service.manifest()))
+        worker = WorkerClient("127.0.0.1:9")
+        with worker._build_engine(manifest) as engine:
+            # Params that went through JSON, as a lease's do, still match.
+            wire = json.loads(json.dumps([spec.to_json() for spec in specs]))
+            worker._check_specs(engine, [TrialSpec.from_json(o) for o in wire])
+            drifted = dataclasses.replace(specs[0], app_params=(("nx", 64),))
+            assert drifted.key != specs[0].key
+            with pytest.raises(WorkerError, match="drift"):
+                worker._check_specs(engine, [drifted])
 
     def test_lease_body_is_json(self, specs):
         executor = LeaseExecutor()
@@ -350,26 +430,29 @@ class TestDistributedEquivalence:
         scopes a per-process observability runtime, so concurrent
         workers belong in separate processes, as in the chaos test.  The
         three runs must return equal region rows, and a recording sink
-        on each must see the same calls in the same order."""
+        on each must see the same calls in the same order.  Each side
+        also has a telemetry hub and a trace collector, whose metrics
+        (but for the pid-labelled worker counter) and merged traces
+        must be equal too."""
         local, local_sinks = {}, {}
         for jobs in (1, 2):
-            local_sinks[jobs] = RecordingSink()
+            local_sinks[jobs] = [RecordingSink(), TelemetryHub(), TraceCollector()]
             local[jobs] = small_campaign().run(
                 regions,
                 jobs=jobs,
                 store=tmp_path / f"jobs{jobs}.jsonl",
-                sinks=[local_sinks[jobs]],
+                sinks=local_sinks[jobs],
                 log_interval=4,
                 **run_options,
                 **engine_options,
             )
-        dist_sink = RecordingSink()
-        campaign, hub = small_campaign(), TelemetryHub()
+        dist_sink, hub, trace = RecordingSink(), TelemetryHub(), TraceCollector()
+        sinks = [dist_sink, hub, trace]
+        campaign = small_campaign()
         executor = LeaseExecutor(batch_size=4)
         engine = campaign.engine(
             executor=executor,
-            sinks=[hub, dist_sink],
-            metrics=hub.registry,
+            sinks=sinks,
             log_interval=4,
             store=tmp_path / "dist.sqlite",
             **engine_options,
@@ -381,7 +464,8 @@ class TestDistributedEquivalence:
                 outcome["result"] = engine.run(regions, **run_options)
 
         coordinator = threading.Thread(target=drive, daemon=True)
-        with TelemetryServer(CoordinatorService(campaign, executor, hub)) as server:
+        service = CoordinatorService(campaign, executor, hub, sinks)
+        with TelemetryServer(service) as server:
             coordinator.start()
             workers = [
                 WorkerClient(server.url, name="w0", max_batches=1),
@@ -405,7 +489,26 @@ class TestDistributedEquivalence:
         )
         assert serial_lines == pool_lines == dist_lines
         assert dist_sink.events
-        assert local_sinks[1].calls == local_sinks[2].calls == dist_sink.calls
+        assert (
+            local_sinks[1][0].calls == local_sinks[2][0].calls == dist_sink.calls
+        )
+
+        def metrics(hub):
+            snapshot = hub.metrics_snapshot()
+            snapshot.counters = {
+                key: value
+                for key, value in snapshot.counters.items()
+                if key[0] != "repro_worker_trials_total"
+            }
+            return snapshot
+
+        serial_metrics = metrics(local_sinks[1][1])
+        assert serial_metrics.counters[("repro_vm_blocks_total", ())] > 0
+        assert serial_metrics == metrics(local_sinks[2][1]) == metrics(hub)
+        serial_trace = local_sinks[1][2].merged_events()
+        assert serial_trace
+        assert serial_trace == local_sinks[2][2].merged_events()
+        assert serial_trace == trace.merged_events()
         # Every executed trial went to a worker; the first took one batch.
         executed = distributed.total_injections() - sum(
             r.pruned for r in distributed.regions.values()

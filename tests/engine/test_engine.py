@@ -17,6 +17,7 @@ from repro.engine.progress import TrialCollector
 from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
 from repro.mpi.simulator import JobConfig
+from repro.observability.export import TraceCollector
 from repro.observability.serve import TelemetryHub
 from repro.sampling.plans import CampaignPlan
 from repro.sampling.theory import sample_size_oversampled
@@ -234,25 +235,21 @@ class TestProgress:
         """Regression from the progress-callback days: with a callback
         AND a metrics registry attached, a region whose trial count is a
         multiple of log_interval used to get two done=n events
-        (periodic + final).  A sink and the registry must each see
+        (periodic + final).  A sink and the hub's metrics must each see
         exactly one."""
-        from repro.observability.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        sink = RecordingSink()
+        hub, sink = TelemetryHub(), RecordingSink()
         small_campaign().run_region(
-            Region.MESSAGE, 4, sinks=[sink], log_interval=2,
-            metrics=registry,
+            Region.MESSAGE, 4, sinks=[sink, hub], log_interval=2
         )
         events = sink.events
         finals = [e for e in events if e.final]
         assert len(finals) == 1
         assert finals[0].done == 4
         assert [e.done for e in events] == [2, 4]
-        emitted = registry.counter_value(
+        emitted = hub.metrics_snapshot().counters[(
             "repro_campaign_progress_events_total",
-            app="wavetoy", region="message",
-        )
+            (("app", "wavetoy"), ("region", "message")),
+        )]
         assert emitted == len(events) == 2
 
     def test_interval_one_fires_once_per_trial_single_final(self):
@@ -275,3 +272,36 @@ class TestProgress:
         events = sink.events
         assert events[-1].resumed == 2
         assert events[-1].done == 4
+
+
+class TestObservations:
+    """Trials collect the optional result fields the engine's sinks
+    read, and nothing else - in the driver and in pool workers, which
+    receive the context pickled."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sinks_that_read_nothing_collect_nothing(self, jobs):
+        collector = TrialCollector()
+        small_campaign().run_region(
+            Region.MESSAGE, 2, jobs=jobs, sinks=[collector, RecordingSink()]
+        )
+        assert len(collector.results) == 2
+        for result in collector.results:
+            assert result.metrics is None and result.trace_events is None
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_read_collects_its_field(self, jobs):
+        seen = {}
+        for sink in (TelemetryHub(), TraceCollector()):
+            collector = TrialCollector()
+            small_campaign().run_region(
+                Region.MESSAGE, 2, jobs=jobs, sinks=[sink, collector]
+            )
+            seen[type(sink).__name__] = [
+                (r.metrics is not None, r.trace_events is not None)
+                for r in collector.results
+            ]
+        assert seen == {
+            "TelemetryHub": [(True, False)] * 2,
+            "TraceCollector": [(False, True)] * 2,
+        }

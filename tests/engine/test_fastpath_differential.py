@@ -26,7 +26,8 @@ from repro.engine.core import execute_trial
 from repro.engine.store import ResultStore
 from repro.injection.campaign import Campaign
 from repro.injection.faults import FaultSpec, Region
-from repro.observability.metrics import MetricsRegistry, render_prometheus
+from repro.observability.metrics import render_prometheus
+from repro.observability.serve import TelemetryHub
 from tests.conftest import SMALL_MOLDYN, SMALL_NPROCS, SMALL_WAVETOY
 
 N = 4
@@ -42,9 +43,10 @@ def observe(campaign, regions, store_path, *, jobs=1):
     """One campaign run distilled to its externally visible fingerprint,
     plus the work the two engines did: (translated instructions,
     checkpoint restores)."""
-    metrics = MetricsRegistry()
+    hub = TelemetryHub()
     with ResultStore(store_path) as store:
-        result = campaign.run(regions, N, jobs=jobs, store=store, metrics=metrics)
+        result = campaign.run(regions, N, jobs=jobs, store=store, sinks=[hub])
+    metrics = hub.metrics_snapshot()
     # Sorted, so pool completion order cannot matter.
     records = sorted(store_path.read_text().splitlines())
     status = [
@@ -65,12 +67,15 @@ def observe(campaign, regions, store_path, *, jobs=1):
         if not any(tag in line for tag in ("worker=", "fastpath", "checkpoint"))
     ]
     latency = {
-        labels: metrics.histogram_state("repro_error_latency_blocks", **dict(labels))
-        for labels in metrics.histograms_named("repro_error_latency_blocks")
+        labels: state
+        for (name, labels), state in metrics.histograms.items()
+        if name == "repro_error_latency_blocks"
     }
     work = (
-        metrics.counter_value("repro_vm_fastpath_total", kind="translated_insns"),
-        metrics.counter_value("repro_checkpoint_restore_total"),
+        metrics.counters.get(
+            ("repro_vm_fastpath_total", (("kind", "translated_insns"),)), 0.0
+        ),
+        metrics.counters.get(("repro_checkpoint_restore_total", ()), 0.0),
     )
     return (records, status, tallies, series, latency), work
 

@@ -131,13 +131,33 @@ class TestCampaignCli:
         assert f"argument {option}: expected" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize(
-        "extra", [[], ["--serve", "0", "--jobs", "2"], ["--serve", "0", "--trace", "t"]]
-    )
+    @pytest.mark.parametrize("extra", [[], ["--serve", "0", "--jobs", "2"]])
     def test_distribute_needs_serve_and_no_local_pool(self, capsys, extra):
         args = ["campaign", "run", "--app", "wavetoy", "--distribute", *extra]
         assert main(args) == 2
         assert "--distribute requires --serve" in capsys.readouterr().err
+
+    def test_metrics_file_without_serving_loads_no_http_server(self, tmp_path):
+        """``--metrics`` reads the telemetry hub, which never needs the
+        HTTP half of its module."""
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        metrics = tmp_path / "metrics.prom"
+        argv = campaign_run_args(
+            tmp_path / "out.jsonl", ["-n", "1", "--metrics", str(metrics)]
+        )
+        code = (
+            "import sys\n"
+            "from repro.__main__ import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "assert 'http.server' not in sys.modules\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+        )
+        assert "repro_trial_outcomes_total" in metrics.read_text()
 
     def test_unknown_region(self):
         with pytest.raises(SystemExit):

@@ -6,8 +6,8 @@ subprocesses.  The victim worker leases a batch and parks on the
 :data:`HOLD_ENV` test hook; the test SIGKILLs it while the lease is
 outstanding.  The coordinator must requeue the orphaned batch at its
 deadline, the surviving worker must drain everything, and the final
-tallies and store must be byte-identical to a serial local run of the
-same campaign - fault tolerance with zero statistical footprint.
+tallies, store and metrics must be identical to a serial local run
+of the same campaign - fault tolerance with zero statistical footprint.
 """
 
 import json
@@ -67,14 +67,16 @@ def test_sigkilled_worker_batch_is_requeued_and_tallies_match(tmp_path):
     campaign = Campaign.from_registry(
         "wavetoy", nprocs=SMALL_NPROCS, app_params=SMALL_WAVETOY
     )
-    reference = campaign.run(REGIONS, N, store=tmp_path / "serial.jsonl")
+    serial_hub = TelemetryHub()
+    reference = campaign.run(
+        REGIONS, N, store=tmp_path / "serial.jsonl", sinks=[serial_hub]
+    )
 
     executor = LeaseExecutor(batch_size=2, lease_timeout=LEASE_TIMEOUT)
     hub = TelemetryHub()
     engine = campaign.engine(
         executor=executor,
         sinks=[hub],
-        metrics=hub.registry,
         store=tmp_path / "dist.jsonl",
     )
     outcome = {}
@@ -84,7 +86,8 @@ def test_sigkilled_worker_batch_is_requeued_and_tallies_match(tmp_path):
             outcome["result"] = engine.run(REGIONS, N)
 
     coordinator = threading.Thread(target=drive, daemon=True)
-    server = TelemetryServer(CoordinatorService(campaign, executor, hub)).start()
+    service = CoordinatorService(campaign, executor, hub, [hub])
+    server = TelemetryServer(service).start()
     coordinator.start()
     victim = survivor = None
     try:
@@ -142,6 +145,18 @@ def test_sigkilled_worker_batch_is_requeued_and_tallies_match(tmp_path):
         (tmp_path / "dist.jsonl").read_text().splitlines()
     )
     assert serial == distributed
+
+    # ...and so are the metrics, but for the per-worker pid counter: the
+    # victim's batch counts once, from the survivor.
+    def metrics(hub):
+        return [
+            line
+            for line in hub.metrics_text().splitlines()
+            if "repro_worker_trials_total" not in line
+        ]
+
+    assert "repro_vm_blocks_total" in hub.metrics_text()
+    assert metrics(serial_hub) == metrics(hub)
 
     # Every record is a well-formed sorted-keys JSON line (the exact
     # payload the SQLite backend stores too).

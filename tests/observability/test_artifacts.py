@@ -22,7 +22,8 @@ from repro.observability.artifacts import (
     render_report,
     write_outputs,
 )
-from repro.observability.metrics import MetricsRegistry, MetricsSnapshot
+from repro.observability.metrics import MetricsSnapshot
+from repro.observability.serve import TelemetryHub
 from tests.conftest import SMALL_NPROCS, SMALL_WAVETOY
 
 SEED = 20260808
@@ -36,7 +37,7 @@ def run_dir(tmp_path_factory):
     campaign = Campaign.from_registry(
         "wavetoy", nprocs=SMALL_NPROCS, app_params=SMALL_WAVETOY, seed=SEED
     )
-    registry = MetricsRegistry()
+    hub = TelemetryHub()
     artifacts = RunArtifacts(
         directory,
         {
@@ -45,11 +46,9 @@ def run_dir(tmp_path_factory):
             "command": "python -m repro campaign run --app wavetoy",
         },
         metrics_interval=3,
-        registry=registry,
+        hub=hub,
     )
-    with campaign.engine(
-        metrics=registry, sinks=[artifacts], log_interval=2
-    ) as eng:
+    with campaign.engine(sinks=[hub, artifacts], log_interval=2) as eng:
         eng.run_region(Region.STACK, N)
         eng.run_region(Region.HEAP, N)
     artifacts.finalize()

@@ -17,6 +17,8 @@ from repro.injection.outcomes import Manifestation
 from repro.observability import runtime
 from repro.observability.export import TraceCollector, validate_chrome_trace
 from repro.observability.metrics import MetricsRegistry
+from repro.observability.serve import TelemetryHub
+from repro.observability.tracer import Tracer
 from tests.conftest import SMALL_NPROCS, SMALL_WAVETOY, RecordingSink
 
 SEED = 20260806
@@ -44,9 +46,8 @@ def _comparable(snapshot):
 
 class TestTracedTrial:
     def test_all_three_layers_present(self, campaign, tmp_path):
-        reg = MetricsRegistry()
         coll = TraceCollector()
-        with campaign.engine(metrics=reg, trace=coll) as eng:
+        with campaign.engine(sinks=[TelemetryHub(), coll]) as eng:
             specs = [eng.make_spec(Region.STACK, i) for i in range(N)]
             results = eng.run_trials(specs)
         obj = json.loads(
@@ -63,8 +64,7 @@ class TestTracedTrial:
             assert "injection" in cats
 
     def test_trial_timeline_fields_filled(self, campaign):
-        reg = MetricsRegistry()
-        with campaign.engine(metrics=reg) as eng:
+        with campaign.engine(sinks=[TelemetryHub()]) as eng:
             results = eng.run_trials(
                 [eng.make_spec(Region.STACK, i) for i in range(N)]
             )
@@ -122,43 +122,42 @@ class TestDeterminism:
     def test_metrics_identical_serial_vs_parallel(self, campaign):
         snaps = []
         for jobs in (1, 2):
-            reg = MetricsRegistry()
-            campaign.run_region(Region.STACK, N, jobs=jobs, metrics=reg)
-            snaps.append(reg.snapshot())
+            hub = TelemetryHub()
+            campaign.run_region(Region.STACK, N, jobs=jobs, sinks=[hub])
+            snaps.append(hub.metrics_snapshot())
         assert _comparable(snaps[0]) == _comparable(snaps[1])
 
     def test_latency_histogram_survives_store_resume(self, campaign, tmp_path):
         store = tmp_path / "store.jsonl"
-        fresh = MetricsRegistry()
-        campaign.run_region(Region.STACK, N, store=str(store), metrics=fresh)
-        resumed = MetricsRegistry()
+        fresh = TelemetryHub()
+        campaign.run_region(Region.STACK, N, store=str(store), sinks=[fresh])
+        resumed = TelemetryHub()
         result = campaign.run_region(
-            Region.STACK, N, store=str(store), resume=True, metrics=resumed
+            Region.STACK, N, store=str(store), resume=True, sinks=[resumed]
         )
         assert result.resumed == N
+        fresh, resumed = fresh.metrics_snapshot(), resumed.metrics_snapshot()
         name = "repro_error_latency_blocks"
         assert {
-            k: v for k, v in fresh.snapshot().histograms.items() if k[0] == name
+            k: v for k, v in fresh.histograms.items() if k[0] == name
         } == {
-            k: v for k, v in resumed.snapshot().histograms.items() if k[0] == name
+            k: v for k, v in resumed.histograms.items() if k[0] == name
         }
         # outcome tallies rebuild identically too
-        for m in Manifestation:
-            assert fresh.counter_value(
-                "repro_trial_outcomes_total", manifestation=m.value
-            ) == resumed.counter_value(
-                "repro_trial_outcomes_total", manifestation=m.value
-            )
+        name = "repro_trial_outcomes_total"
+        assert {k: v for k, v in fresh.counters.items() if k[0] == name} == {
+            k: v for k, v in resumed.counters.items() if k[0] == name
+        }
 
 
 class TestPrunedCounter:
     def test_pruned_trials_are_counted_with_reasons(self, campaign):
-        reg = MetricsRegistry()
+        hub = TelemetryHub()
         result = campaign.run_region(
-            Region.TEXT, 6, metrics=reg, prune_masked=True
+            Region.TEXT, 6, sinks=[hub], prune_masked=True
         )
         assert result.pruned > 0
-        snap = reg.snapshot()
+        snap = hub.metrics_snapshot()
         pruned_counts = {
             dict(k[1])["reason"]: v
             for k, v in snap.counters.items()
@@ -178,48 +177,34 @@ class TestPrunedCounter:
 
 class TestForkSafety:
     def test_ambient_runtime_survives_parallel_campaign(self, campaign):
-        """Satellite check: enabling the ambient tracer in the parent
-        neither leaks into trial scopes nor is clobbered by fork-based
-        workers, and results are unchanged."""
+        """An observability scope active in the parent neither leaks
+        into trial scopes nor is clobbered by fork-based workers, and
+        the tallies equal the serial run's."""
         baseline = campaign.run_region(Region.MESSAGE, 2, jobs=1)
-        tracer, metrics = runtime.enable()
-        try:
-            traced = campaign.run_region(Region.MESSAGE, 2, jobs=2)
+        tracer, metrics = Tracer(), MetricsRegistry()
+        with runtime.activate(tracer=tracer, metrics=metrics):
+            scoped = campaign.run_region(Region.MESSAGE, 2, jobs=2)
             assert runtime.TRACER is tracer
             assert runtime.METRICS is metrics
-        finally:
-            runtime.disable()
-        assert not runtime.enabled()
-        assert traced.tally.counts == baseline.tally.counts
+        assert runtime.TRACER is None and runtime.METRICS is None
+        assert tracer.events == [] and len(metrics) == 0
+        assert scoped.tally.counts == baseline.tally.counts
 
     def test_engine_progress_sink_and_registry(self, campaign):
-        sink = RecordingSink()
-        reg = MetricsRegistry()
+        sink, hub = RecordingSink(), TelemetryHub()
         campaign.run_region(
             Region.MESSAGE,
             2,
-            metrics=reg,
-            sinks=[sink],
+            sinks=[sink, hub],
             log_interval=1,
         )
         events = sink.events
         assert events and events[-1].final
         assert all(e.region == "message" for e in events)
-        assert (
-            reg.counter_value(
-                "repro_campaign_progress_events_total",
-                app=campaign.app_name,
-                region="message",
-            )
-            > 0
-        )
-        labels_done = reg.snapshot().gauges[
-            (
-                "repro_campaign_trials_done",
-                (("app", campaign.app_name), ("region", "message")),
-            )
-        ]
-        assert labels_done == 2.0
+        snap = hub.metrics_snapshot()
+        labels = (("app", campaign.app_name), ("region", "message"))
+        assert snap.counters[("repro_campaign_progress_events_total", labels)] > 0
+        assert snap.gauges[("repro_campaign_trials_done", labels)] == 2.0
 
 
 class TestCli:

@@ -138,6 +138,53 @@ class TestDropAccounting:
         assert coll.dropped == 3
         assert reg.counter_value("repro_trace_trials_dropped_total") == 3
 
+    def test_drop_is_safe_against_a_concurrent_scrape(self):
+        """The first drop inserts the counter while a scraping thread
+        may be iterating the registry; the collector takes the
+        registry's lock for that write.  A registry padded with filler
+        keeps each scrape iterating long enough to overlap the drop."""
+        import sys
+        import threading
+        import time
+        import warnings as _warnings
+
+        from repro.observability.serve import TelemetryHub
+
+        def round_fails():
+            hub = TelemetryHub()
+            for i in range(3000):
+                hub.registry.counter("filler_total", i=i).inc()
+            coll = TraceCollector(max_trials=0)
+            coll.metrics = hub.registry
+            failures, stop = [], threading.Event()
+
+            def scrape():
+                while not stop.is_set():
+                    try:
+                        hub.metrics_snapshot()
+                    except RuntimeError as exc:  # dict changed size
+                        failures.append(exc)
+                        return
+
+            scraper = threading.Thread(target=scrape)
+            scraper.start()
+            time.sleep(0.001)
+            with _warnings.catch_warnings():
+                _warnings.simplefilter("ignore")
+                coll.add_trial("stack", 0, "s0", _events())
+            stop.set()
+            scraper.join(timeout=10)
+            assert not scraper.is_alive()
+            return failures
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            failures = [f for _ in range(20) for f in round_fails()]
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+
     def test_warning_fires_once(self):
         import warnings as _warnings
 

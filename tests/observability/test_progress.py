@@ -1,5 +1,6 @@
 """Progress events through the trial sink protocol: the engine's
-per-region throttle and its fan-out to the registry and every sink."""
+per-region throttle and its fan-out to every sink, the telemetry hub's
+metrics included."""
 
 import pytest
 
@@ -12,7 +13,7 @@ from repro.engine.progress import (
 )
 from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.serve import TelemetryHub
 from tests.conftest import SMALL_NPROCS, SMALL_WAVETOY, RecordingSink
 
 
@@ -95,32 +96,22 @@ class TestThrottle:
 
 class TestFanOut:
     def test_metrics_only_emission(self, campaign):
-        reg = MetricsRegistry()
-        row = campaign.run_region(Region.MESSAGE, 3, metrics=reg, log_interval=1)
-        snap = reg.snapshot()
+        hub = TelemetryHub()
+        row = campaign.run_region(Region.MESSAGE, 3, sinks=[hub], log_interval=1)
+        snap = hub.metrics_snapshot()
         labels = (("app", "wavetoy"), ("region", "message"))
         assert snap.gauges[("repro_campaign_trials_done", labels)] == 3.0
         assert snap.gauges[("repro_campaign_errors", labels)] == row.tally.errors
-        assert (
-            reg.counter_value(
-                "repro_campaign_progress_events_total", app="wavetoy", region="message"
-            )
-            == 3  # periodic at 1 and 2, then the final one
-        )
+        # periodic at 1 and 2, then the final one
+        assert snap.counters[("repro_campaign_progress_events_total", labels)] == 3
 
     def test_both_sinks_fed(self, campaign):
-        sink = RecordingSink()
-        reg = MetricsRegistry()
-        campaign.run_region(
-            Region.MESSAGE, 3, metrics=reg, sinks=[sink], log_interval=2
-        )
+        sink, hub = RecordingSink(), TelemetryHub()
+        campaign.run_region(Region.MESSAGE, 3, sinks=[sink, hub], log_interval=2)
         assert [(e.done, e.final) for e in sink.events] == [(2, False), (3, True)]
-        assert (
-            reg.counter_value(
-                "repro_campaign_progress_events_total", app="wavetoy", region="message"
-            )
-            == 2
-        )
+        labels = (("app", "wavetoy"), ("region", "message"))
+        counters = hub.metrics_snapshot().counters
+        assert counters[("repro_campaign_progress_events_total", labels)] == 2
 
     def test_sink_sees_the_region_in_order(self, campaign):
         sink = RecordingSink()

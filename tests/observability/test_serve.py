@@ -77,11 +77,11 @@ class TestTelemetryHub:
     def test_final_metrics_equal_merged_registry(self, campaign):
         hub = TelemetryHub()
         with TelemetryServer(hub) as srv:
-            with campaign.engine(sinks=[hub], metrics=hub.registry) as eng:
+            with campaign.engine(sinks=[hub]) as eng:
                 eng.run_region(Region.STACK, N)
             text = _get(srv.url + "/metrics")
-        # The scrape and the end-of-run export read the same registry.
-        assert text == render_prometheus(hub.registry)
+        # The scrape and the end-of-run export read the same hub.
+        assert text == hub.metrics_text()
         samples = parse_prometheus(text)
         assert (
             samples[
@@ -102,7 +102,7 @@ class TestTelemetryHub:
     def test_status_and_progress_payloads(self, campaign):
         hub = TelemetryHub()
         with TelemetryServer(hub) as srv:
-            with campaign.engine(sinks=[hub], metrics=hub.registry) as eng:
+            with campaign.engine(sinks=[hub]) as eng:
                 eng.run_region(Region.STACK, N)
             status = json.loads(_get(srv.url + "/status"))
             progress = json.loads(_get(srv.url + "/progress"))
@@ -128,7 +128,7 @@ class TestTelemetryHub:
 
         def run():
             try:
-                with campaign.engine(sinks=[hub], metrics=hub.registry) as eng:
+                with campaign.engine(sinks=[hub]) as eng:
                     eng.run_region(Region.STACK, 3 * N)
                     eng.run_region(Region.HEAP, 3 * N)
             finally:
@@ -158,9 +158,7 @@ class TestTelemetryHub:
         for jobs in (1, 4):
             hub = TelemetryHub()
             with TelemetryServer(hub) as srv:
-                with campaign.engine(
-                    sinks=[hub], metrics=hub.registry, jobs=jobs
-                ) as eng:
+                with campaign.engine(sinks=[hub], jobs=jobs) as eng:
                     eng.run_region(Region.STACK, N)
                 payloads[jobs] = (
                     _comparable(parse_prometheus(_get(srv.url + "/metrics"))),
@@ -250,4 +248,34 @@ class TestStoreTelemetry:
                 )
             ]
             == 3
+        )
+
+    def test_follower_serves_the_live_campaign_families(self, campaign, tmp_path):
+        """A followed store and the live hub that fed it render the
+        campaign families through one fold, pruned trials by (region,
+        reason) included."""
+        path = tmp_path / "pruned.jsonl"
+        live = TelemetryHub()
+        row = campaign.run_region(
+            Region.TEXT, 6, store=path, prune_masked=True, sinks=[live]
+        )
+        assert row.pruned > 0
+        followed = StoreTelemetry(path).metrics_snapshot()
+
+        def families(snapshot, names):
+            return [
+                {k: v for k, v in getattr(snapshot, kind).items() if k[0] in names}
+                for kind in ("counters", "gauges", "histograms")
+            ]
+
+        pruned = families(followed, {"repro_trials_pruned_total"})[0]
+        assert sum(pruned.values()) == row.pruned
+        assert {dict(labels)["region"] for _, labels in pruned} == {"text"}
+        served = {
+            name
+            for kind in ("counters", "gauges", "histograms")
+            for name, _ in getattr(followed, kind)
+        }
+        assert families(followed, served) == families(
+            live.metrics_snapshot(), served
         )

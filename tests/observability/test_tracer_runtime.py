@@ -8,13 +8,6 @@ from repro.observability.timeline import PropagationTimeline
 from repro.observability.tracer import Tracer
 
 
-@pytest.fixture(autouse=True)
-def _clean_runtime():
-    runtime.disable()
-    yield
-    runtime.disable()
-
-
 class TestTracer:
     def test_complete_span_shape(self):
         t = Tracer()
@@ -50,35 +43,24 @@ class TestRuntime:
     def test_disabled_by_default(self):
         assert runtime.TRACER is None
         assert runtime.METRICS is None
-        assert not runtime.enabled()
+        assert runtime.TIMELINE is None
 
     def test_activate_restores_prior_scope(self):
-        outer = Tracer()
-        runtime.enable(tracer=outer)
-        inner = Tracer()
-        with runtime.activate(tracer=inner):
-            assert runtime.TRACER is inner
-            assert runtime.METRICS is None
-        assert runtime.TRACER is outer
+        outer, metrics = Tracer(), MetricsRegistry()
+        with runtime.activate(tracer=outer, metrics=metrics):
+            inner = Tracer()
+            with runtime.activate(tracer=inner):
+                assert runtime.TRACER is inner
+                assert runtime.METRICS is None
+            assert runtime.TRACER is outer
+            assert runtime.METRICS is metrics
+        assert runtime.TRACER is None and runtime.METRICS is None
 
     def test_activate_restores_on_exception(self):
         with pytest.raises(RuntimeError):
             with runtime.activate(tracer=Tracer()):
                 raise RuntimeError("boom")
         assert runtime.TRACER is None
-
-    def test_enable_idempotent(self):
-        t1, m1 = runtime.enable()
-        t2, m2 = runtime.enable()
-        assert t1 is t2 and m1 is m2
-        t3, _ = runtime.enable(tracer=Tracer())
-        assert t3 is not t1
-
-    def test_disable_idempotent(self):
-        runtime.enable()
-        runtime.disable()
-        runtime.disable()
-        assert not runtime.enabled()
 
 
 class TestNoteHelpers:
