@@ -14,10 +14,13 @@ Usage::
     python -m repro campaign run --app wavetoy --regions message,stack \
         --jobs 8 --target-d 0.05 --store out.jsonl --resume
     python -m repro campaign run --app wavetoy --regions text,data \
+        -n 100 --store out.jsonl       # every design tallies provably-
+                                       # masked sites as correct unrun
+    python -m repro campaign run --app wavetoy --regions text,data \
         --stratify --target-d 0.05     # Neyman-allocate over predicted
                                        # outcome strata, reweight rates
-    python -m repro campaign run --app wavetoy --regions text,data \
-        --prune-masked --store out.jsonl       # skip provably-masked sites
+                                       # (the masked stratum is that
+                                       # same proof, never dispatched)
     python -m repro campaign run --app wavetoy -n 4 \
         --trace trace.json --metrics metrics.prom
     python -m repro campaign run --app wavetoy -n 40 \
@@ -379,10 +382,11 @@ def cmd_analyze_outcomes(args) -> int:
     return 1 if diags else 0
 
 
-def _parse_regions(text: str | None):
+def _regions(text: str):
+    """An argparse type: comma-separated region names, or ``all``."""
     from repro.injection.faults import Region
 
-    if not text or text == "all":
+    if text == "all":
         return tuple(Region)
     regions = []
     for token in text.split(","):
@@ -392,28 +396,76 @@ def _parse_regions(text: str | None):
         try:
             regions.append(Region(token))
         except ValueError:
-            raise SystemExit(
+            raise argparse.ArgumentTypeError(
                 f"unknown region {token!r}; choose from: "
                 f"{', '.join(r.value for r in Region)}"
-            )
+            ) from None
+    if not regions:
+        raise argparse.ArgumentTypeError(f"no region named in {text!r}")
     return tuple(regions)
 
 
-def _parse_params(text: str | None) -> dict:
-    """``k=v,k=v`` application parameters; values int when possible."""
+def _param_value(kind: type, text: str):
+    """``text`` as a build parameter whose default is a ``kind``: an int
+    when it parses as one, else a ``kind`` - a float, ``true``/``false``
+    for a bool, or the text itself for a str.  Raises ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    if kind is bool and text.lower() in ("true", "false"):
+        return text.lower() == "true"
+    if kind is float:
+        return float(text)
+    if kind is str:
+        return text
+    raise ValueError(text)
+
+
+def _parse_params(text: str | None, app_cls) -> dict:
+    """``k=v,k=v`` build parameters of ``app_cls``, each value parsed by
+    :func:`_param_value`; an unknown name or a bad value raises
+    ValueError."""
+    defaults = app_cls.DEFAULTS
     params = {}
     for token in (text or "").split(","):
         token = token.strip()
         if not token:
             continue
-        if "=" not in token:
-            raise SystemExit(f"bad --params entry {token!r}; expected key=value")
-        key, value = token.split("=", 1)
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise ValueError(f"bad --params entry {token!r}; expected key=value")
+        if key not in defaults:
+            raise ValueError(
+                f"unknown parameter {key!r} for {app_cls.name}; known: "
+                f"{', '.join(sorted(defaults))}"
+            )
+        kind = type(defaults[key])
         try:
-            params[key] = int(value)
+            params[key] = _param_value(kind, value)
         except ValueError:
-            params[key] = value
+            expected = {bool: "true or false", int: "an integer", float: "a number"}
+            raise ValueError(
+                f"bad --params value {key}={value!r}; expected "
+                f"{expected.get(kind, kind.__name__)}"
+            ) from None
     return params
+
+
+def _campaign(args):
+    """The campaign ``--app``, ``--nprocs``, ``--params`` and ``--seed``
+    name.  An unknown application raises KeyError, a bad parameter
+    ValueError, each with a one-line message."""
+    from repro.apps import APPLICATION_SUITE
+    from repro.injection.campaign import Campaign
+
+    app_cls = APPLICATION_SUITE.get(args.app)
+    return Campaign.from_registry(
+        args.app,
+        nprocs=args.nprocs,
+        app_params=_parse_params(args.params, app_cls) if app_cls else {},
+        seed=args.seed,
+    )
 
 
 def _checked(cast, valid, expected: str):
@@ -431,11 +483,13 @@ def _checked(cast, valid, expected: str):
     return parse
 
 
+_positive = _checked(int, lambda n: n >= 1, "an integer >= 1")
+
+
 def cmd_campaign_run(args) -> int:
     from repro.engine.executors import resolve_jobs
     from repro.engine.progress import ProgressPrinter
     from repro.harness.tables import render_campaign_table
-    from repro.injection.campaign import Campaign
 
     if args.resume and not args.store:
         print("--resume requires --store", file=sys.stderr)
@@ -446,16 +500,10 @@ def cmd_campaign_run(args) -> int:
               file=sys.stderr)
         return 2
     try:
-        campaign = Campaign.from_registry(
-            args.app,
-            nprocs=args.nprocs,
-            app_params=_parse_params(args.params),
-            seed=args.seed,
-        )
-    except KeyError as exc:
+        campaign = _campaign(args)
+    except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    regions = _parse_regions(args.regions)
     sinks = [ProgressPrinter()] if args.log_interval else []
     hub = collector = server = executor = None
     if args.metrics or args.serve or args.artifacts:
@@ -512,11 +560,11 @@ def cmd_campaign_run(args) -> int:
                     "app": args.app,
                     "seed": args.seed,
                     "nprocs": args.nprocs,
-                    "regions": [r.value for r in regions],
+                    "regions": [r.value for r in args.regions],
                     "n": args.n,
                     "target_d": args.target_d,
                     "jobs": args.jobs,
-                    "params": _parse_params(args.params),
+                    "params": campaign.app_params,
                     "execution": context.describe(),
                     "command": reproduce_command(getattr(args, "_argv", None)),
                 },
@@ -527,14 +575,13 @@ def cmd_campaign_run(args) -> int:
         t0 = time.time()
         try:
             result = campaign.run(
-                regions,
+                args.regions,
                 args.n,
                 resume=args.resume,
                 target_d=args.target_d,
                 jobs=args.jobs,
                 store=args.store,
                 log_interval=args.log_interval,
-                prune_masked=args.prune_masked,
                 stratify=args.stratify,
                 sinks=sinks,
                 executor=executor,
@@ -672,24 +719,17 @@ def cmd_trace_run(args) -> int:
     """Trace one chosen injection trial end to end: spans from the VM,
     the MPI stack, and the injector land in one Perfetto-loadable file,
     with the trial's metrics rendered alongside."""
-    from repro.injection.campaign import Campaign
     from repro.observability.export import TraceCollector
     from repro.observability.serve import TelemetryHub
 
     try:
-        campaign = Campaign.from_registry(
-            args.app,
-            nprocs=args.nprocs,
-            app_params=_parse_params(args.params),
-            seed=args.seed,
-        )
-    except KeyError as exc:
+        campaign = _campaign(args)
+    except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    regions = _parse_regions(args.region)
     hub, collector = TelemetryHub(), TraceCollector()
     with campaign.engine(sinks=[hub, collector]) as eng:
-        specs = [eng.make_spec(region, args.index) for region in regions]
+        specs = [eng.make_spec(region, args.index) for region in args.region]
         results = eng.run_trials(specs)
     for result in sorted(results, key=lambda r: r.region.value):
         latency = (
@@ -942,7 +982,7 @@ def main(argv: list[str] | None = None) -> int:
         "(match graph, SA1xx passes, message-vulnerability map)",
     )
     ana.add_argument(
-        "--nprocs", type=int, default=4,
+        "--nprocs", type=_positive, default=4,
         help="ranks for the --mpi dry run (default 4)",
     )
     ana.add_argument(
@@ -974,10 +1014,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     crun.add_argument("--app", required=True,
                       help="suite application: wavetoy, moldyn, climate")
-    crun.add_argument("--regions", default="all",
+    crun.add_argument("--regions", type=_regions, default="all",
                       help="comma-separated regions (default: all eight)")
-    crun.add_argument("-n", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
-                      default=None,
+    crun.add_argument("-n", type=_positive, default=None,
                       help="injections per region (default: plan / "
                       "REPRO_CAMPAIGN_N)")
     crun.add_argument("--target-d", dest="target_d", default=None,
@@ -996,7 +1035,7 @@ def main(argv: list[str] | None = None) -> int:
                       help="skip trials already present in --store")
     crun.add_argument("--seed", type=int, default=20040607,
                       help="campaign seed (default 20040607)")
-    crun.add_argument("--nprocs", type=int, default=8,
+    crun.add_argument("--nprocs", type=_positive, default=8,
                       help="simulated MPI ranks (default 8)")
     crun.add_argument("--params", default=None,
                       help="application build parameters, k=v,k=v")
@@ -1024,13 +1063,6 @@ def main(argv: list[str] | None = None) -> int:
                       "manifest.json, events.jsonl, metrics.jsonl, "
                       "summary.json, report.html, reproduce.sh "
                       "(regenerable later via 'report DIR')")
-    crun.add_argument("--prune-masked", action="store_true",
-                      dest="prune_masked",
-                      help="consult the static masking oracle before "
-                      "dispatch: provably outcome-free faults are "
-                      "tallied as correct without execution (uniform "
-                      "designs; --stratify already skips the masked "
-                      "stratum)")
     crun.add_argument("--stratify", action="store_true",
                       help="stratified sampling over predicted-outcome "
                       "strata: classify a pool statically, Neyman-"
@@ -1096,12 +1128,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     trun.add_argument("--app", required=True,
                       help="suite application: wavetoy, moldyn, climate")
-    trun.add_argument("--region", default="all",
+    trun.add_argument("--region", type=_regions, default="all",
                       help="comma-separated regions to trace one trial "
                       "of each (default: all eight)")
-    trun.add_argument("--index", type=int, default=0,
+    trun.add_argument("--index", default=0,
+                      type=_checked(int, lambda i: i >= 0, "an integer >= 0"),
                       help="trial index within each region (default 0)")
-    trun.add_argument("--nprocs", type=int, default=4,
+    trun.add_argument("--nprocs", type=_positive, default=4,
                       help="simulated MPI ranks (default 4)")
     trun.add_argument("--params", default=None,
                       help="application build parameters, k=v,k=v")

@@ -23,7 +23,7 @@ from typing import Generator, Sequence
 
 from repro.cpu.assembler import Program
 from repro.cpu.isa import Insn, Op, encode
-from repro.cpu.vm import VM
+from repro.cpu.vm import VM, primed_decode_table
 from repro.errors import MPIAbort
 from repro.memory.process import ProcessImage
 from repro.memory.symbols import Linker
@@ -121,7 +121,8 @@ class MPIApplication:
     _program_cache: dict[tuple, Program] = {}
     #: Linked, relocated images keyed on (class, params, track_memory):
     #: the pristine templates that every rank of every job copies
-    #: (:meth:`ProcessImage.fresh`).  Never returned, so never run.
+    #: (:meth:`ProcessImage.fresh`), each primed once with the decode
+    #: table its copies share.  Never returned, so never run.
     _image_cache: dict[tuple, ProcessImage] = {}
 
     def __init__(self, **params):
@@ -212,9 +213,9 @@ class MPIApplication:
         self, rank: int, nprocs: int, config: JobConfig
     ) -> tuple[ProcessImage, VM]:
         """A fresh ``(image, VM)`` for one rank of one job.  The app is
-        linked once per process and configuration; every rank image is
-        a copy of that template.  Apps whose params do not hash link
-        every rank."""
+        linked and its text decoded once per process and configuration;
+        every rank image is a copy of that template.  Apps whose params
+        do not hash link every rank."""
         key = (type(self), tuple(sorted(self.params.items())), config.track_memory)
         try:
             template = MPIApplication._image_cache.get(key)
@@ -223,6 +224,7 @@ class MPIApplication:
         else:
             if template is None:
                 template = self._link(0, config.track_memory)
+                template.decode_table = primed_decode_table(template)
                 if len(MPIApplication._image_cache) >= 16:
                     MPIApplication._image_cache.clear()
                 MPIApplication._image_cache[key] = template

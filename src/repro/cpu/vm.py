@@ -28,7 +28,7 @@ import numpy as np
 from repro.errors import HangDetected, SimIllegalInstruction
 from repro.observability import runtime as _obs
 from repro.cpu import ops as _ops
-from repro.cpu.decoder import code_digest, try_decode_stream
+from repro.cpu.decoder import try_decode_stream
 from repro.cpu.fpu import FPU
 from repro.cpu.isa import INSN_SIZE, Insn, UndefinedOpcode, decode
 from repro.cpu.registers import EAX, EBP, ESP, RegisterFile
@@ -48,10 +48,27 @@ _NO_HORIZON = 1 << 62
 
 _signed = _ops.signed
 
-#: Primed per-address decode caches, shared (until first write) by
-#: VMs of identical text images:
-#: (text digest, version) -> {addr: (version, insn)}.
-_PRIMED_TEXT: dict[tuple[bytes, int], dict] = {}
+
+def primed_decode_table(image: ProcessImage) -> dict[int, tuple[int, Insn]]:
+    """The per-address decode table ``{addr: (text version, insn)}`` of
+    ``image``'s text, from the shared stream decoder
+    (:mod:`repro.cpu.decoder`), one stream per text symbol.  The fetch
+    path and the static CFG therefore consume the *same* decode of
+    every shipped kernel."""
+    text = image.text
+    version = text.version
+    table = {}
+    for sym in image.symtab.symbols("text"):
+        if sym.size == 0 or sym.size % INSN_SIZE:
+            continue
+        insns = try_decode_stream(text.read_bytes(sym.addr, sym.size))
+        if insns is None:
+            continue
+        addr = sym.addr
+        for insn in insns:
+            table[addr] = (version, insn)
+            addr += INSN_SIZE
+    return table
 
 
 class VM:
@@ -73,10 +90,17 @@ class VM:
         #: Scheduled injection callbacks: sorted [(block_count, fn), ...].
         self._hooks: list[tuple[int, Callable[["VM"], None]]] = []
         self._next_hook: int | None = None
-        self._decode_cache: dict[int, tuple[int, Insn]] = {}
-        #: True while ``_decode_cache`` is a shared primed prototype,
-        #: which ``_fetch`` copies before its first write.
-        self._decode_shared = False
+        #: The image's primed decode table, shared by every VM of one
+        #: template (:meth:`ProcessImage.fresh`) while
+        #: ``_decode_shared``; ``_fetch`` copies it before its first
+        #: write.  No write may reach a shared table: text versions are
+        #: not unique across VMs, since two trials that flip different
+        #: bits reach the same version number.  An image no template
+        #: produced gets a private table.
+        self._decode_cache = image.decode_table
+        self._decode_shared = self._decode_cache is not None
+        if not self._decode_shared:
+            self._decode_cache = primed_decode_table(image)
         self._running = False
         self.instructions_retired = 0
         #: Optional control-flow signature monitor
@@ -105,7 +129,6 @@ class VM:
         self._tracked = any(
             seg.tracking for seg in self.space.segments()
         )
-        self._prime_decode_cache()
 
     # ------------------------------------------------------------------
     # injection scheduling (the ptrace analogue)
@@ -298,43 +321,6 @@ class VM:
     # ------------------------------------------------------------------
     # fetch/decode
     # ------------------------------------------------------------------
-    def _prime_decode_cache(self) -> None:
-        """Fill the per-address decode cache from the shared stream
-        decoder (:mod:`repro.cpu.decoder`), one stream per text symbol.
-        The fetch path and the static CFG therefore consume the *same*
-        decode of every shipped kernel.  Identical text images (every
-        rank and every trial of a campaign) share one primed prototype,
-        and each VM holds that prototype itself until its first write
-        (a decode miss, e.g. after a text flip) makes it copy.  No
-        write may reach the shared dict: text versions are not unique
-        across VMs, since two trials that flip different bits reach the
-        same version number.
-        """
-        symtab = getattr(self.image, "symtab", None)
-        if symtab is None:
-            return
-        text = self.image.text
-        version = text.version
-        key = (code_digest(text.read_bytes(text.base, text.size)), version)
-        proto = _PRIMED_TEXT.get(key)
-        if proto is None:
-            proto = {}
-            for sym in symtab.symbols("text"):
-                if sym.size == 0 or sym.size % INSN_SIZE:
-                    continue
-                insns = try_decode_stream(text.read_bytes(sym.addr, sym.size))
-                if insns is None:
-                    continue
-                addr = sym.addr
-                for insn in insns:
-                    proto[addr] = (version, insn)
-                    addr += INSN_SIZE
-            if len(_PRIMED_TEXT) >= 64:
-                _PRIMED_TEXT.clear()
-            _PRIMED_TEXT[key] = proto
-        self._decode_cache = proto
-        self._decode_shared = True
-
     def _fetch(self, eip: int) -> Insn:
         text = self.image.text
         if text.contains(eip, INSN_SIZE):

@@ -275,10 +275,6 @@ class _ReplayVM:
         image.stack.ebp = rec.ebp
         return rec.eax
 
-    @property
-    def replayed_calls(self) -> int:
-        return self._idx
-
     def __getattr__(self, name):
         return getattr(self._vm, name)
 

@@ -506,7 +506,6 @@ class WorkerClient:
         name: str | None = None,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
         max_batches: int | None = None,
-        hold_seconds: float | None = None,
         log=None,
     ) -> None:
         self.url = coordinator_url(endpoint)
@@ -514,9 +513,7 @@ class WorkerClient:
         self.name = name or f"{socket.gethostname()}:{os.getpid()}"
         self.poll_interval = poll_interval
         self.max_batches = max_batches
-        if hold_seconds is None:
-            hold_seconds = float(os.environ.get(HOLD_ENV, "0") or 0)
-        self.hold_seconds = hold_seconds
+        self.hold_seconds = float(os.environ.get(HOLD_ENV, "0") or 0)
         self.log = log or (lambda _msg: None)
         self.stats = WorkerStats()
 

@@ -79,9 +79,9 @@ STRATIFIED_BATCH = 32
 STRATIFIED_MIN_POOL = 512
 
 #: Strata whose error rate is statically proven zero and which are
-#: therefore never executed.  The outcome predictor only labels a site
-#: ``masked`` on a masking-oracle proof, the same contract that lets
-#: ``--prune-masked`` tally synthetic CORRECTs.
+#: therefore never executed.  The outcome predictor labels a site
+#: ``masked`` exactly when the masking oracle proves it, the proof that
+#: lets every design tally a pruned site as a synthetic CORRECT.
 KNOWN_ZERO_STRATA = frozenset({"masked"})
 
 
@@ -297,16 +297,17 @@ class CampaignEngine:
         would duplicate the final one is skipped.
     prune:
         ``FaultSpec -> PruneVerdict`` masking oracle (see
-        :mod:`repro.staticanalysis.propagation.pruning`).  Specs with a
-        masked verdict are not executed: a synthetic CORRECT result
-        (``detail="pruned:<reason>"``) is tallied and stored in their
-        place.  Because the pruned stratum is statically proven
+        :mod:`repro.staticanalysis.propagation.pruning`), asked for
+        every spec the store does not hold, in every design.  Specs
+        with a masked verdict are not executed: a synthetic CORRECT
+        result (``detail="pruned:<reason>"``) is tallied and stored in
+        their place.  Because the pruned stratum is statically proven
         outcome-free, crediting its samples as correct keeps every
         region rate unbiased - this is the stratified estimator with a
         known-zero stratum, which is what an importance-weighted tally
         correction reduces to under uniform sampling.  A stratified
-        design needs no oracle: its known-zero stratum never dispatches
-        a masked site.
+        design's ``masked`` stratum is that same proof and is never
+        dispatched, so its waves reach the oracle with no masked spec.
     stratifier:
         ``FaultSpec -> stratum name`` (usually the outcome predictor's
         ``stratum(...).value``).  When given, ``run_region`` runs the
@@ -340,7 +341,7 @@ class CampaignEngine:
         jobs: int | None = 1,
         store: ResultStore | str | os.PathLike | None = None,
         log_interval: int = 0,
-        prune: Callable[[FaultSpec], Any] | None = None,
+        prune: Callable[[FaultSpec], Any],
         stratifier: Callable[[FaultSpec], str] | None = None,
         sinks: Sequence[TrialSink] = (),
         executor=None,
@@ -480,7 +481,7 @@ class CampaignEngine:
 
     def _run_specs(self, state: _RegionState, specs: list[TrialSpec]) -> None:
         """Execute one wave into ``state``, satisfying what it can from
-        the store (and the masking oracle) and dispatching the rest
+        the store, then the masking oracle, and dispatching the rest
         through the executor in one call.  Tally ingestion commutes, so
         the aggregated counts are identical for any worker count."""
         stored = self._stored_results(state.resume)
@@ -490,11 +491,10 @@ class CampaignEngine:
             if hit is not None:
                 self._ingest(state, hit)
                 continue
-            if self.prune is not None:
-                verdict = self.prune(spec.fault)
-                if verdict.masked:
-                    self._ingest(state, self._pruned_result(spec, verdict.reason))
-                    continue
+            verdict = self.prune(spec.fault)
+            if verdict.masked:
+                self._ingest(state, self._pruned_result(spec, verdict.reason))
+                continue
             missing.append(spec)
         for result in self.executor().run(missing):
             self._ingest(state, result)

@@ -61,8 +61,10 @@ class StoreStatus:
     errors: int
     #: Trial count per manifestation class (``correct``, ``crash``, ...).
     manifestations: dict[str, int] = field(default_factory=dict)
-    #: Trials satisfied by the static masking oracle (``--prune-masked``),
-    #: recognisable by their ``pruned:<reason>`` detail marker.
+    #: Trials satisfied by the static masking oracle, which every design
+    #: asks, recognisable by their ``pruned:<reason>`` detail marker.  A
+    #: stratified run never dispatches its ``masked`` stratum, the same
+    #: proof, so its rows count none.
     pruned: int = 0
 
     @property
@@ -289,16 +291,6 @@ class ResultStore:
         """An incremental reader over this store's path (see
         :class:`JSONLFollower`)."""
         return JSONLFollower(self.path)
-
-    # ------------------------------------------------------------------
-    # merging
-    # ------------------------------------------------------------------
-    @staticmethod
-    def merge(inputs: Iterable[str | os.PathLike], output: str | os.PathLike) -> int:
-        """Merge stores into ``output``, deduplicating by key; returns
-        the number of unique trials written.  Inputs and output may be
-        any backend mix (see :func:`merge_stores`)."""
-        return merge_stores(inputs, output)
 
 
 class JSONLFollower:

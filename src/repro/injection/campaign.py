@@ -79,7 +79,9 @@ class RegionResult:
     #: (``None`` for fixed-n campaigns).
     adaptive_d: float | None = None
     #: Trials satisfied by the static masking oracle instead of being
-    #: executed (``--prune-masked``); they are tallied as CORRECT.
+    #: executed; they are tallied as CORRECT.  Every design asks the
+    #: oracle.  A stratified run never dispatches its ``masked``
+    #: stratum, which is the same proof, so its rows count none here.
     pruned: int = 0
     #: Importance-weighted estimate from a stratified run
     #: (``campaign run --stratify``).  When present, the raw ``tally``
@@ -329,23 +331,23 @@ class Campaign:
         jobs: int | None = 1,
         store=None,
         log_interval: int = 0,
-        prune_masked: bool = False,
         stratify: bool = False,
         sinks=(),
         executor=None,
     ):
         """Build a :class:`~repro.engine.driver.CampaignEngine` bound to
-        this campaign's sampler, reference profile, and plan."""
+        this campaign's sampler, reference profile, plan and masking
+        oracle.  A stratified engine prunes with its predictor's oracle,
+        whose verdicts are the predictor's ``masked`` stratum."""
         from repro.engine.driver import CampaignEngine
 
-        stratifier = prune = None
+        stratifier = None
         if stratify:
-            # Its known-zero stratum skips every site the masking oracle
-            # would prune, so a stratified engine gets no oracle.
             predictor = self.outcome_predictor()
             stratifier = lambda fault: predictor.stratum(fault).value  # noqa: E731
-        elif prune_masked:
-            prune = self.masking_oracle().verdict
+            oracle = predictor.oracle
+        else:
+            oracle = self.masking_oracle()
         return CampaignEngine(
             self.execution_context(),
             sampler=self.sample_spec,
@@ -355,7 +357,7 @@ class Campaign:
             jobs=jobs,
             store=store,
             log_interval=log_interval,
-            prune=prune,
+            prune=oracle.verdict,
             stratifier=stratifier,
             sinks=sinks,
             executor=executor,

@@ -30,6 +30,11 @@ class ProcessImage:
     heap: HeapAllocator
     stack: StackManager
     entry_points: dict[str, int] = field(default_factory=dict)
+    #: Primed decode table of the text (``{addr: (version, insn)}``,
+    #: :func:`repro.cpu.vm.primed_decode_table`) that every copy made
+    #: by :meth:`fresh` and every VM of one shares, or ``None``: a VM
+    #: then primes a private table.
+    decode_table: dict | None = None
 
     @classmethod
     def from_linker(cls, linker: Linker, rank: int = 0, **link_kwargs) -> "ProcessImage":
@@ -55,11 +60,11 @@ class ProcessImage:
 
         The copy gets its own clock, address space, allocator, stack
         and segment buffers: text and data bytes are copied, bss, heap
-        and stack start zeroed.  Segment versions (which key the primed
-        decode tables) and entry points are copied; the symbol table,
-        which nothing mutates after linking, is shared.  Copy only a
-        pristine image that never ran: a run image's bss, heap and
-        stack contents would not carry over.
+        and stack start zeroed.  Segment versions and entry points are
+        copied; the symbol table and the primed decode table, which
+        nothing mutates, are shared (a VM copies the table before its
+        first write).  Copy only a pristine image that never ran: a run
+        image's bss, heap and stack contents would not carry over.
         """
         clock = Clock()
         space = AddressSpace(clock)
@@ -89,6 +94,7 @@ class ProcessImage:
             heap=HeapAllocator(heap),
             stack=StackManager(stack),
             entry_points=dict(self.entry_points),
+            decode_table=self.decode_table,
         )
 
     # ------------------------------------------------------------------

@@ -346,15 +346,3 @@ class AdiEngine:
         posted.request.complete(
             Status(source=src, tag=tag, count_bytes=len(payload))
         )
-
-    # ------------------------------------------------------------------
-    # quiescence test (deadlock detection)
-    # ------------------------------------------------------------------
-    def idle(self) -> bool:
-        """True when nothing is pending or in flight for this rank."""
-        return not self.endpoint.pending()
-
-    def has_blockers(self) -> bool:
-        """True when the rank has posted receives or parked rendezvous
-        state that could still complete."""
-        return bool(self._posted or self._rndv_pending or self._rndv_expected)

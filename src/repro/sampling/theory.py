@@ -86,7 +86,8 @@ def stratified_error_rate(
     errors: int, executed: int, pruned: int, pruned_rate: float = 0.0
 ) -> float:
     """Importance-weighted region error rate when a campaign executes
-    only part of its sample (``campaign run --prune-masked``).
+    only part of its sample: every campaign prunes the sites the
+    masking oracle proves masked.
 
     The sampled faults split into two strata: ``executed`` trials that
     ran, and ``pruned`` trials the masking oracle proved masked.  The
@@ -172,7 +173,9 @@ class StratifiedEstimate:
     which Neyman allocation (:func:`neyman_allocation`) minimizes for a
     given trial budget.  Known-zero strata (the oracle-proven masked
     stratum) carry weight but no variance: their savings are exactly
-    the ``--prune-masked`` savings, folded into the estimator.
+    the pruning savings of a uniform design, folded into the
+    estimator, because the ``masked`` stratum and the pruned sites
+    are one proof.
     """
 
     pool: int

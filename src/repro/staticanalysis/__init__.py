@@ -20,7 +20,7 @@ makes against full fault-injection runs:
   communication verification (``SA1xx``) over extracted skeletons;
 * :mod:`repro.staticanalysis.propagation` - flow-sensitive taint cones,
   the per-app detector-coverage audit (``SA2xx``), and the masking
-  oracle behind ``campaign run --prune-masked``.
+  oracle every campaign prunes with.
 """
 
 from repro.staticanalysis.avf import AVFReport, analyze_function, analyze_program

@@ -12,8 +12,7 @@ Layered bottom-up:
 * :mod:`.sites` - per-injection-site classification into
   provably-masked / detector-covered / sdc-risk / control-flow-risk;
 * :mod:`.passes` - the SA2xx detector-coverage audit;
-* :mod:`.pruning` - the masking oracle behind
-  ``campaign run --prune-masked``;
+* :mod:`.pruning` - the masking oracle every campaign prunes with;
 * :mod:`.validation` - static predictions vs dynamic campaign outcomes;
 * :mod:`.fixtures` - deliberately broken models for the audit tests.
 """

@@ -1,9 +1,13 @@
 """The masking oracle: which planned faults are provably outcome-free.
 
-``campaign run --prune-masked`` asks, for every sampled
-:class:`~repro.injection.faults.FaultSpec`, whether static analysis can
-*prove* the flip cannot change the job's outcome.  Provable sites are
-tallied as masked without execution; everything else runs normally.
+Every campaign, whatever its design, asks for each sampled
+:class:`~repro.injection.faults.FaultSpec` the store does not hold
+whether static analysis can *prove* the flip cannot change the job's
+outcome (:class:`~repro.engine.driver.CampaignEngine`'s ``prune``).
+Provable sites are tallied as masked without execution; everything
+else runs normally.  The outcome predictor's ``masked`` stratum is
+exactly this oracle's masked set, so a stratified run never dispatches
+a site the oracle would prune.
 
 The oracle only prunes what it can argue from first principles - every
 verdict names its reason, and each reason rests on a different static

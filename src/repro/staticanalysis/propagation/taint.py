@@ -46,7 +46,6 @@ Escape conditions (any one makes the site not-masked):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.cpu import semantics
 from repro.cpu.assembler import AssembledFunction, assemble_function
@@ -434,14 +433,3 @@ class TaintAnalysis:
         return tuple(
             sorted(r for r in eff.writes if r not in (ESP, EBP))
         )
-
-
-@lru_cache(maxsize=64)
-def _cached_from_source(name: str, source: str) -> TaintAnalysis:
-    return TaintAnalysis.from_source(name, source)
-
-
-def analysis_for_source(name: str, source: str) -> TaintAnalysis:
-    """Cached construction: app kernels are analysed repeatedly (CLI,
-    audit, oracle) and the points-to pre-pass dominates the cost."""
-    return _cached_from_source(name, source)

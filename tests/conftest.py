@@ -11,6 +11,7 @@ from repro.engine.progress import TrialSink
 from repro.memory.process import ProcessImage
 from repro.memory.symbols import Linker
 from repro.mpi.simulator import JobConfig
+from repro.staticanalysis.propagation.pruning import MaskingOracle, PruneVerdict
 
 
 def build_image(
@@ -50,6 +51,18 @@ def build_image(
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def prune_nothing(mp: pytest.MonkeyPatch) -> None:
+    """Make the masking oracle prove nothing, so campaigns execute every
+    sampled spec: the unpruned reference a pruned campaign is checked
+    against, reached the way ``VM.fastpath = False`` reaches the
+    interpreter."""
+    mp.setattr(
+        MaskingOracle,
+        "verdict",
+        lambda self, spec: PruneVerdict(False, "dynamic-target"),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Unit tests for the VM interpreter (scalar/control/FPU semantics)."""
 
+import hashlib
 import math
 
 import pytest
 
 from repro.cpu.registers import EAX, ECX
-from repro.cpu.vm import VM
+from repro.cpu.vm import VM, primed_decode_table
 from repro.errors import (
     HangDetected,
     SimFPE,
@@ -337,3 +338,53 @@ class TestHooks:
         vm.call("main")
         # 5 scalar-ish instructions plus 256/8 = 32 blocks for the reduce
         assert image.clock.blocks >= 32
+
+
+class TestPrimedDecodeTable:
+    def test_second_job_hashes_no_text(self, monkeypatch):
+        # The template of a linked app is decoded once; every VM of
+        # every later job shares that table and digests nothing.
+        from repro.apps import WavetoyApp
+        from repro.mpi.simulator import Job, JobConfig
+        from tests.conftest import SMALL_NPROCS, SMALL_WAVETOY
+
+        config = JobConfig(nprocs=SMALL_NPROCS)
+        Job(WavetoyApp(**SMALL_WAVETOY), config)
+        hashed = []
+        sha256 = hashlib.sha256
+
+        def counted(data=b"", **kwargs):
+            hashed.append(len(data))
+            return sha256(data, **kwargs)
+
+        monkeypatch.setattr(hashlib, "sha256", counted)
+        job = Job(WavetoyApp(**SMALL_WAVETOY), config)
+        monkeypatch.undo()
+        assert hashed == []
+        table = job.vms[0]._decode_cache
+        assert table and all(vm._decode_cache is table for vm in job.vms)
+        assert job.run().completed
+
+    def test_copies_share_the_template_table_and_never_write_it(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(VM, "fastpath", False)
+        template, _ = build_image({"main": "movi eax, 7\nret"})
+        template.decode_table = primed_decode_table(template)
+        pristine = dict(template.decode_table)
+        a, b = template.fresh(0), template.fresh(1)
+        vm_a, vm_b = VM(a), VM(b)
+        assert vm_a._decode_cache is vm_b._decode_cache is template.decode_table
+        imm = template.addr_of("main") + 4
+        a.text.flip_bit(imm, 0)
+        b.text.flip_bit(imm, 1)
+        assert vm_a.call("main") == 6
+        assert vm_b.call("main") == 5
+        assert template.decode_table == pristine
+        assert VM(template.fresh(2)).call("main") == 7
+
+    def test_an_image_no_template_produced_gets_a_private_table(self):
+        image, vm = build_image({"main": "movi eax, 7\nret"})
+        assert image.decode_table is None
+        assert vm._decode_cache == primed_decode_table(image)
+        assert not vm._decode_shared

@@ -527,8 +527,7 @@ class TestDistributedEquivalence:
 
     def test_adaptive_pruned_matches_local_run(self, tmp_path):
         distributed = self._check(
-            tmp_path, (Region.MESSAGE, Region.BSS), {"target_d": 0.2},
-            prune_masked=True,
+            tmp_path, (Region.MESSAGE, Region.BSS), {"target_d": 0.2}
         )
         rows = distributed.regions.values()
         assert all(row.adaptive_d is not None for row in rows)

@@ -12,7 +12,9 @@ inside the context), on every suite application.
 :mod:`tests.checkpoint.test_differential` runs register, stack, heap
 and message faults against the same oracle.  Only throughput and the
 two engines' own counters (``repro_vm_fastpath_total``,
-``repro_checkpoint_*``) may differ.
+``repro_checkpoint_*``) may differ.  Both sides execute every sampled
+spec: with the masking oracle on, most of the few TEXT and DATA specs
+would be pruned and the gate would lose its sampled text coverage.
 """
 
 import dataclasses
@@ -28,7 +30,7 @@ from repro.injection.campaign import Campaign
 from repro.injection.faults import FaultSpec, Region
 from repro.observability.metrics import render_prometheus
 from repro.observability.serve import TelemetryHub
-from tests.conftest import SMALL_MOLDYN, SMALL_NPROCS, SMALL_WAVETOY
+from tests.conftest import SMALL_MOLDYN, SMALL_NPROCS, SMALL_WAVETOY, prune_nothing
 
 N = 4
 APPS = ("wavetoy", "moldyn", "climate")
@@ -100,7 +102,8 @@ def assert_same(got, want):
 
 @pytest.mark.parametrize("jobs", [1, 4])
 @pytest.mark.parametrize("app", APPS)
-def test_fastpath_is_observationally_invisible(app, jobs, tmp_path):
+def test_fastpath_is_observationally_invisible(app, jobs, tmp_path, monkeypatch):
+    prune_nothing(monkeypatch)
     want = observe_oracle(
         registry_campaign(app), APP_REGIONS, tmp_path / "oracle.jsonl", jobs=jobs
     )

@@ -1,6 +1,7 @@
-"""Differential test for ``--prune-masked``: a pruned campaign must
-reproduce the full campaign's statistics while executing fewer trials,
-and pruned trials must round-trip through the result store."""
+"""Differential test for the prune seam: every campaign prunes, and
+must reproduce the statistics of the unpruned reference (an oracle
+that proves nothing) while executing fewer trials; pruned trials must
+round-trip through the result store."""
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.engine.driver import observed_half_width
 from repro.engine.store import ResultStore
 from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
+from tests.conftest import prune_nothing
 
 APP = "wavetoy"
 SEED = 123
@@ -17,10 +19,10 @@ REGIONS = (Region.TEXT, Region.DATA)
 
 @pytest.fixture(scope="module")
 def full_and_pruned():
-    full = Campaign.from_registry(APP, nprocs=2, seed=SEED).run(REGIONS, N)
-    pruned = Campaign.from_registry(APP, nprocs=2, seed=SEED).run(
-        REGIONS, N, prune_masked=True
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        prune_nothing(mp)
+        full = Campaign.from_registry(APP, nprocs=2, seed=SEED).run(REGIONS, N)
+    pruned = Campaign.from_registry(APP, nprocs=2, seed=SEED).run(REGIONS, N)
     return full, pruned
 
 
@@ -78,9 +80,7 @@ class TestStoreRoundTrip:
         path = tmp_path / "trials.jsonl"
         first_run = Campaign.from_registry(APP, nprocs=2, seed=SEED)
         with ResultStore(path) as store:
-            first = first_run.run(
-                (Region.TEXT,), N, store=store, prune_masked=True
-            )
+            first = first_run.run((Region.TEXT,), N, store=store)
         row = first.row(Region.TEXT)
         assert row.pruned > 0
 
@@ -94,13 +94,7 @@ class TestStoreRoundTrip:
         # as resumed, not pruned
         second_run = Campaign.from_registry(APP, nprocs=2, seed=SEED)
         with ResultStore(path) as store:
-            second = second_run.run(
-                (Region.TEXT,),
-                N,
-                store=store,
-                resume=True,
-                prune_masked=True,
-            )
+            second = second_run.run((Region.TEXT,), N, store=store, resume=True)
         row2 = second.row(Region.TEXT)
         assert row2.resumed == N
         assert row2.executed == 0

@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.engine.store import ResultStore
+from repro.engine.store import ResultStore, merge_stores
 from repro.engine.trial import (
     TrialResult,
     TrialSpec,
@@ -187,7 +187,7 @@ class TestResultStore:
         with ResultStore(b) as store:
             store.append(make_result(1))
             store.append(make_result(2))
-        assert ResultStore.merge([a, b], out) == 3
+        assert merge_stores([a, b], out) == 3
         rows = [json.loads(line) for line in open(out)]
         assert [r["index"] for r in rows] == [0, 1, 2]
 

@@ -159,6 +159,17 @@ class TestCampaignCli:
         )
         assert "repro_trial_outcomes_total" in metrics.read_text()
 
+    def test_pruning_is_not_an_option(self, capsys):
+        # Every campaign prunes; the old opt-in flag is gone.
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "run", "--help"])
+        assert exc.value.code == 0
+        assert "prune" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "run", "--app", "wavetoy", "--prune-masked"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --prune-masked" in capsys.readouterr().err
+
     def test_unknown_region(self):
         with pytest.raises(SystemExit):
             main([
@@ -171,6 +182,104 @@ class TestCampaignCli:
             "campaign", "status", "--store", str(tmp_path / "none.jsonl")
         ]) == 0
         assert "no stored trials" in capsys.readouterr().out
+
+
+def error_lines(err: str) -> list[str]:
+    return [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
+
+
+class TestMalformedInput:
+    """Malformed input exits 2 with one error line: never a traceback,
+    never a silently empty run."""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["campaign", "run", "--app", "wavetoy", "--regions", ","], "--regions"),
+            (["campaign", "run", "--app", "wavetoy", "--nprocs", "0"], "--nprocs"),
+            (["trace", "run", "--app", "wavetoy", "--region", ","], "--region"),
+            (["trace", "run", "--app", "wavetoy", "--nprocs", "0"], "--nprocs"),
+            (["trace", "run", "--app", "wavetoy", "--index", "-1"], "--index"),
+            (["analyze", "--mpi", "--nprocs", "0", "wavetoy"], "--nprocs"),
+        ],
+        ids=[
+            "campaign-regions", "campaign-nprocs", "trace-region",
+            "trace-nprocs", "trace-index", "analyze-nprocs",
+        ],
+    )
+    def test_rejected_option(self, capsys, tmp_path, argv, option):
+        out = tmp_path / "trace.json"
+        if argv[0] == "trace":
+            argv = [*argv, "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        (line,) = error_lines(capsys.readouterr().err)
+        assert f"error: argument {option}: " in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", [["campaign", "run", "-n", "1"], ["trace", "run"]],
+        ids=["campaign", "trace"],
+    )
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ("bogus=1", "unknown parameter 'bogus' for wavetoy; known: "),
+            ("nx=abc", "bad --params value nx='abc'; expected an integer"),
+            ("r2c=fast", "bad --params value r2c='fast'; expected a number"),
+            ("nx", "bad --params entry 'nx'; expected key=value"),
+        ],
+        ids=["unknown-name", "int", "float", "no-value"],
+    )
+    def test_rejected_params(self, capsys, tmp_path, command, params, message):
+        argv = [*command, "--app", "wavetoy", "--params", params]
+        if command[0] == "trace":
+            argv += ["--out", str(tmp_path / "trace.json")]
+        assert main(argv) == 2
+        (line,) = error_lines(capsys.readouterr().err)
+        assert line.startswith(message)
+
+    def test_rejected_bool_param(self, capsys):
+        argv = [
+            "campaign", "run", "--app", "moldyn", "-n", "1",
+            "--params", "checksums=maybe",
+        ]
+        assert main(argv) == 2
+        (line,) = error_lines(capsys.readouterr().err)
+        assert line == "bad --params value checksums='maybe'; expected true or false"
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("checksums=False", False),
+            ("checksums=true", True),
+            ("dt=0.04", 0.04),
+            ("energy_precision=3", 3),
+        ],
+    )
+    def test_params_take_the_type_of_their_default(
+        self, monkeypatch, tmp_path, text, value
+    ):
+        from repro.injection.campaign import Campaign
+
+        built = []
+        from_registry = Campaign.from_registry.__func__
+
+        def recorded(cls, app, **kwargs):
+            built.append(kwargs["app_params"])
+            return from_registry(cls, app, **kwargs)
+
+        monkeypatch.setattr(Campaign, "from_registry", classmethod(recorded))
+        small = "atoms_per_rank=64,boundary=16,steps=5,cold_heap_factor=3"
+        assert main([
+            "campaign", "run", "--app", "moldyn", "--nprocs", "2", "-n", "1",
+            "--regions", "message", "--log-interval", "0",
+            "--store", str(tmp_path / "out.jsonl"),
+            "--params", f"{small},{text}",
+        ]) == 0
+        key = text.split("=")[0]
+        assert type(built[0][key]) is type(value) and built[0][key] == value
 
 
 class TestServeAndArtifactsCli:

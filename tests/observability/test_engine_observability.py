@@ -153,9 +153,7 @@ class TestDeterminism:
 class TestPrunedCounter:
     def test_pruned_trials_are_counted_with_reasons(self, campaign):
         hub = TelemetryHub()
-        result = campaign.run_region(
-            Region.TEXT, 6, sinks=[hub], prune_masked=True
-        )
+        result = campaign.run_region(Region.TEXT, 6, sinks=[hub])
         assert result.pruned > 0
         snap = hub.metrics_snapshot()
         pruned_counts = {

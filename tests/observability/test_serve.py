@@ -256,9 +256,7 @@ class TestStoreTelemetry:
         reason) included."""
         path = tmp_path / "pruned.jsonl"
         live = TelemetryHub()
-        row = campaign.run_region(
-            Region.TEXT, 6, store=path, prune_masked=True, sinks=[live]
-        )
+        row = campaign.run_region(Region.TEXT, 6, store=path, sinks=[live])
         assert row.pruned > 0
         followed = StoreTelemetry(path).metrics_snapshot()
 

@@ -91,7 +91,7 @@ class TestInjectionSpace:
 
 class TestStratifiedErrorRate:
     def test_known_zero_stratum_reduces_to_errors_over_n(self):
-        # the --prune-masked identity: tallying pruned trials as CORRECT
+        # the pruning identity: tallying pruned trials as CORRECT
         # is the stratified estimator with a known-zero pruned stratum
         assert stratified_error_rate(3, 10, 40) == pytest.approx(3 / 50)
 

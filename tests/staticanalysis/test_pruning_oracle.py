@@ -1,5 +1,6 @@
-"""Masking-oracle verdicts, reason by reason, plus a soundness check
-against real executions: nothing the oracle prunes may ever err."""
+"""Masking-oracle verdicts, reason by reason, plus a soundness gate
+against real executions: nothing the oracle prunes may ever err, in
+any app's statically prunable region."""
 
 import pytest
 
@@ -119,13 +120,32 @@ class TestDynamicRegionsNeverPruned:
         assert not v.masked and v.reason == "dynamic-target"
 
 
+#: Every campaign prunes, so the oracle's soundness is every campaign's
+#: correctness: each app's statically prunable regions are gated.
+SOUNDNESS_APPS = ("wavetoy", "moldyn", "climate")
+SOUNDNESS_REGIONS = (Region.TEXT, Region.DATA, Region.BSS, Region.FP_REG)
+
+
+@pytest.fixture(scope="module")
+def soundness_campaigns():
+    return {
+        app: Campaign.from_registry(app, nprocs=2, seed=20040607)
+        for app in SOUNDNESS_APPS
+    }
+
+
 class TestSoundness:
-    def test_every_pruned_text_fault_is_correct(self, campaign, oracle):
-        # the differential that matters: execute the faults the oracle
-        # would have skipped and demand they all come back CORRECT
-        with campaign.engine() as eng:
-            specs = [eng.make_spec(Region.TEXT, i) for i in range(24)]
-            pruned = [s for s in specs if oracle.verdict(s.fault).masked]
-            assert pruned  # text is mostly cold: some must be prunable
+    @pytest.mark.parametrize("region", SOUNDNESS_REGIONS, ids=lambda r: r.value)
+    @pytest.mark.parametrize("app", SOUNDNESS_APPS)
+    def test_every_pruned_fault_is_correct(self, soundness_campaigns, app, region):
+        # the differential that matters: execute the faults the engine's
+        # oracle would skip and demand they all come back CORRECT
+        with soundness_campaigns[app].engine() as eng:
+            specs = [eng.make_spec(region, i) for i in range(24)]
+            pruned = [s for s in specs if eng.prune(s.fault).masked]
+            assert pruned  # every one of these regions has cold sites
             for result in eng.run_trials(pruned):
-                assert result.manifestation is Manifestation.CORRECT
+                assert result.manifestation is Manifestation.CORRECT, (
+                    result.key,
+                    result.detail,
+                )
