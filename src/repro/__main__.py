@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -484,6 +485,7 @@ def _checked(cast, valid, expected: str):
 
 
 _positive = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_non_negative = _checked(int, lambda n: n >= 0, "an integer >= 0")
 
 
 def cmd_campaign_run(args) -> int:
@@ -1025,7 +1027,7 @@ def main(argv: list[str] | None = None) -> int:
                       help="adaptive mode: dispatch batches until the "
                       "observed Cochran half-width d drops below this "
                       "(e.g. 0.05)")
-    crun.add_argument("--jobs", type=int, default=None,
+    crun.add_argument("--jobs", type=_positive, default=None,
                       help="parallel worker processes (default: "
                       "REPRO_CAMPAIGN_JOBS or 1)")
     crun.add_argument("--store", default=None,
@@ -1039,7 +1041,7 @@ def main(argv: list[str] | None = None) -> int:
                       help="simulated MPI ranks (default 8)")
     crun.add_argument("--params", default=None,
                       help="application build parameters, k=v,k=v")
-    crun.add_argument("--log-interval", type=int, default=10,
+    crun.add_argument("--log-interval", type=_non_negative, default=10,
                       dest="log_interval",
                       help="progress line every N trials (0 disables; "
                       "default 10)")
@@ -1095,13 +1097,15 @@ def main(argv: list[str] | None = None) -> int:
     cwork.add_argument("coordinator", metavar="[HOST:]PORT",
                        help="the --serve endpoint of a 'campaign run "
                        "--distribute' (bare port = 127.0.0.1)")
-    cwork.add_argument("--jobs", type=int, default=None,
+    cwork.add_argument("--jobs", type=_positive, default=None,
                        help="local worker processes per batch (default: "
                        "REPRO_CAMPAIGN_JOBS or 1)")
     cwork.add_argument("--name", default=None,
                        help="worker name shown in coordinator accounting "
                        "(default: host:pid)")
-    cwork.add_argument("--poll-interval", type=float, default=0.5,
+    cwork.add_argument("--poll-interval", default=0.5,
+                       type=_checked(float, lambda s: 0 < s < math.inf,
+                                     "a number of seconds > 0"),
                        dest="poll_interval", metavar="SECONDS",
                        help="wait between connection retries "
                        "(default 0.5)")
@@ -1132,7 +1136,7 @@ def main(argv: list[str] | None = None) -> int:
                       help="comma-separated regions to trace one trial "
                       "of each (default: all eight)")
     trun.add_argument("--index", default=0,
-                      type=_checked(int, lambda i: i >= 0, "an integer >= 0"),
+                      type=_non_negative,
                       help="trial index within each region (default 0)")
     trun.add_argument("--nprocs", type=_positive, default=4,
                       help="simulated MPI ranks (default 4)")

@@ -24,16 +24,19 @@ executor whose trials run in other processes, on other machines:
   executes it through the one ``execute_trial`` authority, pushes
   results back.
 
-Both directions of the wire are plain JSON: a lease carries
-:meth:`~repro.engine.trial.TrialSpec.to_json` payloads, a submission
-:meth:`~repro.engine.trial.TrialResult.to_json` payloads plus the
-observations the campaign's sinks read (``/manifest`` lists them): a
-``metrics`` snapshot (:meth:`~repro.observability.metrics.MetricsSnapshot.to_json`)
-and ``trace_events``.  A distributed campaign's metrics and trace
-therefore equal a local run's.  Submitted keys are validated against
-the leased batch and duplicates (a requeued batch delivered twice) are
-dropped, so a confused or duplicate worker cannot corrupt or
-double-count a tally.
+Both directions of the wire are plain JSON.  A trial is a pure function
+of its campaign and its ``(region, index)``, so a lease carries only
+``[region, index]`` pairs: each worker builds its campaign from
+``/manifest`` and samples every spec with its own engine's
+``make_spec``, so it can never execute a spec of another campaign.  A
+submission carries :meth:`~repro.engine.trial.TrialResult.to_json`
+payloads plus the observations the campaign's sinks read (``/manifest``
+lists them): a ``metrics`` snapshot
+(:meth:`~repro.observability.metrics.MetricsSnapshot.to_json`) and
+``trace_events``.  A distributed campaign's metrics and trace therefore
+equal a local run's.  Submitted keys are validated against the leased
+batch and duplicates (a requeued batch delivered twice) are dropped, so
+a confused or duplicate worker cannot corrupt or double-count a tally.
 """
 
 from __future__ import annotations
@@ -50,11 +53,12 @@ from typing import Iterable, Iterator
 
 from repro.engine.progress import observations
 from repro.engine.trial import TrialResult, TrialSpec
+from repro.injection.faults import Region
 from repro.observability.metrics import MetricsSnapshot
 
 #: Version stamped into the ``/manifest`` and ``/work`` payloads and
 #: checked by workers before executing anything.
-WORK_SCHEMA_VERSION = 4
+WORK_SCHEMA_VERSION = 5
 
 #: Default trials per leased batch.
 DEFAULT_BATCH_SIZE = 8
@@ -325,8 +329,8 @@ class LeaseExecutor:
                     return {
                         "batch": bid,
                         "attempt": self.book._leases[bid].grants,
-                        "specs": [
-                            spec.to_json()
+                        "trials": [
+                            [spec.region.value, spec.index]
                             for spec in self._batches[bid].values()
                         ],
                     }
@@ -485,10 +489,11 @@ class WorkerClient:
     """One campaign worker: lease, execute, submit, repeat.
 
     Builds its campaign from the coordinator's ``/manifest`` through
-    the same registry path the local CLI uses, so
-    ``execute_trial`` runs under a context equal to the coordinator's -
-    the precondition for bit-identical results - and collects the
-    observations the manifest lists.  ``jobs`` forwards to
+    the same registry path the local CLI uses, so its engine samples
+    the coordinator's specs from each leased ``[region, index]`` pair
+    and ``execute_trial`` runs under a context equal to the
+    coordinator's - the precondition for bit-identical results - and
+    collects the observations the manifest lists.  ``jobs`` forwards to
     the worker's own engine, so one worker can drive a local process
     pool between HTTP round-trips.
 
@@ -554,6 +559,7 @@ class WorkerClient:
     # -- the work loop ------------------------------------------------
     def _build_engine(self, manifest: dict):
         from repro.injection.campaign import Campaign
+        from repro.mpi.simulator import JobConfig
 
         if manifest.get("schema_version") != WORK_SCHEMA_VERSION:
             raise WorkerError(
@@ -563,7 +569,9 @@ class WorkerClient:
             )
         campaign = Campaign.from_registry(
             manifest["app"],
-            nprocs=int(manifest["nprocs"]),
+            config=JobConfig(
+                nprocs=int(manifest["nprocs"]), seed=int(manifest["config_seed"])
+            ),
             app_params=manifest.get("app_params") or {},
             seed=int(manifest["seed"]),
         )
@@ -572,27 +580,9 @@ class WorkerClient:
         engine.context.observe(manifest.get("observations") or ())
         return engine
 
-    def _check_specs(self, engine, specs: list[TrialSpec]) -> None:
-        """A leased spec must match the worker's rebuilt execution
-        identity exactly; anything else would execute (and store) under
-        the wrong trial keys."""
-        ctx = engine.context
-        for spec in specs:
-            if (
-                spec.app != ctx.app
-                or spec.app_params != engine.app_params
-                or spec.nprocs != ctx.config.nprocs
-                or spec.config_seed != ctx.config.seed
-                or spec.campaign_seed != engine.seed
-            ):
-                raise WorkerError(
-                    f"leased spec {spec.key} does not match the "
-                    f"manifest-built context (app/params/nprocs/seed drift)"
-                )
-
-    def _lease(self) -> tuple[dict, list[TrialSpec]] | None:
-        """The next grant with its parsed specs, or ``None`` when the
-        coordinator is unreachable."""
+    def _lease(self) -> tuple[dict, list[tuple[Region, int]]] | None:
+        """The next grant with its parsed ``(region, index)`` pairs, or
+        ``None`` when the coordinator is unreachable."""
         try:
             body = self._request(
                 "/lease", json.dumps({"worker": self.name}).encode(), retries=6
@@ -601,12 +591,19 @@ class WorkerClient:
             return None
         try:
             grant = json.loads(body.decode())
-            specs = [TrialSpec.from_json(obj) for obj in grant.get("specs", ())]
+            trials = grant.get("trials", [])
+            if not isinstance(trials, list):
+                raise TypeError(f"trials is not a list: {trials!r}")
+            pairs = []
+            for region, index in trials:
+                if type(index) is not int or index < 0:
+                    raise ValueError(f"bad trial index {index!r}")
+                pairs.append((Region(region), index))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise WorkerError(
                 f"malformed lease grant from {self.url}: {exc!r}"
             ) from exc
-        return grant, specs
+        return grant, pairs
 
     def run(self) -> WorkerStats:
         manifest = self._get_json("/manifest")
@@ -630,14 +627,14 @@ class WorkerClient:
                         f"worker {self.name}: coordinator gone; exiting"
                     )
                     return self.stats
-                grant, specs = leased
+                grant, pairs = leased
                 if grant.get("done"):
                     self.log(f"worker {self.name}: campaign complete")
                     return self.stats
                 if "batch" not in grant:
                     time.sleep(float(grant.get("wait", self.poll_interval)))
                     continue
-                self._check_specs(engine, specs)
+                specs = [engine.make_spec(*pair) for pair in pairs]
                 if self.hold_seconds:
                     time.sleep(self.hold_seconds)
                 results = engine.run_trials(specs)
@@ -646,6 +643,13 @@ class WorkerClient:
                     "batch": grant["batch"],
                     "results": [_result_payload(result) for result in results],
                 }).decode())
+                if reply.get("rejected"):
+                    # Keys the coordinator did not lease: this worker's
+                    # manifest-built campaign is not the coordinator's.
+                    raise WorkerError(
+                        f"coordinator rejected {reply['rejected']} result(s) "
+                        f"of batch {grant['batch']}"
+                    )
                 self.stats.batches += 1
                 self.stats.trials += len(results)
                 self.stats.duplicates += int(reply.get("duplicate", 0))

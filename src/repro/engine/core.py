@@ -97,17 +97,17 @@ class ExecutionContext:
             eager_threshold=self.config.eager_threshold,
             round_limit=self.round_limit,
             block_limit=self.block_limit,
-            app_params=dict(self.config.app_params),
         )
 
     def describe(self) -> dict:
         """JSON-ready execution-config snapshot for run manifests: every
-        knob that decides trial outcomes, none of the runtime state."""
+        knob that decides trial outcomes but the application parameters
+        (a run manifest's top-level ``params``), none of the runtime
+        state."""
         return {
             "app": self.app,
             "nprocs": self.config.nprocs,
             "config_seed": self.config.seed,
-            "app_params": dict(self.config.app_params),
             "eager_threshold": self.config.eager_threshold,
             "round_limit": self.round_limit,
             "block_limit": self.block_limit,
@@ -234,7 +234,7 @@ def execute_trial(ctx: ExecutionContext, spec: TrialSpec) -> TrialResult:
     digest = observation.timeline.summary()
     return TrialResult(
         key=spec.key,
-        app=spec.app,
+        app=ctx.app,
         region=spec.region,
         index=spec.index,
         manifestation=manifestation,

@@ -1,13 +1,17 @@
 """The campaign engine: parallel, resumable, adaptive trial dispatch.
 
-:class:`CampaignEngine` owns everything between "a sampled fault plan"
-and "a filled-in :class:`~repro.injection.campaign.RegionResult`":
+:class:`CampaignEngine` is built from its
+:class:`~repro.injection.campaign.Campaign` and owns everything between
+"a trial's ``(region, index)``" and "a filled-in
+:class:`~repro.injection.campaign.RegionResult`":
 
-* trial specs are sampled in the parent (one deterministic RNG stream
-  per ``(campaign seed, region, index)``) and executed through a
-  pluggable executor - serial, a process pool with ``jobs`` workers, or
-  leased batches on remote workers
-  (:class:`~repro.engine.coordination.LeaseExecutor`) - with
+* a trial is a pure function of its campaign and its ``(region,
+  index)``: :meth:`CampaignEngine.make_spec` computes its key and
+  samples its fault from one deterministic RNG stream per ``(campaign
+  seed, region, index)``.  Specs are executed through a pluggable
+  executor - serial, a process pool with ``jobs`` workers, or leased
+  batches on remote workers, which make the same specs from the same
+  pairs (:class:`~repro.engine.coordination.LeaseExecutor`) - with
   bit-identical results whichever runs them;
 * an optional append-only :class:`~repro.engine.store.ResultStore`
   records every finished trial, enabling ``resume`` of interrupted or
@@ -29,19 +33,18 @@ and "a filled-in :class:`~repro.injection.campaign.RegionResult`":
   stopping rule uses), and every region's final row.  Trials collect a
   metrics snapshot or trace events only when a sink reads them.
 
-The layers above delegate here: ``Campaign.run_region``/``run`` build
-an engine per call, the CLI ``campaign`` subcommand drives it directly.
+The layers above delegate here: ``Campaign.engine`` is
+``CampaignEngine(campaign, **options)``, ``Campaign.run_region``/``run``
+build an engine per call, and the CLI ``campaign`` subcommand runs one
+through ``Campaign.run``.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
-from repro.engine.core import ExecutionContext
 from repro.engine.executors import make_executor
 from repro.engine.progress import ProgressEvent, TrialSink, observations
 from repro.engine.store import ResultStore, open_store
@@ -49,11 +52,11 @@ from repro.engine.trial import (
     TrialResult,
     TrialSpec,
     canonical_params,
+    trial_key,
     trial_rng,
 )
 from repro.injection.faults import FaultSpec, Region
 from repro.injection.outcomes import Manifestation
-from repro.sampling.plans import CampaignPlan, default_plan
 from repro.sampling.theory import (
     StratifiedEstimate,
     StratumCell,
@@ -269,23 +272,29 @@ class CampaignEngine:
     ``executor.run`` call after the store and the masking oracle have
     satisfied what they can, and hands every ingested result back to
     the design, which decides when to stop, which d to report and what
-    to write on the row.
+    to write on the row.  The designs read only :meth:`make_spec`,
+    ``plan`` and ``stratifier``.
+
+    What trials exist and how they execute comes from the campaign: its
+    execution context (factory, reference run, hang budgets, golden
+    recording), its sampler and seed (the root of every per-trial RNG
+    stream), its parameters (recorded in trial keys, so stores from
+    different configurations never alias), its plan (default
+    per-region sample sizes) and its masking oracle, whose verdict
+    (``prune``) is asked for every spec the store does not hold, in
+    every design.  Specs with a masked verdict are not executed: a
+    synthetic CORRECT result (``detail="pruned:<reason>"``) is tallied
+    and stored in their place.  Because the pruned stratum is
+    statically proven outcome-free, crediting its samples as correct
+    keeps every region rate unbiased - this is the stratified estimator
+    with a known-zero stratum, which is what an importance-weighted
+    tally correction reduces to under uniform sampling.
 
     Parameters
     ----------
-    context:
-        The single-trial execution authority (factory, reference run,
-        hang budgets, golden recording).
-    sampler:
-        ``(region, rng) -> FaultSpec``; usually
-        ``Campaign.sample_spec``.  Runs in the parent process only.
-    seed:
-        Campaign seed: the root of every per-trial RNG stream.
-    app_params:
-        Application build parameters, recorded in trial keys so stores
-        from different configurations never alias.
-    plan:
-        Default per-region sample sizes (fixed-n mode).
+    campaign:
+        The :class:`~repro.injection.campaign.Campaign` whose trials
+        this engine runs.
     jobs:
         Worker processes; ``None`` reads ``REPRO_CAMPAIGN_JOBS``
         (default 1 = serial in-process).
@@ -295,27 +304,15 @@ class CampaignEngine:
         Completed trials per region between periodic progress events
         (0: only each region's final event).  A periodic event that
         would duplicate the final one is skipped.
-    prune:
-        ``FaultSpec -> PruneVerdict`` masking oracle (see
-        :mod:`repro.staticanalysis.propagation.pruning`), asked for
-        every spec the store does not hold, in every design.  Specs
-        with a masked verdict are not executed: a synthetic CORRECT
-        result (``detail="pruned:<reason>"``) is tallied and stored in
-        their place.  Because the pruned stratum is statically proven
-        outcome-free, crediting its samples as correct keeps every
-        region rate unbiased - this is the stratified estimator with a
-        known-zero stratum, which is what an importance-weighted tally
-        correction reduces to under uniform sampling.  A stratified
-        design's ``masked`` stratum is that same proof and is never
-        dispatched, so its waves reach the oracle with no masked spec.
-    stratifier:
-        ``FaultSpec -> stratum name`` (usually the outcome predictor's
-        ``stratum(...).value``).  When given, ``run_region`` runs the
-        stratified design: a classification pool is labeled up front,
-        trials are Neyman-allocated across strata per wave, and the
-        region estimate is the importance-weighted
-        :class:`~repro.sampling.theory.StratifiedEstimate`.  Runs in the
-        parent process only, like ``sampler``.
+    stratify:
+        Run the stratified design: a classification pool is labeled by
+        the campaign's outcome predictor up front, trials are
+        Neyman-allocated across strata per wave, and the region
+        estimate is the importance-weighted
+        :class:`~repro.sampling.theory.StratifiedEstimate`.  The engine
+        then prunes with the predictor's own oracle, whose masked
+        verdicts are the predictor's ``masked`` stratum, which is never
+        dispatched.
     sinks:
         :class:`~repro.engine.progress.TrialSink` objects, called in
         order for every region start, finished trial, progress event
@@ -332,32 +329,42 @@ class CampaignEngine:
 
     def __init__(
         self,
-        context: ExecutionContext,
+        campaign,
         *,
-        sampler: Callable[[Region, np.random.Generator], FaultSpec],
-        seed: int,
-        app_params: dict | None = None,
-        plan: CampaignPlan | None = None,
         jobs: int | None = 1,
         store: ResultStore | str | os.PathLike | None = None,
         log_interval: int = 0,
-        prune: Callable[[FaultSpec], Any],
-        stratifier: Callable[[FaultSpec], str] | None = None,
+        stratify: bool = False,
         sinks: Sequence[TrialSink] = (),
         executor=None,
     ) -> None:
-        self.context = context
-        self.sampler = sampler
-        self.seed = seed
-        self.app_params = canonical_params(app_params)
-        self.plan = plan or default_plan()
+        self.campaign = campaign
+        self.context = context = campaign.execution_context()
+        self.plan = campaign.plan
+        #: ``FaultSpec -> stratum name``, set for the stratified design.
+        self.stratifier: Callable[[FaultSpec], str] | None = None
+        if stratify:
+            predictor = campaign.outcome_predictor()
+            self.stratifier = lambda fault: predictor.stratum(fault).value
+            oracle = predictor.oracle
+        else:
+            oracle = campaign.masking_oracle()
+        #: ``FaultSpec -> PruneVerdict`` (see
+        #: :mod:`repro.staticanalysis.propagation.pruning`).
+        self.prune = oracle.verdict
+        #: Every :func:`trial_key` field but the trial's own pair.
+        self._identity = (
+            context.app,
+            canonical_params(campaign.app_params),
+            context.config.nprocs,
+            context.config.seed,
+            campaign.seed,
+        )
         self.jobs = jobs
         if store is not None:
             store = open_store(store)
         self.store = store
         self.log_interval = log_interval
-        self.prune = prune
-        self.stratifier = stratifier
         self.sinks = tuple(sinks)
         # The context ships to workers; flags must be set before the
         # executor pickles it.
@@ -392,19 +399,15 @@ class CampaignEngine:
     # trial planning
     # ------------------------------------------------------------------
     def make_spec(self, region: Region, index: int) -> TrialSpec:
-        """Sample trial ``index`` of ``region``: fault first, then the
-        RNG state is captured so the injector resumes the same stream."""
-        rng = trial_rng(self.seed, region, index)
-        fault = self.sampler(region, rng)
+        """Trial ``index`` of ``region``, the one place a pair becomes a
+        spec: its key, then its fault sampled from the trial's RNG
+        stream, whose state is captured so the injector resumes it."""
+        rng = trial_rng(self.campaign.seed, region, index)
         return TrialSpec(
-            app=self.context.app,
-            app_params=self.app_params,
-            nprocs=self.context.config.nprocs,
-            config_seed=self.context.config.seed,
-            campaign_seed=self.seed,
+            key=trial_key(*self._identity, region, index),
             region=region,
             index=index,
-            fault=fault,
+            fault=self.campaign.sample_spec(region, rng),
             rng_state=rng.bit_generator.state,
         )
 
@@ -471,7 +474,7 @@ class CampaignEngine:
         changes nothing."""
         return TrialResult(
             key=spec.key,
-            app=spec.app,
+            app=self.context.app,
             region=spec.region,
             index=spec.index,
             manifestation=Manifestation.CORRECT,
@@ -565,7 +568,7 @@ class CampaignEngine:
         result = CampaignResult(
             app_name=self.context.app,
             nprocs=self.context.config.nprocs,
-            seed=self.seed,
+            seed=self.campaign.seed,
         )
         for region in dict.fromkeys(regions):
             result.regions[region] = self.run_region(

@@ -1,12 +1,15 @@
-"""Trial descriptions: the unit of campaign work, pickled to the
-process pool and sent as JSON to distributed workers.
+"""Trial descriptions: the unit of campaign work.
 
-A :class:`TrialSpec` carries everything a worker process needs to
-execute one injection experiment deterministically: the application
-identity, the sampled :class:`~repro.injection.faults.FaultSpec`, the
-seed path that produced it, and the exact RNG state the injector must
-resume from (so results are bit-identical to the serial driver no
-matter which worker runs the trial, or in what order).
+A trial is a pure function of its campaign and its ``(region,
+index)``: :meth:`~repro.engine.driver.CampaignEngine.make_spec` draws
+its fault from the per-trial RNG stream of the campaign seed and turns
+the pair into a :class:`TrialSpec`.  The spec carries what an executor
+needs beyond the campaign's :class:`~repro.engine.core.ExecutionContext`:
+the sampled :class:`~repro.injection.faults.FaultSpec` and the exact RNG
+state the injector must resume from (so results are bit-identical to
+the serial driver no matter which worker runs the trial, or in what
+order).  Distributed workers are leased ``[region, index]`` pairs and
+sample their specs from their own manifest-built campaign.
 
 Every trial also has a stable *key* - a content hash of
 ``(app, params, nprocs, config seed, campaign seed, region, index)`` -
@@ -19,12 +22,12 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from repro.injection.faults import FaultSpec, InjectionRecord, Persistence, Region
+from repro.injection.faults import FaultSpec, InjectionRecord, Region
 from repro.injection.outcomes import Manifestation
 from repro.observability.metrics import MetricsSnapshot
 
@@ -86,13 +89,11 @@ def trial_key(
 
 @dataclass(frozen=True)
 class TrialSpec:
-    """One planned injection trial, fully self-describing and picklable."""
+    """One planned injection trial of a campaign, picklable."""
 
-    app: str
-    app_params: tuple[tuple[str, Any], ...]
-    nprocs: int
-    config_seed: int
-    campaign_seed: int
+    #: :func:`trial_key` of the campaign's identity and this trial's
+    #: ``(region, index)``, computed once where the spec is made.
+    key: str
     region: Region
     index: int
     fault: FaultSpec
@@ -100,40 +101,6 @@ class TrialSpec:
     #: injector resumes this exact stream (bit-identical to the serial
     #: path, independent of worker count and completion order).
     rng_state: dict = field(hash=False)
-
-    @property
-    def key(self) -> str:
-        return trial_key(
-            self.app,
-            self.app_params,
-            self.nprocs,
-            self.config_seed,
-            self.campaign_seed,
-            self.region,
-            self.index,
-        )
-
-    def to_json(self) -> dict:
-        """The lease wire format: JSON-ready (the regions are ``str``
-        enums and the PCG64 state in ``rng_state`` is plain ints)."""
-        obj = {f.name: getattr(self, f.name) for f in fields(self)}
-        obj["fault"] = asdict(self.fault)
-        return obj
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TrialSpec":
-        """Inverse of :meth:`to_json` after a JSON round trip; raises
-        ``KeyError``, ``ValueError`` or ``TypeError`` on a malformed
-        payload."""
-        fault = dict(obj["fault"])
-        fault["region"] = Region(fault["region"])
-        fault["persistence"] = Persistence(fault["persistence"])
-        return cls(**{
-            **obj,
-            "app_params": tuple(tuple(pair) for pair in obj["app_params"]),
-            "region": Region(obj["region"]),
-            "fault": FaultSpec(**fault),
-        })
 
 
 @dataclass

@@ -14,6 +14,7 @@ tables together with the sampling-theory estimation error.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -163,6 +164,8 @@ class Campaign:
         app = app_factory()
         self.app_name = getattr(app, "name", type(app).__name__)
         self._reference: ReferenceProfile | None = None
+        self._oracle = None
+        self._predictor = None
 
     @classmethod
     def from_registry(
@@ -180,8 +183,6 @@ class Campaign:
         The resulting factory (``functools.partial`` of the application
         class) is picklable, so the campaign can run with ``jobs > 1``.
         """
-        import functools
-
         from repro.apps import APPLICATION_SUITE
 
         try:
@@ -289,79 +290,59 @@ class Campaign:
 
     def masking_oracle(self):
         """The static masking oracle for this campaign's application
-        (see :mod:`repro.staticanalysis.propagation.pruning`)."""
-        from repro.staticanalysis.propagation.pruning import MaskingOracle
+        (see :mod:`repro.staticanalysis.propagation.pruning`), built
+        once: every engine and the outcome predictor share it."""
+        if self._oracle is None:
+            from repro.staticanalysis.propagation.pruning import MaskingOracle
 
-        return MaskingOracle.from_campaign(self)
+            self._oracle = MaskingOracle.from_campaign(self)
+        return self._oracle
 
     #: Cross-campaign predictor cache.  The predictor is a pure function
-    #: of the linked program and reference profile, so campaigns over
-    #: the same (app, params, nprocs, seed) - successive regions, CLI
-    #: reruns, benchmark repetitions - share one build (~1.5 s of taint
-    #: dataflow for wavetoy).
+    #: of the linked program and reference profile, so campaigns of one
+    #: program (the same factory, or equal partials of one class) with
+    #: the same ranks and seeds - successive regions, CLI reruns,
+    #: benchmark repetitions - share one build (~1.5 s of taint dataflow
+    #: for wavetoy).
     _predictor_cache: dict = {}
 
     def outcome_predictor(self):
         """The static outcome predictor for this campaign's application
         (see :mod:`repro.staticanalysis.outcomes`), built once and
-        cached: the stratifier classifies thousands of pool specs."""
-        if getattr(self, "_predictor", None) is None:
+        cached: the stratifier classifies thousands of pool specs.  A
+        predictor this campaign builds takes its masking oracle; one
+        taken from the cache lends the campaign its own."""
+        if self._predictor is None:
             from repro.staticanalysis.outcomes.predictor import OutcomePredictor
 
-            try:
-                key = (
-                    self.app_name,
-                    tuple(sorted(self.app_params.items())),
-                    self.config.nprocs,
-                    self.seed,
+            factory = self.app_factory
+            if isinstance(factory, functools.partial):
+                factory = (
+                    factory.func,
+                    factory.args,
+                    tuple(sorted(factory.keywords.items())),
                 )
+            key = (factory, self.config.nprocs, self.config.seed, self.seed)
+            try:
+                cached = Campaign._predictor_cache.get(key)
             except TypeError:  # unhashable app param: build uncached
-                key = None
-            if key is not None and key in Campaign._predictor_cache:
-                self._predictor = Campaign._predictor_cache[key]
+                cached = key = None
+            if cached is not None:
+                self._predictor = cached
+                if self._oracle is None:
+                    self._oracle = cached.oracle
             else:
                 self._predictor = OutcomePredictor.from_campaign(self)
                 if key is not None:
                     Campaign._predictor_cache[key] = self._predictor
         return self._predictor
 
-    def engine(
-        self,
-        *,
-        jobs: int | None = 1,
-        store=None,
-        log_interval: int = 0,
-        stratify: bool = False,
-        sinks=(),
-        executor=None,
-    ):
-        """Build a :class:`~repro.engine.driver.CampaignEngine` bound to
-        this campaign's sampler, reference profile, plan and masking
-        oracle.  A stratified engine prunes with its predictor's oracle,
-        whose verdicts are the predictor's ``masked`` stratum."""
+    def engine(self, **options):
+        """A :class:`~repro.engine.driver.CampaignEngine` built from this
+        campaign; ``options`` are the engine's keyword arguments."""
         from repro.engine.driver import CampaignEngine
 
-        stratifier = None
-        if stratify:
-            predictor = self.outcome_predictor()
-            stratifier = lambda fault: predictor.stratum(fault).value  # noqa: E731
-            oracle = predictor.oracle
-        else:
-            oracle = self.masking_oracle()
-        return CampaignEngine(
-            self.execution_context(),
-            sampler=self.sample_spec,
-            seed=self.seed,
-            app_params=self.app_params,
-            plan=self.plan,
-            jobs=jobs,
-            store=store,
-            log_interval=log_interval,
-            prune=oracle.verdict,
-            stratifier=stratifier,
-            sinks=sinks,
-            executor=executor,
-        )
+        return CampaignEngine(self, **options)
 
     # ------------------------------------------------------------------
     # single injection experiment

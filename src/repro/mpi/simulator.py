@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import io
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
@@ -74,8 +74,6 @@ class JobConfig:
     round_limit: int | None = None
     #: Per-rank basic-block budget applied to every VM.
     block_limit: int | None = None
-    #: Extra keyword parameters forwarded to the application build.
-    app_params: dict[str, Any] = field(default_factory=dict)
 
 
 class RankContext:

@@ -25,10 +25,9 @@ from repro.staticanalysis.outcomes.passes import (
 @lru_cache(maxsize=1)
 def _base() -> PredictorProbe:
     from repro.injection.campaign import Campaign
-    from repro.staticanalysis.outcomes.predictor import OutcomePredictor
 
     campaign = Campaign.from_registry("wavetoy", nprocs=2)
-    return build_probe(OutcomePredictor.from_campaign(campaign))
+    return build_probe(campaign.outcome_predictor())
 
 
 def interval_blindness() -> PredictorProbe:

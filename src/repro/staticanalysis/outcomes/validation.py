@@ -206,7 +206,7 @@ def validate_app(
     from repro.injection.campaign import Campaign
 
     campaign = Campaign.from_registry(app_name, nprocs=nprocs, seed=seed)
-    predictor = OutcomePredictor.from_campaign(campaign)
+    predictor = campaign.outcome_predictor()
     with campaign.engine(jobs=jobs) as eng:
         picked = collect_stratum_specs(
             predictor,

@@ -165,7 +165,6 @@ def trace_memory(
         seed=config.seed,
         track_memory=True,
         eager_threshold=config.eager_threshold,
-        app_params=dict(config.app_params),
     )
     job = Job(app, cfg)
     result = job.run()

@@ -10,14 +10,12 @@ equivalence tests run the engine on a thread behind a real coordinator
 service and execute its leases with in-process workers.
 """
 
-import dataclasses
 import itertools
 import json
 import sys
 import threading
 import time
 import urllib.request
-from contextlib import nullcontext
 
 import pytest
 
@@ -32,14 +30,14 @@ from repro.engine.coordination import (
     coordinator_url,
 )
 from repro.engine.store import merge_stores
-from repro.engine.trial import TrialResult, TrialSpec
+from repro.engine.trial import TrialResult
 from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
 from repro.injection.outcomes import Manifestation
 from repro.observability.export import TraceCollector
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.serve import TelemetryHub, TelemetryServer
-from tests.conftest import SMALL_NPROCS, SMALL_WAVETOY, RecordingSink
+from tests.conftest import SMALL_MOLDYN, SMALL_NPROCS, SMALL_WAVETOY, RecordingSink
 
 REGIONS = (Region.MESSAGE, Region.STACK)
 N = 6
@@ -55,7 +53,7 @@ def correct(spec):
     """A synthetic submission for ``spec`` (nothing executes)."""
     return TrialResult(
         key=spec.key,
-        app=spec.app,
+        app="wavetoy",
         region=spec.region,
         index=spec.index,
         manifestation=Manifestation.CORRECT,
@@ -63,8 +61,10 @@ def correct(spec):
     ).to_json()
 
 
-def granted(grant):
-    return [TrialSpec.from_json(obj) for obj in grant["specs"]]
+def granted(grant, specs):
+    """The dispatched specs a grant's ``[region, index]`` pairs name."""
+    by_trial = {(spec.region.value, spec.index): spec for spec in specs}
+    return [by_trial[tuple(pair)] for pair in grant["trials"]]
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +160,7 @@ class TestCoordinatorProtocol:
         executor.run(specs)
         grants = []
         while "batch" in (payload := executor.lease_payload("w")):
-            grants.append(granted(payload))
+            grants.append(granted(payload, specs))
         assert [spec for grant in grants for spec in grant] == specs
         assert all(len(grant) <= 4 for grant in grants)
 
@@ -174,7 +174,7 @@ class TestCoordinatorProtocol:
         assert payload == {"wait": 0.0}  # all leased out
         for grant in grants:
             reply = executor.submit(
-                "w", grant["batch"], [correct(s) for s in granted(grant)]
+                "w", grant["batch"], [correct(s) for s in granted(grant, specs)]
             )
             assert (reply["accepted"], reply["done"]) == (4, False)
         results = list(stream)
@@ -189,13 +189,13 @@ class TestCoordinatorProtocol:
         executor = LeaseExecutor()
         threading.Timer(0.1, executor.run, [specs[:2]]).start()
         grant = executor.lease_payload("w")  # held up to LEASE_POLL
-        assert granted(grant) == specs[:2]
+        assert granted(grant, specs) == specs[:2]
 
     def test_submit_validation(self, specs, quick_polls):
         executor = LeaseExecutor(batch_size=4)
         executor.run(specs)
         grant = executor.lease_payload("w")
-        leased = granted(grant)
+        leased = granted(grant, specs)
         good = correct(leased[0])
         reply = executor.submit(
             "w",
@@ -224,7 +224,7 @@ class TestCoordinatorProtocol:
         executor = LeaseExecutor(batch_size=4)
         stream = executor.run(specs[:4])
         grant = executor.lease_payload("w")
-        leased = granted(grant)
+        leased = granted(grant, specs)
         registry = MetricsRegistry()
         registry.counter("repro_vm_blocks_total").inc(7)
         registry.histogram("repro_error_latency_blocks", region="stack").observe(3)
@@ -263,7 +263,7 @@ class TestCoordinatorProtocol:
         )
         stream = executor.run(specs[:4])
         grant = executor.lease_payload("dead")
-        payloads = [correct(s) for s in granted(grant)]
+        payloads = [correct(s) for s in granted(grant, specs)]
         now[0] = 10.0  # the lease expires; a second worker regrants
         regrant = executor.lease_payload("alive")
         assert regrant["batch"] == grant["batch"]
@@ -290,7 +290,7 @@ class TestCoordinatorProtocol:
                 while "done" not in (grant := executor.lease_payload(name)):
                     if "batch" not in grant:
                         continue
-                    payloads = [correct(s) for s in granted(grant)]
+                    payloads = [correct(s) for s in granted(grant, specs)]
                     time.sleep(0)  # let others lease (and requeue) meanwhile
                     reply = executor.submit(name, grant["batch"], payloads)
                     accepted.append(reply["accepted"])
@@ -352,20 +352,47 @@ class TestCoordinatorProtocol:
                 ctx = engine.context
                 assert (ctx.collect_metrics, ctx.trace) == flags
 
-    def test_worker_refuses_a_spec_with_other_params(self, specs):
-        service = CoordinatorService(
-            small_campaign(), LeaseExecutor(), TelemetryHub()
-        )
+    @pytest.mark.parametrize(
+        "app, params",
+        [
+            ("wavetoy", dict(SMALL_WAVETOY, r2c=0.25, output_format="binary")),
+            ("moldyn", dict(SMALL_MOLDYN, checksums=False, dt=0.04)),
+        ],
+        ids=["wavetoy-float-str", "moldyn-bool-float"],
+    )
+    def test_worker_samples_exactly_the_coordinators_specs(self, app, params):
+        """A worker's engine, built from a ``/manifest`` that went
+        through JSON, makes the coordinator's spec from every leased
+        pair: the same key, fault and RNG state, in every region."""
+        campaign = Campaign.from_registry(app, nprocs=SMALL_NPROCS, app_params=params)
+        service = CoordinatorService(campaign, LeaseExecutor(), TelemetryHub())
         manifest = json.loads(json.dumps(service.manifest()))
         worker = WorkerClient("127.0.0.1:9")
-        with worker._build_engine(manifest) as engine:
-            # Params that went through JSON, as a lease's do, still match.
-            wire = json.loads(json.dumps([spec.to_json() for spec in specs]))
-            worker._check_specs(engine, [TrialSpec.from_json(o) for o in wire])
-            drifted = dataclasses.replace(specs[0], app_params=(("nx", 64),))
-            assert drifted.key != specs[0].key
-            with pytest.raises(WorkerError, match="drift"):
-                worker._check_specs(engine, [drifted])
+        with campaign.engine() as mine, worker._build_engine(manifest) as theirs:
+            for region in Region:
+                for index in (0, 1, 7, 300):
+                    want = mine.make_spec(region, index)
+                    got = theirs.make_spec(region, index)
+                    assert got.key == want.key
+                    assert got.fault == want.fault
+                    assert got.rng_state == want.rng_state
+
+    def test_worker_of_another_campaign_stops_at_its_first_rejection(
+        self, specs, monkeypatch
+    ):
+        """A worker whose manifest-built campaign differs (here: its
+        seed) makes other keys from the leased pairs; the coordinator
+        rejects them and the worker stops instead of retrying."""
+        executor = LeaseExecutor()
+        executor.run(specs[:2])
+        service = CoordinatorService(small_campaign(), executor, TelemetryHub())
+        with TelemetryServer(service) as server:
+            worker = WorkerClient(server.url, max_batches=1)
+            other = dict(service.manifest(), seed=1)
+            monkeypatch.setattr(worker, "_get_json", lambda path: other)
+            with pytest.raises(WorkerError, match="rejected 2 result"):
+                worker.run()
+        assert executor._missing[0] == {s.key for s in specs[:2]}
 
     def test_lease_body_is_json(self, specs):
         executor = LeaseExecutor()
@@ -377,18 +404,45 @@ class TestCoordinatorProtocol:
             )
             with urllib.request.urlopen(request, timeout=10) as response:
                 body = response.read()
-        assert granted(json.loads(body)) == specs[:3]
+        grant = json.loads(body)
+        # A grant names trials; it carries no fault and no RNG state.
+        assert set(grant) == {"batch", "attempt", "trials"}
+        assert grant["trials"] == [[s.region.value, s.index] for s in specs[:3]]
+        assert granted(grant, specs) == specs[:3]
 
     @pytest.mark.parametrize(
         "body",
-        [b'{"batch": 0, "specs": [{"app": "wavetoy"}]}', b"\x80\x04\x95 not json"],
-        ids=["bad-spec", "not-json"],
+        [
+            b'{"batch": 0, "trials": [["nowhere", 0]]}',
+            b'{"batch": 0, "trials": [["heap", -1]]}',
+            b'{"batch": 0, "trials": [["heap", 1.5]]}',
+            b'{"batch": 0, "trials": [["heap", "1"]]}',
+            b'{"batch": 0, "trials": {"heap": 0}}',
+            b"\x80\x04\x95 not json",
+        ],
+        ids=[
+            "unknown-region", "negative-index", "float-index", "str-index",
+            "trials-not-a-list", "not-json",
+        ],
     )
     def test_malformed_grant_refused_before_execution(self, monkeypatch, body):
+        class Untouchable:
+            """An engine no malformed grant may reach."""
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+            def make_spec(self, *args):
+                raise AssertionError("a malformed grant reached the engine")
+
+            run_trials = make_spec
+
         worker = WorkerClient("127.0.0.1:9")
         monkeypatch.setattr(worker, "_get_json", lambda path: {"app": "wavetoy"})
-        # No engine: a grant that parsed would fail on it instead.
-        monkeypatch.setattr(worker, "_build_engine", lambda manifest: nullcontext())
+        monkeypatch.setattr(worker, "_build_engine", lambda manifest: Untouchable())
         monkeypatch.setattr(worker, "_request", lambda *args, **kwargs: body)
         with pytest.raises(WorkerError, match="malformed lease grant"):
             worker.run()

@@ -1,6 +1,5 @@
 """TrialSpec/TrialResult identity, pickling, and the JSONL ResultStore."""
 
-import dataclasses
 import json
 import pickle
 
@@ -11,27 +10,20 @@ from repro.engine.store import ResultStore, merge_stores
 from repro.engine.trial import (
     TrialResult,
     TrialSpec,
-    canonical_params,
     region_salt,
     restore_rng,
     trial_key,
     trial_rng,
 )
-from repro.injection.campaign import Campaign
-from repro.injection.faults import FaultSpec, Persistence, Region
+from repro.injection.faults import FaultSpec, Region
 from repro.injection.outcomes import Manifestation
-from tests.conftest import SMALL_NPROCS, SMALL_WAVETOY
 
 
 def make_spec(index=0, region=Region.HEAP, seed=7):
     rng = trial_rng(seed, region, index)
     fault = FaultSpec(region, rank=int(rng.integers(4)), time_blocks=5, bit=3)
     return TrialSpec(
-        app="wavetoy",
-        app_params=canonical_params({"nx": 32, "ny": 8}),
-        nprocs=4,
-        config_seed=12345,
-        campaign_seed=seed,
+        key=trial_key("wavetoy", {"nx": 32, "ny": 8}, 4, 12345, seed, region, index),
         region=region,
         index=index,
         fault=fault,
@@ -93,29 +85,6 @@ class TestTrialSpec:
         import zlib
 
         assert region_salt(Region.MESSAGE) == zlib.crc32(b"message")
-
-
-class TestTrialSpecJson:
-    """The lease wire format: plain JSON, lossless for every region."""
-
-    def test_round_trip_every_region_and_stuck_at(self):
-        engine = Campaign.from_registry(
-            "wavetoy", nprocs=SMALL_NPROCS, app_params=SMALL_WAVETOY
-        ).engine()
-        specs = [engine.make_spec(region, 1) for region in Region]
-        heap = specs[[s.region for s in specs].index(Region.HEAP)]
-        stuck = dataclasses.replace(
-            heap,
-            fault=dataclasses.replace(
-                heap.fault, persistence=Persistence.STUCK_AT_1, reassert_blocks=8
-            ),
-        )
-        for spec in [*specs, stuck]:
-            clone = TrialSpec.from_json(json.loads(json.dumps(spec.to_json())))
-            assert clone.key == spec.key
-            assert clone.fault == spec.fault
-            assert clone.rng_state == spec.rng_state
-            assert clone == spec
 
 
 class TestTrialResultJson:

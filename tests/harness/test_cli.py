@@ -1,5 +1,6 @@
 """The ``python -m repro`` command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -201,10 +202,21 @@ class TestMalformedInput:
             (["trace", "run", "--app", "wavetoy", "--nprocs", "0"], "--nprocs"),
             (["trace", "run", "--app", "wavetoy", "--index", "-1"], "--index"),
             (["analyze", "--mpi", "--nprocs", "0", "wavetoy"], "--nprocs"),
+            (["campaign", "run", "--app", "wavetoy", "--jobs", "0"], "--jobs"),
+            (["campaign", "run", "--app", "wavetoy", "--jobs", "-1"], "--jobs"),
+            (["campaign", "run", "--app", "wavetoy", "--log-interval", "-3"],
+             "--log-interval"),
+            (["campaign", "work", "127.0.0.1:9", "--jobs", "0"], "--jobs"),
+            (["campaign", "work", "127.0.0.1:9", "--poll-interval", "-1"],
+             "--poll-interval"),
+            (["campaign", "work", "127.0.0.1:9", "--poll-interval", "0"],
+             "--poll-interval"),
         ],
         ids=[
             "campaign-regions", "campaign-nprocs", "trace-region",
-            "trace-nprocs", "trace-index", "analyze-nprocs",
+            "trace-nprocs", "trace-index", "analyze-nprocs", "campaign-jobs-0",
+            "campaign-jobs-negative", "campaign-log-interval", "work-jobs",
+            "work-poll-interval-negative", "work-poll-interval-0",
         ],
     )
     def test_rejected_option(self, capsys, tmp_path, argv, option):
@@ -314,6 +326,27 @@ class TestServeAndArtifactsCli:
 
         assert main(["report", str(run_dir), "--check"]) == 0
         assert "reproduce exactly" in capsys.readouterr().out
+
+    def test_manifest_records_params_once(self, tmp_path):
+        """The manifest's top-level ``params`` is the one record of the
+        ``--params`` a run was given."""
+        run_dir = tmp_path / "run"
+        assert main(campaign_run_args(
+            tmp_path / "out.jsonl", ["-n", "1", "--artifacts", str(run_dir)]
+        )) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["params"] == dict(
+            nx=32, ny=8, steps=6, cold_heap_factor=3, output_stride=1
+        )
+
+        def param_fields(obj, path=()):
+            if isinstance(obj, dict):
+                for key, value in obj.items():
+                    if "param" in key:
+                        yield (*path, key)
+                    yield from param_fields(value, (*path, key))
+
+        assert list(param_fields(manifest)) == [("params",)]
 
     def test_report_regenerates_deleted_outputs(self, capsys, tmp_path):
         run_dir = tmp_path / "run"

@@ -97,3 +97,106 @@ class TestExecution:
         from repro.injection.outcomes import classify
 
         assert classify(result, ref.result) is Manifestation.CORRECT
+
+
+class TestOneOracle:
+    """A campaign builds its masking oracle once: every engine and the
+    outcome predictor share it."""
+
+    def test_region_runs_and_engines_share_one_build(self, monkeypatch):
+        from repro.staticanalysis.propagation.pruning import MaskingOracle
+
+        builds = []
+        init = MaskingOracle.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MaskingOracle, "__init__", counted)
+        monkeypatch.setattr(Campaign, "_predictor_cache", {})
+
+        def campaign():
+            return Campaign.from_registry(
+                "wavetoy", nprocs=SMALL_NPROCS, app_params=SMALL_WAVETOY, seed=5
+            )
+
+        first = campaign()
+        for region in (Region.TEXT, Region.BSS, Region.MESSAGE):
+            first.run_region(region, 2)
+        with first.engine(stratify=True) as eng:
+            assert eng.prune.__self__ is first.masking_oracle()
+        with first.engine() as eng:
+            eng.run_trials([eng.make_spec(Region.HEAP, 0)])
+        assert builds == [first.masking_oracle()]
+        # A second campaign takes the predictor from the cache, and the
+        # predictor lends it its oracle.
+        second = campaign()
+        with second.engine(stratify=True):
+            pass
+        second.run_region(Region.TEXT, 2)
+        assert second.masking_oracle() is second.outcome_predictor().oracle
+        assert len(builds) == 1
+
+
+class TestPredictorCache:
+    """Campaigns share a cached predictor only when they link the same
+    program with the same ranks and seeds."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.staticanalysis.outcomes.predictor import OutcomePredictor
+
+        built = []
+
+        def build(cls, campaign):
+            built.append(campaign)
+            return SimpleNamespace(oracle=None)
+
+        monkeypatch.setattr(OutcomePredictor, "from_campaign", classmethod(build))
+        monkeypatch.setattr(Campaign, "_predictor_cache", {})
+        return built
+
+    def test_only_one_program_shares_a_predictor(self, builds):
+        from repro.apps import WavetoyApp
+
+        def registry(**params):
+            return Campaign.from_registry(
+                "wavetoy", nprocs=2, app_params=params, seed=9
+            )
+
+        # No app_params: the factory, not the app's name, names the program.
+        small = Campaign(
+            lambda: WavetoyApp(**SMALL_WAVETOY), JobConfig(nprocs=2), seed=9
+        )
+        assert small.outcome_predictor() is not registry().outcome_predictor()
+        assert registry().outcome_predictor() is registry().outcome_predictor()
+        assert (
+            registry(**SMALL_WAVETOY).outcome_predictor()
+            is registry(**SMALL_WAVETOY).outcome_predictor()
+        )
+        assert len(builds) == 3
+
+    def test_unhashable_params_build_uncached(self, builds):
+        import functools
+
+        from repro.apps import WavetoyApp
+
+        class ListParamWavetoy(WavetoyApp):
+            DEFAULTS = {**WavetoyApp.DEFAULTS, "labels": []}
+
+        params = dict(SMALL_WAVETOY, labels=["a"])
+        campaigns = [
+            Campaign(
+                functools.partial(ListParamWavetoy, **params),
+                JobConfig(nprocs=2),
+                app_params=params,
+            )
+            for _ in range(2)
+        ]
+        for campaign in campaigns:
+            campaign.outcome_predictor()
+        assert builds == campaigns
+        assert Campaign._predictor_cache == {}
