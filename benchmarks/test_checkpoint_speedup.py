@@ -46,8 +46,6 @@ NPROCS = 4
 #: Interleaved measurement rounds (one run of each side per round).
 ROUNDS = 5
 
-PARAMS = dict(nx=32, ny=8, steps=6, cold_heap_factor=3, output_stride=1)
-
 
 def make_campaign():
     return Campaign(
@@ -55,7 +53,6 @@ def make_campaign():
         JobConfig(nprocs=NPROCS),
         plan=CampaignPlan(per_region={r.value: N_PER_REGION for r in Region}),
         seed=5,
-        app_params=PARAMS,
     )
 
 

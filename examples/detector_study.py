@@ -16,28 +16,27 @@ import sys
 
 from repro import Campaign, JobConfig, Manifestation, MoldynApp, Region
 from repro.detectors.progress import ProgressMonitor, ProgressSample
-from repro.harness.runner import run_fault_free
 from repro.sampling.plans import CampaignPlan
 
 
-def message_campaign(checksums: bool, n: int):
-    campaign = Campaign(
+def message_campaign(checksums: bool, n: int) -> Campaign:
+    return Campaign(
         lambda: MoldynApp(checksums=checksums),
         JobConfig(nprocs=8),
         plan=CampaignPlan(per_region={"message": n}),
         seed=1234,  # identical fault sample for both builds
     )
-    return campaign.run_region(Region.MESSAGE, n)
 
 
 def main(argv: list[str]) -> None:
     n = int(argv[1]) if len(argv) > 1 else 40
 
     print("=== message-checksum effectiveness (NAMD mechanism) ===")
-    rows = {}
+    campaigns, rows = {}, {}
     for checksums in (True, False):
         label = "with checksums" if checksums else "without checksums"
-        row = rows[checksums] = message_campaign(checksums, n)
+        campaign = campaigns[checksums] = message_campaign(checksums, n)
+        row = rows[checksums] = campaign.run_region(Region.MESSAGE, n)
         t = row.tally
         print(
             f"{label:20s}: error rate {row.error_rate_percent:5.1f}%  "
@@ -54,9 +53,11 @@ def main(argv: list[str]) -> None:
     )
 
     print("\n=== checksum runtime overhead ===")
-    cfg = JobConfig(nprocs=8)
-    with_ck = max(run_fault_free(lambda: MoldynApp(checksums=True), cfg).blocks_per_rank)
-    without = max(run_fault_free(lambda: MoldynApp(checksums=False), cfg).blocks_per_rank)
+    # Each build's fault-free reference run, made once by its campaign.
+    with_ck, without = (
+        max(campaigns[checksums].reference().blocks_per_rank)
+        for checksums in (True, False)
+    )
     print(
         f"blocks {without} -> {with_ck}: "
         f"{100 * (with_ck - without) / without:.1f}% overhead "

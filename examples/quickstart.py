@@ -4,12 +4,17 @@
 This walks the full pipeline of the paper in miniature:
 
 1. run Cactus Wavetoy fault-free to obtain the reference output and the
-   execution profile (basic blocks per rank, received message volume);
+   execution profile (basic blocks per rank, received message volume,
+   the fault dictionary of symbol addresses);
 2. arm a single-bit fault - here a flip in a live integer register at a
    random time, the paper's most sensitive region - via the MPI_Init
    wrapper mechanism;
 3. run again and classify the outcome into the paper's taxonomy
    (Correct / Crash / Hang / Incorrect / App Detected / MPI Detected).
+
+Every faulted run goes through a ``Campaign``, so it replays the
+reference run's golden prefix up to the fault and executes only the
+rest.
 
 Run:  python examples/quickstart.py
 """
@@ -18,26 +23,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import (
-    FaultSpec,
-    JobConfig,
-    Region,
-    WavetoyApp,
-    run_fault_free,
-    run_with_fault,
-)
+from repro import Campaign, FaultSpec, JobConfig, Region, WavetoyApp
 from repro.memory.layout import TEXT_BASE
 
 
 def main() -> None:
     config = JobConfig(nprocs=8, seed=42)
+    campaign = Campaign(WavetoyApp, config)
 
     # ------------------------------------------------------------------
     # 1. fault-free reference
     # ------------------------------------------------------------------
     print("running fault-free reference ...")
-    reference = run_fault_free(WavetoyApp, config)
-    blocks = reference.blocks_per_rank
+    profile = campaign.reference()
+    reference = profile.result
+    blocks = profile.blocks_per_rank
     print(f"  completed in {reference.rounds} scheduler rounds")
     print(f"  basic blocks per rank: {blocks[0]} (x{len(blocks)} ranks)")
     print(f"  output: {len(reference.outputs['wavetoy.out'])} bytes of text")
@@ -63,18 +63,14 @@ def main() -> None:
                              target_byte=int(rng.integers(volume)))
         elif region in (Region.TEXT, Region.DATA, Region.BSS):
             # Sample a user symbol address via the fault dictionary.
-            from repro.injection.dictionary import FaultDictionary
-            from repro.mpi.simulator import Job
-
-            probe = Job(WavetoyApp(), config)
-            entry = FaultDictionary(probe.images[0], rng).sample(region.value, rng)
+            entry = profile.dictionary.sample(region.value, rng)
             spec = FaultSpec(region, bit=int(rng.integers(8)),
                              address=entry.address, **common)
         else:  # heap, stack resolve their targets at injection time
             spec = FaultSpec(region, bit=int(rng.integers(8)), **common)
 
-        manifestation, record, result = run_with_fault(
-            WavetoyApp, config, spec, reference=reference, seed=int(rng.integers(1 << 30))
+        manifestation, record, result = campaign.run_injection(
+            spec, np.random.default_rng(int(rng.integers(1 << 30)))
         )
         where = record.detail or (record.symbol or "")
         print(

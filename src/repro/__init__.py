@@ -57,7 +57,7 @@ from repro.engine import (
     TrialSink,
     TrialSpec,
 )
-from repro.harness import EXPERIMENTS, run_fault_free, run_with_fault
+from repro.harness import EXPERIMENTS
 from repro.sampling import achieved_error, sample_size_oversampled
 from repro.trace import profile_application, trace_memory
 
@@ -101,8 +101,6 @@ __all__ = [
     "TrialSink",
     "TrialSpec",
     "EXPERIMENTS",
-    "run_fault_free",
-    "run_with_fault",
     "achieved_error",
     "sample_size_oversampled",
     "profile_application",

@@ -556,22 +556,26 @@ def cmd_campaign_run(args) -> int:
             )
 
             context = campaign.execution_context()
-            artifacts = RunArtifacts(
-                args.artifacts,
-                {
-                    "app": args.app,
-                    "seed": args.seed,
-                    "nprocs": args.nprocs,
-                    "regions": [r.value for r in args.regions],
-                    "n": args.n,
-                    "target_d": args.target_d,
-                    "jobs": args.jobs,
-                    "params": campaign.app_params,
-                    "execution": context.describe(),
-                    "command": reproduce_command(getattr(args, "_argv", None)),
-                },
-                hub=hub,
-            )
+            try:
+                artifacts = RunArtifacts(
+                    args.artifacts,
+                    {
+                        "app": args.app,
+                        "seed": args.seed,
+                        "nprocs": args.nprocs,
+                        "regions": [r.value for r in args.regions],
+                        "n": args.n,
+                        "target_d": args.target_d,
+                        "jobs": args.jobs,
+                        "params": campaign.app_params,
+                        "execution": context.describe(),
+                        "command": reproduce_command(getattr(args, "_argv", None)),
+                    },
+                    hub=hub,
+                )
+            except FileExistsError as exc:
+                print(exc, file=sys.stderr)
+                return 2
             sinks.append(artifacts)
 
         t0 = time.time()
@@ -805,7 +809,11 @@ def cmd_trace_check(args) -> int:
 def cmd_campaign_merge(args) -> int:
     from repro.engine.store import merge_stores
 
-    count = merge_stores(args.stores, args.out)
+    try:
+        count = merge_stores(args.stores, args.out)
+    except FileNotFoundError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     print(f"wrote {count} unique trials to {args.out}")
     return 0
 
@@ -877,14 +885,6 @@ def cmd_analyze_translate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.mpi:
-        return cmd_analyze_mpi(args)
-    if args.propagation:
-        return cmd_analyze_propagation(args)
-    if args.outcomes:
-        return cmd_analyze_outcomes(args)
-    if args.translate:
-        return cmd_analyze_translate(args)
     from repro.staticanalysis.avf import analyze_function
     from repro.staticanalysis.lint import lint_function
 
@@ -978,8 +978,11 @@ def main(argv: list[str] | None = None) -> int:
     ana.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )
-    ana.add_argument(
-        "--mpi", action="store_true",
+    # Each mode flag names the command that runs in place of the kernel
+    # analysis; argparse refuses two of them.
+    mode = ana.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--mpi", action="store_const", dest="fn", const=cmd_analyze_mpi,
         help="analyze the MPI communication skeleton instead of kernels "
         "(match graph, SA1xx passes, message-vulnerability map)",
     )
@@ -987,19 +990,19 @@ def main(argv: list[str] | None = None) -> int:
         "--nprocs", type=_positive, default=4,
         help="ranks for the --mpi dry run (default 4)",
     )
-    ana.add_argument(
-        "--propagation", action="store_true",
+    mode.add_argument(
+        "--propagation", action="store_const", dest="fn", const=cmd_analyze_propagation,
         help="per-site taint classification and the SA2xx detector-"
         "coverage audit for one application (exit 1 on open findings)",
     )
-    ana.add_argument(
-        "--outcomes", action="store_true",
+    mode.add_argument(
+        "--outcomes", action="store_const", dest="fn", const=cmd_analyze_outcomes,
         help="predicted-outcome strata (crash/hang/detectable/sdc/"
         "masked) and the SA3xx audit for one application (exit 1 on "
         "findings); --nprocs sets the reference-run ranks",
     )
-    ana.add_argument(
-        "--translate", action="store_true",
+    mode.add_argument(
+        "--translate", action="store_const", dest="fn", const=cmd_analyze_translate,
         help="translatability audit: per-kernel fast-path coverage and "
         "the instructions the dual-mode engine must interpret (report "
         "only, always exit 0)",

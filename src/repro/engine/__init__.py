@@ -1,11 +1,12 @@
 """The campaign execution engine.
 
-One authority for single-trial execution (budgets, install, classify),
+One authority for single-trial execution (replay, install, classify),
 pluggable serial, process-pool and leased remote executors, result stores
 with resume/merge, adaptive Cochran-half-width sampling, and the trial
-sink protocol every view of a campaign implements.  ``Campaign``,
-``run_with_fault``, the experiment registry and the ``python -m repro
-campaign`` CLI all flow through this package.
+sink protocol every view of a campaign implements.  Every faulted run
+comes from a ``Campaign`` - its engine's trials and its
+``run_injection`` - so the experiment registry and the ``python -m
+repro campaign`` CLI all flow through this package.
 """
 
 from repro.engine.budgets import (
@@ -14,7 +15,6 @@ from repro.engine.budgets import (
     HANG_ROUND_FACTOR,
     HANG_ROUND_SLACK,
     block_budget,
-    hang_budgets,
     round_budget,
 )
 from repro.engine.checkpoint import (
@@ -29,7 +29,7 @@ from repro.engine.coordination import (
     LeaseExecutor,
     WorkerClient,
 )
-from repro.engine.core import ExecutionContext, execute_trial, run_single
+from repro.engine.core import ExecutionContext, execute_trial
 from repro.engine.driver import CampaignEngine, observed_half_width
 from repro.engine.executors import (
     JOBS_ENV,
@@ -69,7 +69,6 @@ __all__ = [
     "HANG_ROUND_FACTOR",
     "HANG_ROUND_SLACK",
     "block_budget",
-    "hang_budgets",
     "round_budget",
     "GoldenRecording",
     "ReplayPlan",
@@ -81,7 +80,6 @@ __all__ = [
     "WorkerClient",
     "ExecutionContext",
     "execute_trial",
-    "run_single",
     "CampaignEngine",
     "observed_half_width",
     "JOBS_ENV",

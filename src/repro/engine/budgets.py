@@ -4,13 +4,9 @@ The paper waited "one minute beyond the expected execution completion
 time" before declaring a Hang.  The simulated analogue scales the
 fault-free profile (scheduler rounds, per-rank basic blocks) by a
 generous factor and adds a constant slack so that short runs still get
-a usable margin.
-
-Historically this formula lived twice - in
-``repro.injection.campaign.ReferenceProfile`` and again inline in
-``repro.harness.runner.run_with_fault`` - and the two copies had begun
-to drift.  Both now delegate here; a regression test pins them to these
-functions.
+a usable margin.  ``repro.injection.campaign.ReferenceProfile`` applies
+them to a campaign's reference run, and ``Campaign.execution_context``
+hands the result to every trial.
 """
 
 from __future__ import annotations
@@ -41,8 +37,3 @@ def block_budget(reference_max_blocks: int) -> int:
             f"reference block count must be non-negative: {reference_max_blocks}"
         )
     return int(reference_max_blocks * HANG_BLOCK_FACTOR) + HANG_BLOCK_SLACK
-
-
-def hang_budgets(reference_rounds: int, blocks_per_rank) -> tuple[int, int]:
-    """``(round_limit, block_limit)`` for one fault-free profile."""
-    return round_budget(reference_rounds), block_budget(max(blocks_per_rank))

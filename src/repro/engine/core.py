@@ -1,10 +1,11 @@
 """The single-trial execution authority.
 
-Everything that runs one faulty job now flows through this module:
-budget derivation (via :mod:`repro.engine.budgets`), injector install,
-execution, and outcome classification.  ``Campaign.run_injection`` and
-``repro.harness.runner.run_with_fault`` are thin wrappers over
-:func:`run_single`; the executors call :func:`execute_trial`.
+Everything that runs one faulty job flows through this module: golden
+prefix replay, injector install, execution, and outcome classification,
+under the :class:`ExecutionContext` that
+:meth:`~repro.injection.campaign.Campaign.execution_context` builds.
+The executors call :func:`execute_trial`; ``Campaign.run_injection``
+calls :func:`run_observed` for a hand-made fault.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Callable
 import numpy as np
 
 from repro.engine import checkpoint as _checkpoint
-from repro.engine.budgets import hang_budgets
 from repro.engine.trial import TrialResult, TrialSpec, restore_rng
 from repro.injection.faults import FaultSpec, InjectionRecord
 from repro.injection.outcomes import Manifestation, classify
@@ -32,9 +32,11 @@ from repro.observability.tracer import Tracer
 class ExecutionContext:
     """Everything needed to execute and classify one trial.
 
-    Plain data, picklable whenever ``factory`` is (a module-level
-    callable or class, or a :func:`functools.partial` of one); the
-    parallel executor ships one context per worker.
+    Built by :meth:`~repro.injection.campaign.Campaign.execution_context`
+    from the campaign's reference run, its hang budgets and its golden
+    recording.  Plain data, picklable whenever ``factory`` is (a
+    module-level callable or class, or a :func:`functools.partial` of
+    one); the parallel executor ships one context per worker.
     """
 
     app: str
@@ -51,37 +53,10 @@ class ExecutionContext:
     collect_metrics: bool = False
     #: The :class:`~repro.engine.checkpoint.GoldenRecording` of the
     #: campaign's reference run, whose prefix every trial replays
-    #: (``None``: trials run from block 0, as ``run_with_fault``'s do).
-    #: Every fork worker receives the one recording exactly once,
-    #: inside the context.
+    #: (``None``: trials run from block 0, the differential tests'
+    #: oracle).  Every fork worker receives the one recording exactly
+    #: once, inside the context.
     checkpoint: object | None = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def from_reference(
-        cls,
-        factory: Callable[[], object],
-        config: JobConfig,
-        reference: JobResult,
-        *,
-        app: str | None = None,
-    ) -> "ExecutionContext":
-        """Build a context from a completed fault-free run, deriving the
-        hang budgets from the one formula home (and the app name from a
-        probe instance when ``app`` is not given)."""
-        round_limit, block_limit = hang_budgets(
-            reference.rounds, reference.blocks_per_rank
-        )
-        if app is None:
-            probe = factory()
-            app = getattr(probe, "name", type(probe).__name__)
-        return cls(
-            app=app,
-            factory=factory,
-            config=config,
-            reference=reference,
-            round_limit=round_limit,
-            block_limit=block_limit,
-        )
 
     def observe(self, fields) -> None:
         """Collect exactly the optional result fields named in
@@ -214,16 +189,6 @@ def run_observed(
         trace_events=tracer.events if tracer is not None else None,
     )
     return manifestation, record, result, observation
-
-
-def run_single(
-    ctx: ExecutionContext,
-    fault: FaultSpec,
-    rng: np.random.Generator,
-) -> tuple[Manifestation, InjectionRecord, JobResult]:
-    """Execute one fresh job with one fault armed and classify it."""
-    manifestation, record, result, _ = run_observed(ctx, fault, rng)
-    return manifestation, record, result
 
 
 def execute_trial(ctx: ExecutionContext, spec: TrialSpec) -> TrialResult:

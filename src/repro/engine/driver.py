@@ -48,13 +48,7 @@ from typing import Callable, Iterable, Sequence
 from repro.engine.executors import make_executor
 from repro.engine.progress import ProgressEvent, TrialSink, observations
 from repro.engine.store import ResultStore, open_store
-from repro.engine.trial import (
-    TrialResult,
-    TrialSpec,
-    canonical_params,
-    trial_key,
-    trial_rng,
-)
+from repro.engine.trial import TrialResult, TrialSpec, trial_key, trial_rng
 from repro.injection.faults import FaultSpec, Region
 from repro.injection.outcomes import Manifestation
 from repro.sampling.theory import (
@@ -255,10 +249,13 @@ class _Stratified:
 class _RegionState:
     """Mutable aggregation state for one region's run."""
 
-    def __init__(self, result, design, resume: bool) -> None:
+    def __init__(self, result, design, resume: bool, prune) -> None:
         self.result = result  # RegionResult
         self.design = design  # _Uniform | _Stratified
         self.resume = resume
+        #: ``FaultSpec -> PruneVerdict``, the campaign's masking oracle
+        #: (see :mod:`repro.staticanalysis.propagation.pruning`).
+        self.prune = prune
         #: Completed trials since the last periodic progress event.
         self.since_event = 0
 
@@ -278,17 +275,19 @@ class CampaignEngine:
     What trials exist and how they execute comes from the campaign: its
     execution context (factory, reference run, hang budgets, golden
     recording), its sampler and seed (the root of every per-trial RNG
-    stream), its parameters (recorded in trial keys, so stores from
-    different configurations never alias), its plan (default
-    per-region sample sizes) and its masking oracle, whose verdict
-    (``prune``) is asked for every spec the store does not hold, in
-    every design.  Specs with a masked verdict are not executed: a
-    synthetic CORRECT result (``detail="pruned:<reason>"``) is tallied
-    and stored in their place.  Because the pruned stratum is
-    statically proven outcome-free, crediting its samples as correct
-    keeps every region rate unbiased - this is the stratified estimator
-    with a known-zero stratum, which is what an importance-weighted
-    tally correction reduces to under uniform sampling.
+    stream), its ``identity`` (the start of every trial key, so stores
+    of different programs or configurations never alias), its plan
+    (default per-region sample sizes) and its masking oracle, which
+    each region loop asks for every spec the store does not hold, in
+    every design; :meth:`run_trials` asks no oracle, so an engine that
+    only runs explicit trials builds none.  Specs with a masked verdict
+    are not executed: a synthetic CORRECT result
+    (``detail="pruned:<reason>"``) is tallied and stored in their
+    place.  Because the pruned stratum is statically proven
+    outcome-free, crediting its samples as correct keeps every region
+    rate unbiased - this is the stratified estimator with a known-zero
+    stratum, which is what an importance-weighted tally correction
+    reduces to under uniform sampling.
 
     Parameters
     ----------
@@ -309,8 +308,8 @@ class CampaignEngine:
         the campaign's outcome predictor up front, trials are
         Neyman-allocated across strata per wave, and the region
         estimate is the importance-weighted
-        :class:`~repro.sampling.theory.StratifiedEstimate`.  The engine
-        then prunes with the predictor's own oracle, whose masked
+        :class:`~repro.sampling.theory.StratifiedEstimate`.  The
+        campaign's oracle is then the predictor's own, whose masked
         verdicts are the predictor's ``masked`` stratum, which is never
         dispatched.
     sinks:
@@ -346,20 +345,6 @@ class CampaignEngine:
         if stratify:
             predictor = campaign.outcome_predictor()
             self.stratifier = lambda fault: predictor.stratum(fault).value
-            oracle = predictor.oracle
-        else:
-            oracle = campaign.masking_oracle()
-        #: ``FaultSpec -> PruneVerdict`` (see
-        #: :mod:`repro.staticanalysis.propagation.pruning`).
-        self.prune = oracle.verdict
-        #: Every :func:`trial_key` field but the trial's own pair.
-        self._identity = (
-            context.app,
-            canonical_params(campaign.app_params),
-            context.config.nprocs,
-            context.config.seed,
-            campaign.seed,
-        )
         self.jobs = jobs
         if store is not None:
             store = open_store(store)
@@ -404,7 +389,7 @@ class CampaignEngine:
         stream, whose state is captured so the injector resumes it."""
         rng = trial_rng(self.campaign.seed, region, index)
         return TrialSpec(
-            key=trial_key(*self._identity, region, index),
+            key=trial_key(*self.campaign.identity, region, index),
             region=region,
             index=index,
             fault=self.campaign.sample_spec(region, rng),
@@ -494,7 +479,7 @@ class CampaignEngine:
             if hit is not None:
                 self._ingest(state, hit)
                 continue
-            verdict = self.prune(spec.fault)
+            verdict = state.prune(spec.fault)
             if verdict.masked:
                 self._ingest(state, self._pruned_result(spec, verdict.reason))
                 continue
@@ -542,7 +527,10 @@ class CampaignEngine:
             raise ValueError(f"target_d must be in (0, 1): {target_d}")
         design_cls = _Uniform if self.stratifier is None else _Stratified
         design = design_cls(self, region, n, target_d)
-        state = _RegionState(RegionResult(region), design, resume)
+        # Asked here, not at construction: an engine that only runs
+        # explicit trials never builds an oracle.
+        prune = self.campaign.masking_oracle().verdict
+        state = _RegionState(RegionResult(region), design, resume, prune)
         for sink in self.sinks:
             sink.region_start(self.context.app, region.value, design.planned)
         for specs in design.waves(state.result):

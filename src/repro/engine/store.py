@@ -378,9 +378,13 @@ def merge_stores(
     by its path), deduplicating by key; returns the number of unique
     trials written.  The output is rewritten from scratch in sorted
     ``(app, region, index)`` order, so merging the same inputs always
-    produces byte-identical output."""
+    produces byte-identical output, and exists even when empty.  A
+    missing input raises :class:`FileNotFoundError` before the output
+    is touched."""
     merged: dict[str, TrialResult] = {}
     for path in inputs:
+        if not Path(path).exists():
+            raise FileNotFoundError(f"no such store: {path}")
         store = open_store(path)
         merged.update(store.load())
         store.close()
@@ -396,6 +400,7 @@ def merge_stores(
     )):
         if stale.exists():
             stale.unlink()
+    out_path.touch()
     with open_store(out_path) as out:
         for result in ordered:
             out.append(result)

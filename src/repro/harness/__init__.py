@@ -1,7 +1,6 @@
-"""Experiment harness: single-fault runs, table/figure rendering and the
-registry mapping every paper artifact to the code that regenerates it."""
+"""Experiment harness: table/figure rendering and the registry mapping
+every paper artifact to the code that regenerates it."""
 
-from repro.harness.runner import run_fault_free, run_with_fault
 from repro.harness.tables import (
     render_campaign_table,
     render_profile_table,
@@ -11,8 +10,6 @@ from repro.harness.figures import render_working_set_table
 from repro.harness.experiments import EXPERIMENTS, Experiment, get_experiment
 
 __all__ = [
-    "run_fault_free",
-    "run_with_fault",
     "render_campaign_table",
     "render_profile_table",
     "PAPER_REGION_LABELS",

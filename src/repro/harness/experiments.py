@@ -18,7 +18,7 @@ from repro.harness.figures import render_working_set_table
 from repro.harness.tables import render_campaign_table, render_profile_table
 from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
-from repro.mpi.simulator import JobConfig
+from repro.mpi.simulator import Job, JobConfig
 from repro.sampling.plans import default_plan
 from repro.trace.profiles import profile_application
 from repro.trace.working_set import trace_memory
@@ -257,11 +257,9 @@ def _run_cactus_messages(n: int | None) -> tuple[str, dict]:
 # E6: checksum overhead and effectiveness (NAMD)
 # ----------------------------------------------------------------------
 def _run_checksum_overhead(n: int | None) -> tuple[str, dict]:
-    from repro.harness.runner import run_fault_free
-
     cfg = _config(MoldynApp)
-    with_ck = run_fault_free(lambda: MoldynApp(checksums=True), cfg)
-    without = run_fault_free(lambda: MoldynApp(checksums=False), cfg)
+    with_ck = Job(MoldynApp(checksums=True), cfg).run()
+    without = Job(MoldynApp(checksums=False), cfg).run()
     blocks_with = max(with_ck.blocks_per_rank)
     blocks_without = max(without.blocks_per_rank)
     overhead = 100.0 * (blocks_with - blocks_without) / blocks_without

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.engine import checkpoint
 from repro.engine.budgets import block_budget, round_budget
+from repro.engine.trial import canonical_params
 from repro.injection.dictionary import FaultDictionary
 from repro.injection.faults import (
     FP_TOTAL_BITS,
@@ -133,19 +134,22 @@ class CampaignResult:
 class Campaign:
     """Runs the full Table-2/3/4 experiment for one application.
 
+    It is the one way to run a fault: :meth:`run_injection` runs a
+    hand-made :class:`FaultSpec` and its engines run sampled ones, all
+    under the context :meth:`execution_context` builds.
+
     Parameters
     ----------
     app_factory:
         Zero-argument callable producing a *fresh* application instance
-        (each injection run gets pristine process images).
+        (each injection run gets pristine process images).  The app it
+        builds names the program: its ``name`` and the ``params`` that
+        differ from its ``DEFAULTS`` (``app_params``) go into every
+        trial key, so result stores of different programs never alias.
     config:
-        Job configuration (nprocs, seed, app parameters).
+        Job configuration (nprocs, seed).
     plan:
         Injections per region; defaults honour ``REPRO_CAMPAIGN_N``.
-    app_params:
-        Application build parameters, recorded in trial content hashes
-        so result stores from different configurations never alias.
-        (:meth:`from_registry` fills this automatically.)
     """
 
     def __init__(
@@ -154,15 +158,28 @@ class Campaign:
         config: JobConfig,
         plan: CampaignPlan | None = None,
         seed: int = 20040607,
-        app_params: dict | None = None,
     ) -> None:
         self.app_factory = app_factory
         self.config = config
         self.plan = plan or default_plan()
         self.seed = seed
-        self.app_params = dict(app_params or {})
         app = app_factory()
         self.app_name = getattr(app, "name", type(app).__name__)
+        defaults = getattr(app, "DEFAULTS", {})
+        self.app_params = {
+            key: value
+            for key, value in getattr(app, "params", {}).items()
+            if key not in defaults or value != defaults[key]
+        }
+        #: What names this campaign's trials: every trial key starts with
+        #: it, and it keys the predictor cache.
+        self.identity = (
+            self.app_name,
+            canonical_params(self.app_params),
+            config.nprocs,
+            config.seed,
+            seed,
+        )
         self._reference: ReferenceProfile | None = None
         self._oracle = None
         self._predictor = None
@@ -192,15 +209,8 @@ class Campaign:
                 f"unknown application {app!r}; known: "
                 f"{', '.join(sorted(APPLICATION_SUITE))}"
             ) from None
-        params = dict(app_params or {})
-        factory = functools.partial(app_cls, **params) if params else app_cls
-        return cls(
-            factory,
-            config or JobConfig(nprocs=nprocs),
-            plan=plan,
-            seed=seed,
-            app_params=params,
-        )
+        factory = functools.partial(app_cls, **app_params) if app_params else app_cls
+        return cls(factory, config or JobConfig(nprocs=nprocs), plan=plan, seed=seed)
 
     # ------------------------------------------------------------------
     # reference run
@@ -274,7 +284,9 @@ class Campaign:
     # engine delegation
     # ------------------------------------------------------------------
     def execution_context(self):
-        """The single-trial execution authority for this campaign."""
+        """The single-trial execution authority for this campaign: the
+        only place an :class:`~repro.engine.core.ExecutionContext` and
+        its hang budgets are made."""
         from repro.engine.core import ExecutionContext
 
         ref = self.reference()
@@ -298,12 +310,11 @@ class Campaign:
             self._oracle = MaskingOracle.from_campaign(self)
         return self._oracle
 
-    #: Cross-campaign predictor cache.  The predictor is a pure function
-    #: of the linked program and reference profile, so campaigns of one
-    #: program (the same factory, or equal partials of one class) with
-    #: the same ranks and seeds - successive regions, CLI reruns,
-    #: benchmark repetitions - share one build (~1.5 s of taint dataflow
-    #: for wavetoy).
+    #: Cross-campaign predictor cache, keyed by ``identity``.  The
+    #: predictor is a pure function of the linked program and reference
+    #: profile, so campaigns of one program with the same ranks and
+    #: seeds - successive regions, CLI reruns, benchmark repetitions -
+    #: share one build (~1.5 s of taint dataflow for wavetoy).
     _predictor_cache: dict = {}
 
     def outcome_predictor(self):
@@ -315,22 +326,14 @@ class Campaign:
         if self._predictor is None:
             from repro.staticanalysis.outcomes.predictor import OutcomePredictor
 
-            factory = self.app_factory
-            if isinstance(factory, functools.partial):
-                factory = (
-                    factory.func,
-                    factory.args,
-                    tuple(sorted(factory.keywords.items())),
-                )
-            key = (factory, self.config.nprocs, self.config.seed, self.seed)
+            key = self.identity
             try:
                 cached = Campaign._predictor_cache.get(key)
             except TypeError:  # unhashable app param: build uncached
                 cached = key = None
             if cached is not None:
                 self._predictor = cached
-                if self._oracle is None:
-                    self._oracle = cached.oracle
+                self._oracle = cached.oracle
             else:
                 self._predictor = OutcomePredictor.from_campaign(self)
                 if key is not None:
@@ -350,9 +353,12 @@ class Campaign:
     def run_injection(
         self, spec: FaultSpec, rng: np.random.Generator
     ) -> tuple[Manifestation, InjectionRecord, JobResult]:
-        from repro.engine.core import run_single
+        """Run one job with ``spec`` armed, replaying the golden prefix,
+        and classify it against the reference run; ``rng`` drives the
+        injector's draws."""
+        from repro.engine.core import run_observed
 
-        return run_single(self.execution_context(), spec, rng)
+        return run_observed(self.execution_context(), spec, rng)[:3]
 
     # ------------------------------------------------------------------
     # region and full campaign

@@ -121,6 +121,10 @@ class RunArtifacts(TrialSink):
     ``summary.json`` + ``report.html`` *from the files just written* -
     the same derivation ``python -m repro report DIR`` re-runs later,
     which is what makes regeneration bit-identical by construction.
+
+    A directory holds one run: one that already holds a manifest or an
+    event log raises :class:`FileExistsError` before anything is
+    written, so a second run cannot fold its trials into the first's.
     """
 
     def __init__(
@@ -132,6 +136,12 @@ class RunArtifacts(TrialSink):
         hub=None,
     ) -> None:
         self.directory = Path(directory)
+        for name in (MANIFEST_NAME, EVENTS_NAME):
+            if (self.directory / name).exists():
+                raise FileExistsError(
+                    f"{self.directory} already holds a run ({name}); "
+                    f"use a new directory"
+                )
         self.directory.mkdir(parents=True, exist_ok=True)
         self.metrics_interval = max(1, metrics_interval)
         self.hub = hub

@@ -40,7 +40,6 @@ def make_campaign():
         JobConfig(nprocs=SMALL_NPROCS),
         plan=CampaignPlan(per_region={r.value: N for r in Region}),
         seed=3,
-        app_params=SMALL_WAVETOY,
     )
 
 

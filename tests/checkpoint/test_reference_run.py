@@ -31,7 +31,6 @@ def make_campaign(app="wavetoy"):
         functools.partial(factory, **params),
         JobConfig(nprocs=SMALL_NPROCS, seed=17),
         seed=17,
-        app_params=params,
     )
 
 

@@ -1,17 +1,18 @@
-"""Regression tests pinning every hang-budget call site to the one
-formula home (`repro.engine.budgets`).
+"""Regression tests pinning the hang budgets to the one formula home
+(`repro.engine.budgets`).
 
 The formula used to live twice - in ``ReferenceProfile`` and inline in
-``run_with_fault`` - and the copies drifted (the runner added the
-+300/+2000 slack terms, the campaign originally did not).  These tests
-fail if either call site grows its own arithmetic again.
+a second single-fault runner - and the copies drifted (the runner added
+the +300/+2000 slack terms, the campaign originally did not).  The
+runner is gone: ``Campaign.execution_context`` is the only place a
+context and its budgets are made.  These tests fail if the profile or the
+context grows its own arithmetic again.
 """
 
 import pytest
 
 from repro.engine import budgets
-from repro.engine.core import ExecutionContext
-from repro.injection.campaign import ReferenceProfile
+from repro.injection.campaign import Campaign, ReferenceProfile
 from repro.mpi.simulator import JobConfig, JobResult, JobStatus
 
 
@@ -36,12 +37,6 @@ class TestFormula:
         assert budgets.block_budget(1000) == int(1000 * 2.5) + 2000
         assert budgets.block_budget(0) == 2000
 
-    def test_hang_budgets_pair(self):
-        assert budgets.hang_budgets(100, [10, 40, 20]) == (
-            budgets.round_budget(100),
-            budgets.block_budget(40),
-        )
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             budgets.round_budget(-1)
@@ -62,31 +57,19 @@ class TestCallSites:
         assert profile.block_limit == budgets.block_budget(1000)
 
     def test_execution_context_delegates(self):
-        """``run_with_fault`` builds its context through
-        ``ExecutionContext.from_reference``; its budgets must come from
-        the same formulas the campaign uses."""
-        reference = fake_result()
-        ctx = ExecutionContext.from_reference(
-            lambda: object(), JobConfig(nprocs=3), reference
-        )
-        assert ctx.round_limit == budgets.round_budget(reference.rounds)
-        assert ctx.block_limit == budgets.block_budget(1000)
+        """The campaign's context, which every trial runs under, takes
+        its budgets from the same formulas."""
+        from repro.apps import WavetoyApp
 
-    def test_both_call_sites_agree(self):
-        """Campaign profile and runner context produce identical budgets
-        from the same fault-free measurements."""
-        reference = fake_result(rounds=77, blocks=(123, 456))
-        profile = ReferenceProfile(
+        reference = fake_result()
+        campaign = Campaign(WavetoyApp, JobConfig(nprocs=3))
+        campaign._reference = ReferenceProfile(
             result=reference,
             blocks_per_rank=list(reference.blocks_per_rank),
-            received_bytes_per_rank=[0, 0],
+            received_bytes_per_rank=[0, 0, 0],
             rounds=reference.rounds,
             dictionary=None,
         )
-        ctx = ExecutionContext.from_reference(
-            lambda: object(), JobConfig(nprocs=2), reference
-        )
-        assert (ctx.round_limit, ctx.block_limit) == (
-            profile.round_limit,
-            profile.block_limit,
-        )
+        ctx = campaign.execution_context()
+        assert ctx.round_limit == budgets.round_budget(reference.rounds)
+        assert ctx.block_limit == budgets.block_budget(1000)

@@ -37,7 +37,6 @@ def small_campaign(seed=3, n=N_PER_REGION):
         JobConfig(nprocs=SMALL_NPROCS),
         plan=CampaignPlan(per_region={r.value: n for r in Region}),
         seed=seed,
-        app_params=SMALL_WAVETOY,
     )
 
 

@@ -184,6 +184,32 @@ class TestCampaignCli:
         ]) == 0
         assert "no stored trials" in capsys.readouterr().out
 
+    def test_merge_of_a_missing_input(self, capsys, tmp_path):
+        """A missing input exits 2 naming it, and leaves an earlier
+        output as it was."""
+        merged = tmp_path / "merged.jsonl"
+        merged.write_text("earlier\n")
+        missing = tmp_path / "nosuch.jsonl"
+        assert main([
+            "campaign", "merge", str(missing), "--out", str(merged)
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert str(missing) in line
+        assert merged.read_text() == "earlier\n"
+
+    @pytest.mark.parametrize("suffix", ["jsonl", "sqlite"])
+    def test_empty_merge_leaves_its_output(self, capsys, tmp_path, suffix):
+        empty = tmp_path / "empty.jsonl"
+        empty.touch()
+        merged = tmp_path / f"merged.{suffix}"
+        assert main(["campaign", "merge", str(empty), "--out", str(merged)]) == 0
+        assert "wrote 0 unique trials" in capsys.readouterr().out
+        assert merged.exists()
+        assert main(["campaign", "status", "--store", str(merged)]) == 0
+        assert "no stored trials" in capsys.readouterr().out
+
 
 def error_lines(err: str) -> list[str]:
     return [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
@@ -202,6 +228,10 @@ class TestMalformedInput:
             (["trace", "run", "--app", "wavetoy", "--nprocs", "0"], "--nprocs"),
             (["trace", "run", "--app", "wavetoy", "--index", "-1"], "--index"),
             (["analyze", "--mpi", "--nprocs", "0", "wavetoy"], "--nprocs"),
+            (["analyze", "--mpi", "--outcomes", "--nprocs", "2", "wavetoy"],
+             "--outcomes"),
+            (["analyze", "--translate", "--propagation", "wavetoy"],
+             "--propagation"),
             (["campaign", "run", "--app", "wavetoy", "--jobs", "0"], "--jobs"),
             (["campaign", "run", "--app", "wavetoy", "--jobs", "-1"], "--jobs"),
             (["campaign", "run", "--app", "wavetoy", "--log-interval", "-3"],
@@ -214,7 +244,9 @@ class TestMalformedInput:
         ],
         ids=[
             "campaign-regions", "campaign-nprocs", "trace-region",
-            "trace-nprocs", "trace-index", "analyze-nprocs", "campaign-jobs-0",
+            "trace-nprocs", "trace-index", "analyze-nprocs",
+            "analyze-mpi-outcomes", "analyze-translate-propagation",
+            "campaign-jobs-0",
             "campaign-jobs-negative", "campaign-log-interval", "work-jobs",
             "work-poll-interval-negative", "work-poll-interval-0",
         ],
@@ -326,6 +358,34 @@ class TestServeAndArtifactsCli:
 
         assert main(["report", str(run_dir), "--check"]) == 0
         assert "reproduce exactly" in capsys.readouterr().out
+
+    def test_artifacts_directory_holds_one_run(self, capsys, tmp_path):
+        """A second run into a used directory exits 2 with one line,
+        stops its server, and leaves the first run's record intact."""
+        import threading
+
+        run_dir = tmp_path / "run"
+        assert main(campaign_run_args(
+            tmp_path / "out.jsonl", ["-n", "3", "--artifacts", str(run_dir)]
+        )) == 0
+        capsys.readouterr()
+        record = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        again = campaign_run_args(
+            tmp_path / "again.jsonl",
+            ["-n", "3", "--serve", "127.0.0.1:0", "--artifacts", str(run_dir)],
+        )
+        assert main(again) == 2
+        (line,) = [
+            line for line in capsys.readouterr().err.splitlines()
+            if not line.startswith("serving telemetry")
+        ]
+        assert str(run_dir) in line and "already holds a run" in line
+        assert "repro-telemetry" not in {t.name for t in threading.enumerate()}
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == record
+        assert not (tmp_path / "again.jsonl").exists()
+        assert main(["report", str(run_dir), "--check"]) == 0
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert sum(row["trials"] for row in summary["regions"]) == 3
 
     def test_manifest_records_params_once(self, tmp_path):
         """The manifest's top-level ``params`` is the one record of the

@@ -1,16 +1,14 @@
-"""Harness: table rendering and single-fault runs."""
+"""Harness: table rendering and the experiment registry."""
 
 import pytest
 
-from repro.harness.runner import run_fault_free, run_with_fault
 from repro.harness.tables import (
     PAPER_REGION_LABELS,
     render_campaign_table,
     render_profile_table,
 )
 from repro.injection.campaign import Campaign
-from repro.injection.faults import FaultSpec, Region
-from repro.injection.outcomes import Manifestation
+from repro.injection.faults import Region
 from repro.mpi.simulator import JobConfig
 from repro.sampling.plans import CampaignPlan
 from tests.conftest import SMALL_NPROCS, SMALL_WAVETOY
@@ -20,33 +18,6 @@ def wavetoy_factory():
     from repro.apps import WavetoyApp
 
     return WavetoyApp(**SMALL_WAVETOY)
-
-
-class TestRunner:
-    def test_fault_free(self):
-        result = run_fault_free(wavetoy_factory, JobConfig(nprocs=SMALL_NPROCS))
-        assert result.completed
-
-    def test_run_with_fault_classifies(self):
-        cfg = JobConfig(nprocs=SMALL_NPROCS)
-        ref = run_fault_free(wavetoy_factory, cfg)
-        spec = FaultSpec(
-            Region.REGULAR_REG, 0, time_blocks=ref.blocks_per_rank[0] // 2,
-            bit=30, reg_index=4,  # ESP flip mid-run: near-certain crash
-        )
-        manifestation, record, result = run_with_fault(
-            wavetoy_factory, cfg, spec, reference=ref
-        )
-        assert record.delivered
-        assert manifestation in set(Manifestation)
-
-    def test_reference_computed_on_demand(self):
-        spec = FaultSpec(Region.MESSAGE, 0, bit=0, target_byte=10**9)
-        manifestation, record, _ = run_with_fault(
-            wavetoy_factory, JobConfig(nprocs=SMALL_NPROCS), spec
-        )
-        assert manifestation is Manifestation.CORRECT
-        assert not record.delivered
 
 
 class TestTableRendering:

@@ -86,6 +86,18 @@ class TestExecution:
         assert result.total_injections() == 8
         assert result.app_name == "wavetoy"
 
+    def test_run_injection_computes_the_reference_on_demand(self):
+        """A hand-made fault runs on a fresh campaign: the reference run
+        it is classified against is made on demand."""
+        from repro.injection.faults import FaultSpec
+
+        c = small_campaign()
+        spec = FaultSpec(Region.MESSAGE, 0, bit=0, target_byte=10**9)
+        manifestation, record, _ = c.run_injection(spec, np.random.default_rng(0))
+        assert manifestation is Manifestation.CORRECT
+        assert not record.delivered
+        assert c._reference is not None
+
     def test_fault_free_determinism_guard(self):
         """Two fresh fault-free runs must classify as CORRECT against the
         reference - otherwise the whole campaign is unsound."""
@@ -99,22 +111,42 @@ class TestExecution:
         assert classify(result, ref.result) is Manifestation.CORRECT
 
 
-class TestOneOracle:
-    """A campaign builds its masking oracle once: every engine and the
-    outcome predictor share it."""
+@pytest.fixture
+def oracle_builds(monkeypatch):
+    """Every ``MaskingOracle`` built while the test runs, with an empty
+    predictor cache (a cached predictor would lend its oracle)."""
+    from repro.staticanalysis.propagation.pruning import MaskingOracle
 
-    def test_region_runs_and_engines_share_one_build(self, monkeypatch):
+    builds = []
+    init = MaskingOracle.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MaskingOracle, "__init__", counted)
+    monkeypatch.setattr(Campaign, "_predictor_cache", {})
+    return builds
+
+
+class TestOneOracle:
+    """A campaign builds its masking oracle once, and only when a region
+    loop asks it: every region run and the outcome predictor share it."""
+
+    def test_region_runs_and_engines_share_one_build(
+        self, monkeypatch, oracle_builds
+    ):
         from repro.staticanalysis.propagation.pruning import MaskingOracle
 
-        builds = []
-        init = MaskingOracle.__init__
+        builds = oracle_builds
+        asked = []
+        verdict = MaskingOracle.verdict
 
-        def counted(self, *args, **kwargs):
-            builds.append(self)
-            init(self, *args, **kwargs)
+        def noted(self, spec):
+            asked.append(self)
+            return verdict(self, spec)
 
-        monkeypatch.setattr(MaskingOracle, "__init__", counted)
-        monkeypatch.setattr(Campaign, "_predictor_cache", {})
+        monkeypatch.setattr(MaskingOracle, "verdict", noted)
 
         def campaign():
             return Campaign.from_registry(
@@ -124,8 +156,10 @@ class TestOneOracle:
         first = campaign()
         for region in (Region.TEXT, Region.BSS, Region.MESSAGE):
             first.run_region(region, 2)
+        asked.clear()
         with first.engine(stratify=True) as eng:
-            assert eng.prune.__self__ is first.masking_oracle()
+            eng.run_region(Region.TEXT, 2)
+        assert asked and set(asked) == {first.masking_oracle()}
         with first.engine() as eng:
             eng.run_trials([eng.make_spec(Region.HEAP, 0)])
         assert builds == [first.masking_oracle()]
@@ -137,6 +171,33 @@ class TestOneOracle:
         second.run_region(Region.TEXT, 2)
         assert second.masking_oracle() is second.outcome_predictor().oracle
         assert len(builds) == 1
+
+    def test_explicit_trials_build_no_oracle(self, oracle_builds, tmp_path):
+        """``trace run`` and a distributed worker's engine only run
+        explicit trials, which no oracle judges."""
+        import json
+
+        from repro.__main__ import main
+        from repro.engine.coordination import (
+            CoordinatorService,
+            LeaseExecutor,
+            WorkerClient,
+        )
+
+        params = ",".join(f"{k}={v}" for k, v in SMALL_WAVETOY.items())
+        assert main([
+            "trace", "run", "--app", "wavetoy", "--nprocs", str(SMALL_NPROCS),
+            "--params", params, "--region", "text,data",
+            "--out", str(tmp_path / "trial.json"),
+        ]) == 0
+        campaign = Campaign.from_registry(
+            "wavetoy", nprocs=SMALL_NPROCS, app_params=SMALL_WAVETOY
+        )
+        service = CoordinatorService(campaign, LeaseExecutor(), hub=None)
+        manifest = json.loads(json.dumps(service.manifest()))
+        with WorkerClient("127.0.0.1:9")._build_engine(manifest) as engine:
+            engine.run_trials([engine.make_spec(Region.TEXT, 0)])
+        assert oracle_builds == []
 
 
 class TestPredictorCache:
@@ -167,17 +228,16 @@ class TestPredictorCache:
                 "wavetoy", nprocs=2, app_params=params, seed=9
             )
 
-        # No app_params: the factory, not the app's name, names the program.
+        # The app the factory builds names the program, however the
+        # factory is written.
         small = Campaign(
             lambda: WavetoyApp(**SMALL_WAVETOY), JobConfig(nprocs=2), seed=9
         )
         assert small.outcome_predictor() is not registry().outcome_predictor()
         assert registry().outcome_predictor() is registry().outcome_predictor()
-        assert (
-            registry(**SMALL_WAVETOY).outcome_predictor()
-            is registry(**SMALL_WAVETOY).outcome_predictor()
-        )
-        assert len(builds) == 3
+        assert registry(damping=0.15).outcome_predictor() is registry().outcome_predictor()
+        assert registry(**SMALL_WAVETOY).outcome_predictor() is small.outcome_predictor()
+        assert len(builds) == 2
 
     def test_unhashable_params_build_uncached(self, builds):
         import functools
@@ -189,14 +249,66 @@ class TestPredictorCache:
 
         params = dict(SMALL_WAVETOY, labels=["a"])
         campaigns = [
-            Campaign(
-                functools.partial(ListParamWavetoy, **params),
-                JobConfig(nprocs=2),
-                app_params=params,
-            )
+            Campaign(functools.partial(ListParamWavetoy, **params), JobConfig(nprocs=2))
             for _ in range(2)
         ]
         for campaign in campaigns:
             campaign.outcome_predictor()
         assert builds == campaigns
         assert Campaign._predictor_cache == {}
+
+
+class TestIdentity:
+    """The app a campaign's factory builds names the program its trials
+    are keyed by: how the factory is written never moves a key, a param
+    given at its default value keys as if omitted, and a store of one
+    program never answers another's trials."""
+
+    INDICES = (0, 1, 7)
+
+    def keys(self, campaign):
+        with campaign.engine() as eng:
+            return [
+                eng.make_spec(region, index).key
+                for region in Region
+                for index in self.INDICES
+            ]
+
+    def test_every_factory_of_one_program_makes_its_keys(self):
+        import functools
+
+        from repro.apps import WavetoyApp
+
+        config = JobConfig(nprocs=2)
+        small = [
+            Campaign(functools.partial(WavetoyApp, **SMALL_WAVETOY), config, seed=9),
+            Campaign(lambda: WavetoyApp(**SMALL_WAVETOY), config, seed=9),
+            Campaign.from_registry(
+                "wavetoy", nprocs=2, app_params=SMALL_WAVETOY, seed=9
+            ),
+            Campaign.from_registry(
+                "wavetoy", nprocs=2, app_params=dict(SMALL_WAVETOY, damping=0.15),
+                seed=9,
+            ),
+        ]
+        keys = [self.keys(c) for c in small]
+        assert len(set(keys[0])) == len(Region) * len(self.INDICES)
+        assert keys[1:] == [keys[0]] * 3
+        assert all(c.app_params == SMALL_WAVETOY for c in small)
+        default = self.keys(Campaign.from_registry("wavetoy", nprocs=2, seed=9))
+        assert set(default).isdisjoint(keys[0])
+        assert self.keys(
+            Campaign.from_registry(
+                "wavetoy", nprocs=2, app_params={"damping": 0.15}, seed=9
+            )
+        ) == default
+
+    def test_resume_never_reads_another_programs_trials(self, tmp_path):
+        from repro.apps import WavetoyApp
+
+        store = tmp_path / "default.jsonl"
+        default = Campaign.from_registry("wavetoy", nprocs=2, seed=9)
+        assert default.run_region(Region.MESSAGE, 3, store=store).executed == 3
+        small = Campaign(lambda: WavetoyApp(**SMALL_WAVETOY), JobConfig(nprocs=2), seed=9)
+        row = small.run_region(Region.MESSAGE, 3, store=store, resume=True)
+        assert (row.executed, row.resumed) == (3, 0)

@@ -1,9 +1,10 @@
 """Cross-application detection scenarios: each app's characteristic
 detector, driven end-to-end through the injector."""
 
+import numpy as np
 import pytest
 
-from repro.harness.runner import run_fault_free, run_with_fault
+from repro.injection.campaign import Campaign
 from repro.injection.faults import FaultSpec, Region
 from repro.injection.outcomes import Manifestation
 from repro.mpi.simulator import Job, JobConfig, JobStatus
@@ -31,7 +32,8 @@ class TestMoldynDetectors:
     def test_nan_check_catches_velocity_corruption(self, cfg):
         """A huge exponent flip in the velocity array drives the kinetic
         energy to Inf/NaN; moldyn's per-step NaN check aborts."""
-        ref = run_fault_free(moldyn, cfg)
+        ref = Job(moldyn(), cfg).run()
+        assert ref.completed
         job = Job(moldyn(), cfg)
 
         def corrupt(j):
@@ -51,12 +53,13 @@ class TestMoldynDetectors:
         assert "NaN" in result.detail or "bound" in result.detail
 
     def test_register_fault_can_crash_moldyn(self, cfg):
-        ref = run_fault_free(moldyn, cfg)
+        campaign = Campaign(moldyn, cfg)
+        ref = campaign.reference().result
         spec = FaultSpec(
             Region.REGULAR_REG, 2,
             time_blocks=ref.blocks_per_rank[2] // 2, bit=27, reg_index=4,
         )
-        m, record, _ = run_with_fault(moldyn, cfg, spec, reference=ref)
+        m, record, _ = campaign.run_injection(spec, np.random.default_rng(0))
         assert record.delivered
         assert m in (Manifestation.CRASH, Manifestation.HANG)
 
@@ -65,7 +68,8 @@ class TestClimateDetectors:
     def test_moisture_check_catches_q_corruption(self, cfg):
         """Flipping the sign bit of a moisture cell drives it below the
         minimum threshold: the QNEG check aborts (the CAM mechanism)."""
-        ref = run_fault_free(climate, cfg)
+        ref = Job(climate(), cfg).run()
+        assert ref.completed
         job = Job(climate(), cfg)
 
         def corrupt(j):
@@ -86,7 +90,8 @@ class TestClimateDetectors:
         """A modest T perturbation passes the NaN check and lands in the
         binary history output: Incorrect Output, CAM's dominant silent
         mode."""
-        ref = run_fault_free(climate, cfg)
+        ref = Job(climate(), cfg).run()
+        assert ref.completed
         job = Job(climate(), cfg)
 
         def corrupt(j):
@@ -104,7 +109,8 @@ class TestClimateDetectors:
         assert result.outputs != ref.outputs  # silent data corruption
 
     def test_fp_stack_fault_during_physics(self, cfg):
-        ref = run_fault_free(climate, cfg)
+        campaign = Campaign(climate, cfg)
+        ref = campaign.reference().result
         outcomes = set()
         for i in range(4):
             spec = FaultSpec(
@@ -112,8 +118,6 @@ class TestClimateDetectors:
                 time_blocks=1 + (ref.blocks_per_rank[1] * i) // 4,
                 bit=72, fp_target="st0",
             )
-            m, record, _ = run_with_fault(
-                climate, cfg, spec, reference=ref, seed=i
-            )
+            m, record, _ = campaign.run_injection(spec, np.random.default_rng(i))
             outcomes.add(m)
         assert Manifestation.CORRECT in outcomes or len(outcomes) > 0

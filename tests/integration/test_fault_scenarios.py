@@ -1,10 +1,12 @@
 """End-to-end fault scenarios: specific mechanisms the paper describes,
 each driven through the full stack (app + runtime + injector +
-classifier)."""
+classifier) by ``Campaign.run_injection``, which replays the golden
+prefix up to each fault."""
 
+import numpy as np
 import pytest
 
-from repro.harness.runner import run_fault_free, run_with_fault
+from repro.injection.campaign import Campaign
 from repro.injection.faults import FaultSpec, Region
 from repro.injection.outcomes import Manifestation
 from repro.mpi.simulator import JobConfig
@@ -23,12 +25,21 @@ def cfg():
 
 
 @pytest.fixture(scope="module")
-def reference(cfg):
-    return run_fault_free(wavetoy, cfg)
+def campaign(cfg):
+    return Campaign(wavetoy, cfg)
+
+
+@pytest.fixture(scope="module")
+def reference(campaign):
+    return campaign.reference().result
+
+
+def inject(campaign, spec, seed=0):
+    return campaign.run_injection(spec, np.random.default_rng(seed))
 
 
 class TestRegisterScenarios:
-    def test_esp_flip_crashes(self, cfg, reference):
+    def test_esp_flip_crashes(self, campaign, reference):
         """A corrupted stack pointer derails the next push/pop/ret.
 
         A single flip can be healed when the epilogue's ``mov esp, ebp``
@@ -42,14 +53,14 @@ class TestRegisterScenarios:
                 time_blocks=reference.blocks_per_rank[1] * frac // 10,
                 bit=28, reg_index=4,
             )
-            m, record, _ = run_with_fault(wavetoy, cfg, spec, reference=reference)
+            m, record, _ = inject(campaign, spec)
             assert record.delivered
             outcomes.append(m)
         assert any(
             m in (Manifestation.CRASH, Manifestation.HANG) for m in outcomes
         )
 
-    def test_fp_inert_special_register_is_benign(self, cfg, reference):
+    def test_fp_inert_special_register_is_benign(self, campaign, reference):
         """FIP holds the last FP instruction pointer; nothing consumes
         it, so flips there never manifest (section 6.1.1)."""
         spec = FaultSpec(
@@ -57,62 +68,62 @@ class TestRegisterScenarios:
             time_blocks=reference.blocks_per_rank[0] // 2,
             bit=9, fp_target="fip",
         )
-        m, record, _ = run_with_fault(wavetoy, cfg, spec, reference=reference)
+        m, record, _ = inject(campaign, spec)
         assert record.delivered
         assert m is Manifestation.CORRECT
 
 
 class TestMemoryScenarios:
-    def test_text_flip_before_execution_can_sigill(self, cfg, reference):
+    def test_text_flip_before_execution_can_sigill(self, campaign, reference):
         """Flip the opcode byte of the step kernel's first instruction:
         the next fetch decodes a corrupted word."""
         from repro.mpi.simulator import Job
 
-        probe = Job(wavetoy(), cfg)
+        probe = Job(wavetoy(), campaign.config)
         addr = probe.images[0].addr_of("wt_step")
         spec = FaultSpec(
             Region.TEXT, 0, time_blocks=10, bit=7, address=addr
         )
-        m, record, result = run_with_fault(wavetoy, cfg, spec, reference=reference)
+        m, record, result = inject(campaign, spec)
         assert record.delivered
         assert m in (Manifestation.CRASH, Manifestation.HANG, Manifestation.INCORRECT)
 
-    def test_cold_text_flip_is_benign(self, cfg, reference):
+    def test_cold_text_flip_is_benign(self, campaign, reference):
         """Flips in never-executed padding code cannot manifest."""
         from repro.mpi.simulator import Job
 
-        probe = Job(wavetoy(), cfg)
+        probe = Job(wavetoy(), campaign.config)
         addr = probe.images[0].addr_of("wt_io_cold") + 100
         spec = FaultSpec(Region.TEXT, 0, time_blocks=10, bit=3, address=addr)
-        m, record, _ = run_with_fault(wavetoy, cfg, spec, reference=reference)
+        m, record, _ = inject(campaign, spec)
         assert record.delivered
         assert m is Manifestation.CORRECT
 
-    def test_unread_bss_flip_is_benign(self, cfg, reference):
+    def test_unread_bss_flip_is_benign(self, campaign, reference):
         from repro.mpi.simulator import Job
 
-        probe = Job(wavetoy(), cfg)
+        probe = Job(wavetoy(), campaign.config)
         addr = probe.images[0].addr_of("wt_workspace") + 64
         spec = FaultSpec(Region.BSS, 0, time_blocks=10, bit=3, address=addr)
-        m, record, _ = run_with_fault(wavetoy, cfg, spec, reference=reference)
+        m, record, _ = inject(campaign, spec)
         assert record.delivered
         assert m is Manifestation.CORRECT
 
-    def test_solver_constant_flip_changes_output(self, cfg, reference):
+    def test_solver_constant_flip_changes_output(self, campaign, reference):
         """The r^2 coefficient is loaded every row: a high-exponent-bit
         flip destabilises the integration."""
         from repro.mpi.simulator import Job
 
-        probe = Job(wavetoy(), cfg)
+        probe = Job(wavetoy(), campaign.config)
         addr = probe.images[0].addr_of("wt_r2c") + 7  # exponent byte
         spec = FaultSpec(Region.DATA, 0, time_blocks=10, bit=5, address=addr)
-        m, record, _ = run_with_fault(wavetoy, cfg, spec, reference=reference)
+        m, record, _ = inject(campaign, spec)
         assert record.delivered
         assert m is not Manifestation.CORRECT
 
 
 class TestStackScenarios:
-    def test_stack_faults_sampleable_every_time(self, cfg, reference):
+    def test_stack_faults_sampleable_every_time(self, campaign, reference):
         """Stack injection must always find live user frames."""
         delivered = 0
         for i in range(6):
@@ -121,20 +132,18 @@ class TestStackScenarios:
                 time_blocks=1 + (reference.blocks_per_rank[0] * i) // 6,
                 bit=i % 8,
             )
-            _, record, _ = run_with_fault(
-                wavetoy, cfg, spec, reference=reference, seed=i
-            )
+            _, record, _ = inject(campaign, spec, seed=i)
             delivered += record.delivered
         assert delivered == 6
 
-    def test_descriptor_flip_can_trigger_mpi_detected(self, cfg, reference):
+    def test_descriptor_flip_can_trigger_mpi_detected(self, campaign, reference):
         """Deterministically corrupt an MPI-call descriptor in the stack
         locals: the next send sees an invalid rank and the registered
         error handler fires (the paper's stack->MPI-Detected pathway)."""
         from repro.injection.outcomes import classify
         from repro.mpi.simulator import Job
 
-        job = Job(wavetoy(), cfg)
+        job = Job(wavetoy(), campaign.config)
 
         def corrupt(j):
             # Flip a high bit in rank 1's "up" descriptor (4 bytes before
@@ -160,7 +169,7 @@ class TestStackScenarios:
 
 
 class TestHeapScenarios:
-    def test_hot_array_exponent_flip_manifests(self, cfg, reference):
+    def test_hot_array_exponent_flip_manifests(self, campaign, reference):
         """Force the scan to land in u_curr by seeding: across several
         seeds at least one heap fault must manifest (the arrays are hot),
         and at least one must be masked (the cold buffer dominates)."""
@@ -171,9 +180,7 @@ class TestHeapScenarios:
                 time_blocks=1 + (reference.blocks_per_rank[0] * i) // 10,
                 bit=7,
             )
-            m, record, _ = run_with_fault(
-                wavetoy, cfg, spec, reference=reference, seed=100 + i
-            )
+            m, record, _ = inject(campaign, spec, seed=100 + i)
             if record.delivered:
                 outcomes.append(m)
         assert outcomes.count(Manifestation.CORRECT) > 0

@@ -31,12 +31,12 @@ class TestScale:
         with damping disabled, a perturbation visible at few steps stays
         visible at many."""
         from repro.apps import WavetoyApp
-        from repro.harness.runner import run_fault_free
         from repro.injection import classify, Manifestation
 
         params = dict(steps=48, damping=0.0, output_stride=1)
         cfg = JobConfig(nprocs=8)
-        ref = run_fault_free(lambda: WavetoyApp(**params), cfg)
+        ref = Job(WavetoyApp(**params), cfg).run()
+        assert ref.completed
         job = Job(WavetoyApp(**params), cfg)
 
         def corrupt(j):

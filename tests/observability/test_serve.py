@@ -203,6 +203,14 @@ class TestStoreTelemetry:
         # Only the appended bytes were parsed.
         assert telemetry._follower._offset > offset_after_first
 
+    def test_follows_a_store_not_yet_written(self, tmp_path):
+        from tests.engine.test_trial_store import make_result
+
+        telemetry = StoreTelemetry(tmp_path / "s.jsonl")
+        assert telemetry.status_payload()["regions"] == []
+        self._store_with(tmp_path, [make_result(index=i) for i in range(2)])
+        assert telemetry.status_payload()["regions"][0]["trials"] == 2
+
     def test_partial_trailing_line_deferred(self, tmp_path):
         from tests.engine.test_trial_store import make_result
 

@@ -55,7 +55,6 @@ def make_campaign(app_name):
         JobConfig(nprocs=SMALL_NPROCS),
         plan=CampaignPlan(per_region={r.value: 1 for r in Region}),
         seed=11,
-        app_params=params,
     )
 
 

@@ -138,11 +138,14 @@ class TestSoundness:
     @pytest.mark.parametrize("region", SOUNDNESS_REGIONS, ids=lambda r: r.value)
     @pytest.mark.parametrize("app", SOUNDNESS_APPS)
     def test_every_pruned_fault_is_correct(self, soundness_campaigns, app, region):
-        # the differential that matters: execute the faults the engine's
-        # oracle would skip and demand they all come back CORRECT
-        with soundness_campaigns[app].engine() as eng:
+        # the differential that matters: execute the faults the
+        # campaign's oracle, which every region loop asks, would skip and
+        # demand they all come back CORRECT
+        campaign = soundness_campaigns[app]
+        with campaign.engine() as eng:
             specs = [eng.make_spec(region, i) for i in range(24)]
-            pruned = [s for s in specs if eng.prune(s.fault).masked]
+            verdict = campaign.masking_oracle().verdict
+            pruned = [s for s in specs if verdict(s.fault).masked]
             assert pruned  # every one of these regions has cold sites
             for result in eng.run_trials(pruned):
                 assert result.manifestation is Manifestation.CORRECT, (
