@@ -8,9 +8,9 @@ run log doubles as the paper-vs-measured record.
 
 Campaign sizes default to a CI-friendly value; set ``REPRO_CAMPAIGN_N``
 (e.g. 500) to reproduce the paper's scale.  Campaign-backed benches also
-honour ``REPRO_CAMPAIGN_JOBS``: setting it (e.g. to 4) runs their
-injection trials through the engine's process-pool executor, with
-results bit-identical to the serial run.
+honour ``REPRO_CAMPAIGN_JOBS``, which their engines read: setting it
+(e.g. to 4) runs their injection trials through the engine's
+process-pool executor, with results bit-identical to the serial run.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ from repro.harness.experiments import EXPERIMENTS
 
 #: Default injections per region for the campaign benches.
 BENCH_CAMPAIGN_N = int(os.environ.get("REPRO_CAMPAIGN_N", "25"))
-
-#: Parallel workers for campaign-backed benches (1 = serial in-process).
-BENCH_CAMPAIGN_JOBS = int(os.environ.get("REPRO_CAMPAIGN_JOBS", "1"))
 
 
 @dataclass
@@ -81,13 +78,7 @@ def run_experiment(benchmark, capsys):
 
     def runner(exp_id: str, n: int | None = None):
         exp = EXPERIMENTS[exp_id]
-        kwargs = {}
-        if exp.supports_jobs and BENCH_CAMPAIGN_JOBS > 1:
-            kwargs["jobs"] = BENCH_CAMPAIGN_JOBS
-            benchmark.extra_info["jobs"] = BENCH_CAMPAIGN_JOBS
-        out = benchmark.pedantic(
-            exp.run, args=(n,), kwargs=kwargs, rounds=1, iterations=1
-        )
+        out = benchmark.pedantic(exp.run, args=(n,), rounds=1, iterations=1)
         artifact, metrics = out
         benchmark.extra_info["experiment"] = exp_id
         benchmark.extra_info["paper_artifact"] = exp.paper_artifact

@@ -527,17 +527,12 @@ def cmd_campaign_run(args) -> int:
     if args.serve:
         from repro.observability.serve import serve_endpoint
 
-        source = hub
         if args.distribute:
-            from repro.engine.coordination import (
-                CoordinatorService,
-                LeaseExecutor,
-            )
+            from repro.engine.coordination import LeaseExecutor
 
-            executor = LeaseExecutor()
-            source = CoordinatorService(campaign, executor, hub, sinks)
+            executor = LeaseExecutor(campaign, sinks)
         try:
-            server = serve_endpoint(source, args.serve)
+            server = serve_endpoint(hub, args.serve, executor and executor.route)
         except ValueError as exc:
             print(exc, file=sys.stderr)
             return 2
@@ -555,20 +550,15 @@ def cmd_campaign_run(args) -> int:
                 reproduce_command,
             )
 
-            context = campaign.execution_context()
             try:
                 artifacts = RunArtifacts(
                     args.artifacts,
                     {
-                        "app": args.app,
-                        "seed": args.seed,
-                        "nprocs": args.nprocs,
+                        **campaign.manifest(),
                         "regions": [r.value for r in args.regions],
                         "n": args.n,
                         "target_d": args.target_d,
                         "jobs": args.jobs,
-                        "params": campaign.app_params,
-                        "execution": context.describe(),
                         "command": reproduce_command(getattr(args, "_argv", None)),
                     },
                     hub=hub,
@@ -595,20 +585,15 @@ def cmd_campaign_run(args) -> int:
         except KeyboardInterrupt:
             if executor is None:
                 raise
-            print(
-                "interrupted; completed trials are in the store "
-                "(resume with --resume)",
-                file=sys.stderr,
-            )
+            kept = "; completed trials are in the store (resume with --resume)"
+            print(f"interrupted{kept if args.store else ''}", file=sys.stderr)
             return 1
         elapsed = time.time() - t0
         if artifacts is not None:
             artifacts.finalize()
             print(f"wrote artifacts: {args.artifacts}", file=sys.stderr)
         if collector is not None:
-            collector.write(
-                args.trace, metadata={"app": args.app, "seed": args.seed}
-            )
+            collector.write(args.trace, metadata=campaign.manifest())
             print(f"wrote trace: {args.trace}", file=sys.stderr)
         if args.metrics:
             with open(args.metrics, "w") as fh:
@@ -749,10 +734,7 @@ def cmd_trace_run(args) -> int:
             f" ({result.divergence_kind or 'no divergence'}{latency})",
             file=sys.stderr,
         )
-    collector.write(
-        args.out,
-        metadata={"app": args.app, "seed": args.seed, "index": args.index},
-    )
+    collector.write(args.out, metadata=dict(campaign.manifest(), index=args.index))
     print(f"wrote trace: {args.out}", file=sys.stderr)
     if args.metrics_out:
         with open(args.metrics_out, "w") as fh:

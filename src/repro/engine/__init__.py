@@ -24,7 +24,6 @@ from repro.engine.checkpoint import (
     record_golden,
 )
 from repro.engine.coordination import (
-    CoordinatorService,
     LeaseBook,
     LeaseExecutor,
     WorkerClient,
@@ -74,7 +73,6 @@ __all__ = [
     "ReplayPlan",
     "plan_replay",
     "record_golden",
-    "CoordinatorService",
     "LeaseBook",
     "LeaseExecutor",
     "WorkerClient",

@@ -11,15 +11,15 @@ executor whose trials run in other processes, on other machines:
   re-served to a live one.  Time is injected explicitly, which makes
   the machine property-testable under arbitrary interleavings.
 * :class:`LeaseExecutor` - the engine's executor for a distributed
-  campaign.  Each dispatch the engine makes (a fixed-n region, an
-  adaptive wave, a stratified wave) becomes leased batches; results
-  are yielded in submission order, as the process pool yields them,
-  so tallies are bit-identical to a local ``jobs=N`` run.
-* :class:`CoordinatorService` - what ``campaign run --distribute``
-  serves through :mod:`repro.observability.serve`: the scrape
-  endpoints (``/metrics`` ``/status`` ``/progress``) plus ``/manifest``
-  and ``/work`` (GET, JSON) and ``/lease`` and ``/submit`` (POST,
-  JSON).
+  campaign, built from the campaign and its sinks.  Each dispatch the
+  engine makes (a fixed-n region, an adaptive wave, a stratified wave)
+  becomes leased batches; results are yielded in submission order, as
+  the process pool yields them, so tallies are bit-identical to a local
+  ``jobs=N`` run.  It answers the coordination routes itself
+  (:meth:`LeaseExecutor.route`): ``/manifest`` and ``/work`` (GET,
+  JSON) and ``/lease`` and ``/submit`` (POST, JSON), which
+  ``campaign run --distribute`` serves beside the telemetry hub's
+  scrape endpoints through :mod:`repro.observability.serve`.
 * :class:`WorkerClient` - ``campaign work COORD:PORT``: pulls a batch,
   executes it through the one ``execute_trial`` authority, pushes
   results back.
@@ -27,8 +27,10 @@ executor whose trials run in other processes, on other machines:
 Both directions of the wire are plain JSON.  A trial is a pure function
 of its campaign and its ``(region, index)``, so a lease carries only
 ``[region, index]`` pairs: each worker builds its campaign from
-``/manifest`` and samples every spec with its own engine's
-``make_spec``, so it can never execute a spec of another campaign.  A
+``/manifest``, which carries
+:meth:`~repro.injection.campaign.Campaign.manifest`, and samples every
+spec with its own engine's ``make_spec``, so it can never execute a
+spec of another campaign.  A
 submission carries :meth:`~repro.engine.trial.TrialResult.to_json`
 payloads plus the observations the campaign's sinks read (``/manifest``
 lists them): a ``metrics`` snapshot
@@ -51,7 +53,7 @@ import urllib.request
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from repro.engine.progress import observations
+from repro.engine.progress import OBSERVATIONS, observations
 from repro.engine.trial import TrialResult, TrialSpec
 from repro.injection.faults import Region
 from repro.observability.metrics import MetricsSnapshot
@@ -81,6 +83,18 @@ DEFAULT_POLL_INTERVAL = 0.5
 #: Consecutive connection failures a worker tolerates (the coordinator
 #: may not be up yet, or may be briefly unreachable) before giving up.
 CONNECT_RETRIES = 40
+
+#: The campaign fields of ``/manifest`` - the keywords of
+#: :meth:`~repro.injection.campaign.Campaign.from_registry` that
+#: :meth:`~repro.injection.campaign.Campaign.manifest` names - and the
+#: JSON type a worker requires of each.
+CAMPAIGN_FIELDS = {
+    "app": str,
+    "nprocs": int,
+    "app_params": dict,
+    "seed": int,
+    "config_seed": int,
+}
 
 #: Test hook: a worker sleeps this many seconds after leasing a batch
 #: and before executing it.  Lets the chaos suite park a worker
@@ -263,14 +277,21 @@ class LeaseExecutor:
     adds them to the :class:`LeaseBook` and returns an iterator that
     waits for their submissions and yields results in submission
     order, the order ``ParallelExecutor`` yields, so the engine's
-    ingest is the same as a local run's.  Nothing executes here: the
-    HTTP handlers of :class:`CoordinatorService` call
-    :meth:`lease_payload` and :meth:`submit` from their own threads,
-    and a condition variable hands results to the waiting engine.
+    ingest is the same as a local run's.  Nothing executes here: HTTP
+    handler threads call :meth:`route`, which answers from
+    :meth:`lease_payload` and :meth:`submit`, and a condition variable
+    hands results to the waiting engine.
+
+    Built from the ``campaign`` whose trials it leases and the
+    ``sinks`` its engine feeds (for the observations they read), so
+    it serves ``/manifest`` before the engine exists: early workers
+    are told to wait.
     """
 
     def __init__(
         self,
+        campaign,
+        sinks=(),
         *,
         batch_size: int = DEFAULT_BATCH_SIZE,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
@@ -281,6 +302,14 @@ class LeaseExecutor:
         self.batch_size = batch_size
         self.clock = clock
         self.book = LeaseBook((), lease_timeout)
+        #: The ``/manifest`` payload: the campaign's name plus what its
+        #: workers send back.
+        self.manifest = {
+            "schema_version": WORK_SCHEMA_VERSION,
+            **campaign.manifest(),
+            "lease_timeout": lease_timeout,
+            "observations": observations(sinks),
+        }
         self.cond = threading.Condition()
         #: batch id -> ``{trial key: spec}`` in trial order.
         self._batches: dict[int, dict[str, TrialSpec]] = {}
@@ -394,74 +423,20 @@ class LeaseExecutor:
         payload["schema_version"] = WORK_SCHEMA_VERSION
         return payload
 
-
-def _json_body(payload: dict) -> tuple[bytes, str]:
-    body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    return body.encode(), "application/json"
-
-
-class CoordinatorService:
-    """The telemetry source ``campaign run --distribute`` serves.
-
-    Scrape endpoints delegate to the campaign's
-    :class:`~repro.observability.serve.TelemetryHub`, which the engine
-    feeds as results arrive; the coordination routes are served via
-    the handler's ``handle_get``/``handle_post`` extension points.
-    ``/manifest`` needs only the
-    :class:`~repro.injection.campaign.Campaign` and the engine's
-    ``sinks`` (for the observations they read), so the service can
-    serve before the engine exists: early workers are told to wait.
-    """
-
-    def __init__(self, campaign, executor: LeaseExecutor, hub, sinks=()) -> None:
-        self.campaign = campaign
-        self.executor = executor
-        self.hub = hub
-        self.observations = observations(sinks)
-
-    # -- scrape endpoints (delegated) ---------------------------------
-    def metrics_text(self) -> str:
-        return self.hub.metrics_text()
-
-    def status_payload(self) -> dict:
-        return self.hub.status_payload()
-
-    def progress_payload(self) -> dict:
-        return self.hub.progress_payload()
-
-    # -- coordination routes ------------------------------------------
-    def manifest(self) -> dict:
-        """Everything a worker needs to rebuild the one execution
-        authority this campaign runs under."""
-        campaign = self.campaign
-        return {
-            "schema_version": WORK_SCHEMA_VERSION,
-            "app": campaign.app_name,
-            "nprocs": campaign.config.nprocs,
-            "app_params": dict(campaign.app_params),
-            "seed": campaign.seed,
-            "config_seed": campaign.config.seed,
-            "lease_timeout": self.executor.book.lease_timeout,
-            "observations": self.observations,
-        }
-
-    def handle_get(self, path: str):
-        if path == "/manifest":
-            return _json_body(self.manifest())
-        if path == "/work":
-            return _json_body(self.executor.snapshot())
-        return None
-
-    def handle_post(self, path: str, body: bytes):
+    def route(self, method: str, path: str, body: bytes) -> dict | None:
+        """The JSON reply to one coordination request, or ``None`` for a
+        route that is not one of them."""
+        if method == "GET":
+            if path == "/manifest":
+                return self.manifest
+            return self.snapshot() if path == "/work" else None
         if path not in ("/lease", "/submit"):
             return None
         obj = json.loads(body.decode() or "{}")
         worker = str(obj.get("worker", "anonymous"))
         if path == "/lease":
-            return _json_body(self.executor.lease_payload(worker))
-        return _json_body(
-            self.executor.submit(worker, int(obj["batch"]), obj.get("results", []))
-        )
+            return self.lease_payload(worker)
+        return self.submit(worker, int(obj["batch"]), obj.get("results", []))
 
 
 class WorkerError(RuntimeError):
@@ -550,16 +525,32 @@ class WorkerClient:
             f"{self.url}{path}: {last}"
         )
 
-    def _get_json(self, path: str) -> dict:
-        return json.loads(self._request(path).decode())
+    def _reply(self, path: str, body: bytes) -> dict:
+        """The coordinator's reply to ``path`` as a JSON object."""
+        try:
+            reply = json.loads(body.decode())
+            if not isinstance(reply, dict):
+                raise TypeError(f"not a JSON object: {reply!r:.60}")
+        except (TypeError, ValueError) as exc:
+            raise WorkerError(self._malformed(path, exc)) from exc
+        return reply
 
-    def _post_json(self, path: str, payload: dict) -> bytes:
-        return self._request(path, json.dumps(payload).encode())
+    def _malformed(self, path: str, exc: Exception) -> str:
+        return f"malformed {path} reply from {self.url}: {exc!r}"
+
+    def _get_json(self, path: str) -> dict:
+        return self._reply(path, self._request(path))
+
+    def _post_json(self, path: str, payload: dict) -> dict:
+        return self._reply(path, self._request(path, json.dumps(payload).encode()))
 
     # -- the work loop ------------------------------------------------
     def _build_engine(self, manifest: dict):
+        """The engine of the campaign ``manifest`` names, collecting the
+        observations it lists.  Each campaign field must have its JSON
+        type and the registry must build the campaign; otherwise the
+        manifest is refused before anything runs."""
         from repro.injection.campaign import Campaign
-        from repro.mpi.simulator import JobConfig
 
         if manifest.get("schema_version") != WORK_SCHEMA_VERSION:
             raise WorkerError(
@@ -567,30 +558,36 @@ class WorkerClient:
                 f"{manifest.get('schema_version')!r}, worker expects "
                 f"{WORK_SCHEMA_VERSION}"
             )
-        campaign = Campaign.from_registry(
-            manifest["app"],
-            config=JobConfig(
-                nprocs=int(manifest["nprocs"]), seed=int(manifest["config_seed"])
-            ),
-            app_params=manifest.get("app_params") or {},
-            seed=int(manifest["seed"]),
-        )
+        fields = {name: manifest.get(name) for name in CAMPAIGN_FIELDS}
+        observed = manifest.get("observations")
+        try:
+            for name, kind in CAMPAIGN_FIELDS.items():
+                if type(fields[name]) is not kind:
+                    raise TypeError(f"{name} is not {kind.__name__}: {fields[name]!r}")
+            if fields["nprocs"] < 1:
+                raise ValueError(f"nprocs must be >= 1: {fields['nprocs']}")
+            if not isinstance(observed, list) or not OBSERVATIONS.issuperset(observed):
+                raise ValueError(f"unknown observations: {observed!r}")
+            campaign = Campaign.from_registry(**fields)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise WorkerError(self._malformed("/manifest", exc)) from exc
         engine = campaign.engine(jobs=self.jobs)
         # Before the first dispatch, which may pickle the context.
-        engine.context.observe(manifest.get("observations") or ())
+        engine.context.observe(observed)
         return engine
 
     def _lease(self) -> tuple[dict, list[tuple[Region, int]]] | None:
-        """The next grant with its parsed ``(region, index)`` pairs, or
-        ``None`` when the coordinator is unreachable."""
+        """The next grant with its parsed ``(region, index)`` pairs and
+        ``wait`` seconds, or ``None`` when the coordinator is
+        unreachable."""
         try:
             body = self._request(
                 "/lease", json.dumps({"worker": self.name}).encode(), retries=6
             )
         except WorkerError:
             return None
+        grant = self._reply("/lease", body)
         try:
-            grant = json.loads(body.decode())
             trials = grant.get("trials", [])
             if not isinstance(trials, list):
                 raise TypeError(f"trials is not a list: {trials!r}")
@@ -599,18 +596,20 @@ class WorkerClient:
                 if type(index) is not int or index < 0:
                     raise ValueError(f"bad trial index {index!r}")
                 pairs.append((Region(region), index))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise WorkerError(
-                f"malformed lease grant from {self.url}: {exc!r}"
-            ) from exc
+            grant["wait"] = float(grant.get("wait", self.poll_interval))
+            if not grant["wait"] >= 0:
+                raise ValueError(f"bad wait {grant['wait']!r}")
+        except (TypeError, ValueError) as exc:
+            raise WorkerError(self._malformed("/lease", exc)) from exc
         return grant, pairs
 
     def run(self) -> WorkerStats:
         manifest = self._get_json("/manifest")
-        self.log(
-            f"worker {self.name}: joined {manifest['app']} campaign at {self.url}"
-        )
         with self._build_engine(manifest) as engine:
+            self.log(
+                f"worker {self.name}: joined {manifest['app']} campaign at "
+                f"{self.url}"
+            )
             while True:
                 if (
                     self.max_batches is not None
@@ -632,17 +631,17 @@ class WorkerClient:
                     self.log(f"worker {self.name}: campaign complete")
                     return self.stats
                 if "batch" not in grant:
-                    time.sleep(float(grant.get("wait", self.poll_interval)))
+                    time.sleep(grant["wait"])
                     continue
                 specs = [engine.make_spec(*pair) for pair in pairs]
                 if self.hold_seconds:
                     time.sleep(self.hold_seconds)
                 results = engine.run_trials(specs)
-                reply = json.loads(self._post_json("/submit", {
+                reply = self._post_json("/submit", {
                     "worker": self.name,
                     "batch": grant["batch"],
                     "results": [_result_payload(result) for result in results],
-                }).decode())
+                })
                 if reply.get("rejected"):
                     # Keys the coordinator did not lease: this worker's
                     # manifest-built campaign is not the coordinator's.

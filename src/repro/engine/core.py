@@ -69,24 +69,9 @@ class ExecutionContext:
             nprocs=self.config.nprocs,
             seed=self.config.seed,
             track_memory=False,
-            eager_threshold=self.config.eager_threshold,
             round_limit=self.round_limit,
             block_limit=self.block_limit,
         )
-
-    def describe(self) -> dict:
-        """JSON-ready execution-config snapshot for run manifests: every
-        knob that decides trial outcomes but the application parameters
-        (a run manifest's top-level ``params``), none of the runtime
-        state."""
-        return {
-            "app": self.app,
-            "nprocs": self.config.nprocs,
-            "config_seed": self.config.seed,
-            "eager_threshold": self.config.eager_threshold,
-            "round_limit": self.round_limit,
-            "block_limit": self.block_limit,
-        }
 
 
 @dataclass

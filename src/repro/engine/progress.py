@@ -77,6 +77,11 @@ class TrialSink:
         :class:`~repro.injection.campaign.RegionResult`."""
 
 
+#: Every optional :class:`~repro.engine.trial.TrialResult` field a sink
+#: may read.
+OBSERVATIONS = frozenset({"metrics", "trace_events"})
+
+
 def observations(sinks) -> list[str]:
     """The optional result fields any of ``sinks`` reads, sorted: what
     an engine's trials collect, and what a distributed campaign's

@@ -37,12 +37,8 @@ class Experiment:
     description: str
     #: ``run(n) -> (artifact_text, metrics)`` where ``n`` scales the
     #: campaign size / trial count where applicable.  Campaign-backed
-    #: experiments (``supports_jobs``) additionally accept keyword
-    #: ``jobs`` (parallel workers) and ``store`` (JSONL result store).
+    #: experiments run their trials on ``REPRO_CAMPAIGN_JOBS`` workers.
     run: Callable[..., tuple[str, dict]]
-    #: True when ``run`` accepts the engine's ``jobs``/``store`` kwargs
-    #: (the benchmark suite forwards ``REPRO_CAMPAIGN_JOBS`` to these).
-    supports_jobs: bool = False
 
 
 def _config(app_cls) -> JobConfig:
@@ -76,16 +72,10 @@ def _run_table1(n: int | None) -> tuple[str, dict]:
 # T2-T4: injection campaigns
 # ----------------------------------------------------------------------
 def _campaign_runner(app_cls, detection_columns: bool):
-    def run(
-        n: int | None,
-        *,
-        jobs: int | None = None,
-        store=None,
-        resume: bool = False,
-    ) -> tuple[str, dict]:
+    def run(n: int | None) -> tuple[str, dict]:
         plan = default_plan(n)
         campaign = Campaign(app_cls, _config(app_cls), plan=plan)
-        result = campaign.run(jobs=jobs, store=store, resume=resume)
+        result = campaign.run(jobs=None)
         text = render_campaign_table(
             result,
             include_detection_columns=detection_columns,
@@ -410,7 +400,6 @@ EXPERIMENTS: dict[str, Experiment] = {
             "Fault injection results for Cactus Wavetoy (no internal "
             "detection: crash/hang/incorrect only)",
             _campaign_runner(WavetoyApp, detection_columns=False),
-            supports_jobs=True,
         ),
         Experiment(
             "T3",
@@ -418,14 +407,12 @@ EXPERIMENTS: dict[str, Experiment] = {
             "Fault injection results for NAMD (checksums and NaN checks "
             "add App/MPI Detected columns)",
             _campaign_runner(MoldynApp, detection_columns=True),
-            supports_jobs=True,
         ),
         Experiment(
             "T4",
             "Table 4",
             "Fault injection results for CAM",
             _campaign_runner(ClimateApp, detection_columns=True),
-            supports_jobs=True,
         ),
         Experiment(
             "T5",

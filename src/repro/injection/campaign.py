@@ -191,11 +191,11 @@ class Campaign:
         *,
         nprocs: int = 8,
         app_params: dict | None = None,
-        config: JobConfig | None = None,
-        plan: CampaignPlan | None = None,
         seed: int = 20040607,
+        config_seed: int = JobConfig.seed,
     ) -> "Campaign":
-        """Build a campaign over a suite application by name.
+        """Build a campaign over a suite application by name; the
+        keywords are those :meth:`manifest` names.
 
         The resulting factory (``functools.partial`` of the application
         class) is picklable, so the campaign can run with ``jobs > 1``.
@@ -210,7 +210,21 @@ class Campaign:
                 f"{', '.join(sorted(APPLICATION_SUITE))}"
             ) from None
         factory = functools.partial(app_cls, **app_params) if app_params else app_cls
-        return cls(factory, config or JobConfig(nprocs=nprocs), plan=plan, seed=seed)
+        return cls(factory, JobConfig(nprocs=nprocs, seed=config_seed), seed=seed)
+
+    def manifest(self) -> dict:
+        """This campaign's name as JSON: exactly the keywords of
+        :meth:`from_registry`, so ``Campaign.from_registry(**c.manifest())``
+        rebuilds a campaign with ``c.identity``.  A distributed
+        campaign's ``/manifest``, an artifact run's ``manifest.json``
+        and a trace's metadata all carry it."""
+        return {
+            "app": self.app_name,
+            "nprocs": self.config.nprocs,
+            "app_params": dict(self.app_params),
+            "seed": self.seed,
+            "config_seed": self.config.seed,
+        }
 
     # ------------------------------------------------------------------
     # reference run

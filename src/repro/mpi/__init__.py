@@ -36,7 +36,6 @@ from repro.mpi.errhandler import (
 )
 from repro.mpi.channel import HEADER_SIZE, ChannelEndpoint, ChannelStats
 from repro.mpi.adi import (
-    AdiConfig,
     AdiEngine,
     ChannelProtocolError,
     MSG_CTS,
@@ -82,7 +81,6 @@ __all__ = [
     "HEADER_SIZE",
     "ChannelEndpoint",
     "ChannelStats",
-    "AdiConfig",
     "AdiEngine",
     "ChannelProtocolError",
     "MSG_CTS",

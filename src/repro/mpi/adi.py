@@ -51,6 +51,9 @@ MSG_CTS = 3
 MSG_RNDV_DATA = 4
 _VALID_TYPES = (MSG_EAGER, MSG_RTS, MSG_CTS, MSG_RNDV_DATA)
 
+#: Payloads at or below this many bytes travel eagerly.
+EAGER_THRESHOLD = 2048
+
 
 class ChannelProtocolError(SimulationError):
     """An unrecoverable framing error - the device aborts the process
@@ -123,12 +126,6 @@ class _Unexpected:
     is_rts: bool = False
 
 
-@dataclass
-class AdiConfig:
-    #: Payloads at or below this many bytes travel eagerly.
-    eager_threshold: int = 2048
-
-
 class AdiEngine:
     """Per-rank ADI state machine."""
 
@@ -138,13 +135,11 @@ class AdiEngine:
         nprocs: int,
         image: ProcessImage,
         endpoint: ChannelEndpoint,
-        config: AdiConfig | None = None,
     ) -> None:
         self.rank = rank
         self.nprocs = nprocs
         self.image = image
         self.endpoint = endpoint
-        self.config = config or AdiConfig()
         self._router = None  # set by the job: rank -> ChannelEndpoint
         self._posted: list[PostedRecv] = []
         self._unexpected: list[_Unexpected] = []
@@ -175,7 +170,7 @@ class AdiEngine:
         """Start a send; the returned request is complete immediately for
         eager messages, or when the CTS arrives for rendezvous."""
         seq = self._next_seq()
-        if len(payload) <= self.config.eager_threshold:
+        if len(payload) <= EAGER_THRESHOLD:
             header = pack_header(self.rank, dst, tag, MSG_EAGER, len(payload), seq)
             self._push(dst, header + payload)
             req = Request(kind="send")

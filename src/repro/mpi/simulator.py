@@ -44,7 +44,7 @@ from repro.errors import (
 from repro.memory.heap import HeapCorruption
 from repro.memory.process import ProcessImage
 from repro.memory.stack import StackOverflow
-from repro.mpi.adi import AdiConfig, AdiEngine, ChannelProtocolError
+from repro.mpi.adi import AdiEngine, ChannelProtocolError
 from repro.mpi.api import Comm
 from repro.mpi.channel import ChannelEndpoint
 from repro.cpu.vm import VM
@@ -68,7 +68,6 @@ class JobConfig:
     nprocs: int
     seed: int = 12345
     track_memory: bool = False
-    eager_threshold: int = 2048
     #: Scheduler-round budget (None: derive nothing; the runner sets it
     #: from a fault-free profile).
     round_limit: int | None = None
@@ -143,14 +142,13 @@ class Job:
         self.adis: list[AdiEngine] = []
         self.comms: list[Comm] = []
         self.contexts: list[RankContext] = []
-        adi_cfg = AdiConfig(eager_threshold=config.eager_threshold)
         for rank in range(n):
             image, vm = app.build_process(rank, n, config)
             if config.block_limit is not None:
                 vm.block_limit = config.block_limit
             endpoint = ChannelEndpoint(rank)
             endpoint.clock = image.clock
-            adi = AdiEngine(rank, n, image, endpoint, adi_cfg)
+            adi = AdiEngine(rank, n, image, endpoint)
             adi.attach_router(self._route)
             comm = Comm(rank, n, adi, image)
             self.images.append(image)

@@ -4,8 +4,10 @@
 self-contained, reproducible record:
 
 ``manifest.json``
-    The run's identity: execution-config snapshot, seeds, CLI argv,
-    ``git describe``, schema version.  Written once, at start.
+    The run's identity: the campaign's
+    :meth:`~repro.injection.campaign.Campaign.manifest` (app, ranks,
+    app params, seeds) at top level, the run's regions and design, CLI
+    argv, ``git describe``, schema version.  Written once, at start.
 ``events.jsonl``
     Trial lifecycle events, appended live: ``campaign_start``, one
     ``trial`` event per finished trial (the stored result fields plus a
@@ -48,7 +50,7 @@ from repro.engine.store import StoreSummary
 from repro.engine.trial import TrialResult
 
 #: Version of the run-directory layout and of every JSON payload in it.
-ARTIFACT_SCHEMA_VERSION = 1
+ARTIFACT_SCHEMA_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 EVENTS_NAME = "events.jsonl"

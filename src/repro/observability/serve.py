@@ -31,6 +31,11 @@ Two sources can sit behind the endpoints:
   million-trial store needs memory for the summary fold, not the
   store.
 
+A :class:`TelemetryServer` passes every other request to its
+``routes``, when given: ``campaign run --distribute`` serves its lease
+executor's coordination routes
+(:meth:`~repro.engine.coordination.LeaseExecutor.route`) this way.
+
 Everything is stdlib: :mod:`http.server` + :mod:`threading`.  The HTTP
 half is imported only when a :class:`TelemetryServer` is built, so a
 campaign that only writes ``--metrics`` never loads it.
@@ -54,35 +59,36 @@ from repro.observability.metrics import (
 #: Version stamped into every ``/status`` and ``/progress`` payload.
 SERVE_SCHEMA_VERSION = 1
 
+#: The host a bare ``PORT`` endpoint binds.
+LOOPBACK = "127.0.0.1"
 
-def parse_endpoint(text: str, default_host: str = "127.0.0.1") -> tuple[str, int]:
+
+def parse_endpoint(text: str) -> tuple[str, int]:
     """``[HOST:]PORT`` -> ``(host, port)``; bare port binds loopback."""
     host, sep, port_text = text.rpartition(":")
     if not sep:
-        host, port_text = default_host, text
+        port_text = text
     try:
         port = int(port_text)
     except ValueError:
         raise ValueError(f"bad serve endpoint {text!r}; expected [HOST:]PORT")
     if not 0 <= port <= 65535:
         raise ValueError(f"serve port out of range: {port}")
-    return host or default_host, port
+    return host or LOOPBACK, port
 
 
-def serve_endpoint(
-    telemetry, endpoint: str, default_host: str = "127.0.0.1"
-) -> "TelemetryServer":
+def serve_endpoint(telemetry, endpoint: str, routes=None) -> "TelemetryServer":
     """Parse ``[HOST:]PORT``, bind a :class:`TelemetryServer` to it and
     start serving.
 
     The one parse-and-bind home shared by ``campaign run --serve``
-    (telemetry, plus leases under ``--distribute``) and
-    ``python -m repro serve``; raises
+    (telemetry, plus the lease executor's ``routes`` under
+    ``--distribute``) and ``python -m repro serve``; raises
     :class:`ValueError` for a malformed endpoint (the CLIs report it
     and exit 2) and lets :class:`OSError` from a busy port propagate.
     """
-    host, port = parse_endpoint(endpoint, default_host)
-    return TelemetryServer(telemetry, host, port).start()
+    host, port = parse_endpoint(endpoint)
+    return TelemetryServer(telemetry, host, port, routes).start()
 
 
 class TelemetryHub(TrialSink):
@@ -228,23 +234,57 @@ _INDEX = (
 )
 
 
-class _Handler:
-    """One scrape request: the routes of a request handler that
-    :class:`TelemetryServer` mixes into
-    :class:`http.server.BaseHTTPRequestHandler` and binds
-    ``telemetry`` on.
+def _json(payload: dict) -> tuple[bytes, str]:
+    body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return body.encode(), "application/json"
 
-    Beyond the three scrape endpoints, a telemetry source may expose
-    extra routes by defining ``handle_get(path) -> (body, ctype) |
-    None`` and/or ``handle_post(path, body) -> (body, ctype) | None``
-    (``None`` = not my route -> 404).  The distributed coordinator
-    serves ``/manifest``, ``/work``, ``/lease`` and ``/submit`` this way
-    while inheriting the scrape endpoints unchanged.
+
+class _Handler:
+    """One request: the routes of a request handler that
+    :class:`TelemetryServer` mixes into
+    :class:`http.server.BaseHTTPRequestHandler` and binds ``telemetry``
+    and ``routes`` on.
+
+    ``telemetry`` answers the three scrape endpoints.  ``routes``, when
+    set, answers every other request: ``routes(method, path, body)``
+    returns a JSON-ready reply, or ``None`` for a route it does not
+    serve (404).  A distributed campaign's lease executor serves
+    ``/manifest``, ``/work``, ``/lease`` and ``/submit`` this way.
     """
 
     telemetry: TelemetryHub | StoreTelemetry
+    routes = None
 
-    def _respond(self, body: bytes, ctype: str) -> None:
+    def _answer(self, method: str) -> tuple[bytes, str] | None:
+        """This request's ``(body, content type)``, or ``None``."""
+        path = self.path.split("?", 1)[0]
+        body = b""
+        if method == "GET":
+            if path == "/metrics":
+                text = self.telemetry.metrics_text()
+                return text.encode(), "text/plain; version=0.0.4; charset=utf-8"
+            if path == "/status":
+                return _json(self.telemetry.status_payload())
+            if path == "/progress":
+                return _json(self.telemetry.progress_payload())
+            if path == "/":
+                return _INDEX.encode(), "text/plain; charset=utf-8"
+        else:
+            length = int(self.headers.get("Content-Length") or 0)
+            body = self.rfile.read(length) if length else b""
+        reply = self.routes(method, path, body) if self.routes else None
+        return None if reply is None else _json(reply)
+
+    def _handle(self, method: str) -> None:
+        try:
+            hit = self._answer(method)
+        except Exception as exc:  # a failed request must not kill the thread
+            self.send_error(500, str(exc) or type(exc).__name__)
+            return
+        if hit is None:
+            self.send_error(404, "unknown endpoint")
+            return
+        body, ctype = hit
         self.send_response(200)
         self.send_header("Content-Type", ctype)
         self.send_header("Content-Length", str(len(body)))
@@ -252,71 +292,18 @@ class _Handler:
         self.wfile.write(body)
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        path = self.path.split("?", 1)[0]
-        try:
-            if path == "/metrics":
-                body = self.telemetry.metrics_text().encode()
-                ctype = "text/plain; version=0.0.4; charset=utf-8"
-            elif path == "/status":
-                body = (
-                    json.dumps(
-                        self.telemetry.status_payload(),
-                        indent=2,
-                        sort_keys=True,
-                    )
-                    + "\n"
-                ).encode()
-                ctype = "application/json"
-            elif path == "/progress":
-                body = (
-                    json.dumps(
-                        self.telemetry.progress_payload(),
-                        indent=2,
-                        sort_keys=True,
-                    )
-                    + "\n"
-                ).encode()
-                ctype = "application/json"
-            elif path == "/":
-                body = _INDEX.encode()
-                ctype = "text/plain; charset=utf-8"
-            else:
-                extra = getattr(self.telemetry, "handle_get", None)
-                hit = extra(path) if extra is not None else None
-                if hit is None:
-                    self.send_error(404, "unknown endpoint")
-                    return
-                body, ctype = hit
-        except Exception as exc:  # render failure must not kill the thread
-            self.send_error(500, str(exc) or type(exc).__name__)
-            return
-        self._respond(body, ctype)
+        self._handle("GET")
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        path = self.path.split("?", 1)[0]
-        handler = getattr(self.telemetry, "handle_post", None)
-        if handler is None:
-            self.send_error(404, "unknown endpoint")
-            return
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-            payload = self.rfile.read(length) if length else b""
-            hit = handler(path, payload)
-            if hit is None:
-                self.send_error(404, "unknown endpoint")
-                return
-            body, ctype = hit
-        except Exception as exc:  # handler failure must not kill the thread
-            self.send_error(500, str(exc) or type(exc).__name__)
-            return
-        self._respond(body, ctype)
+        self._handle("POST")
 
     def log_message(self, *_args) -> None:
         """Scrapes are routine; keep the campaign's stderr clean."""
 
 
 class TelemetryServer:
-    """A threaded HTTP server bound to one telemetry source.
+    """A threaded HTTP server bound to one telemetry source, plus the
+    ``routes`` that answer every other request (see :class:`_Handler`).
 
     ``port=0`` binds an ephemeral port (tests); :attr:`port` and
     :attr:`url` report the bound address.  ``start`` serves from a
@@ -326,8 +313,9 @@ class TelemetryServer:
     def __init__(
         self,
         telemetry: TelemetryHub | StoreTelemetry,
-        host: str = "127.0.0.1",
+        host: str = LOOPBACK,
         port: int = 0,
+        routes=None,
     ) -> None:
         from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -335,7 +323,7 @@ class TelemetryServer:
         handler = type(
             "BoundHandler",
             (_Handler, BaseHTTPRequestHandler),
-            {"telemetry": telemetry},
+            {"telemetry": telemetry, "routes": routes and staticmethod(routes)},
         )
         self._httpd = ThreadingHTTPServer((host, port), handler)
         self._httpd.daemon_threads = True

@@ -160,12 +160,7 @@ def trace_memory(
     Valgrind overhead; tracing here is cheap enough to use the full
     configuration, but the single-rank report matches the paper's.
     """
-    cfg = JobConfig(
-        nprocs=config.nprocs,
-        seed=config.seed,
-        track_memory=True,
-        eager_threshold=config.eager_threshold,
-    )
+    cfg = JobConfig(nprocs=config.nprocs, seed=config.seed, track_memory=True)
     job = Job(app, cfg)
     result = job.run()
     if not result.completed:

@@ -7,7 +7,7 @@ bit-identical to the same campaign run locally, for every sampling
 design.  The LeaseBook units pin the state machine with an explicit
 clock; the protocol units drive a :class:`LeaseExecutor` directly; the
 equivalence tests run the engine on a thread behind a real coordinator
-service and execute its leases with in-process workers.
+server and execute its leases with in-process workers.
 """
 
 import itertools
@@ -22,7 +22,6 @@ import pytest
 from repro.engine import coordination
 from repro.engine.coordination import (
     WORK_SCHEMA_VERSION,
-    CoordinatorService,
     LeaseBook,
     LeaseExecutor,
     WorkerClient,
@@ -47,6 +46,11 @@ def small_campaign():
     return Campaign.from_registry(
         "wavetoy", nprocs=SMALL_NPROCS, app_params=SMALL_WAVETOY
     )
+
+
+def lease_executor(sinks=(), **options):
+    """A lease executor of the small campaign."""
+    return LeaseExecutor(small_campaign(), sinks, **options)
 
 
 def correct(spec):
@@ -156,7 +160,7 @@ class TestCoordinatorProtocol:
     executes."""
 
     def test_batches_partition_all_specs(self, specs, quick_polls):
-        executor = LeaseExecutor(batch_size=4)
+        executor = lease_executor(batch_size=4)
         executor.run(specs)
         grants = []
         while "batch" in (payload := executor.lease_payload("w")):
@@ -165,7 +169,7 @@ class TestCoordinatorProtocol:
         assert all(len(grant) <= 4 for grant in grants)
 
     def test_lease_then_wait_then_done(self, specs, quick_polls):
-        executor = LeaseExecutor(batch_size=4)
+        executor = lease_executor(batch_size=4)
         assert executor.lease_payload("w") == {"wait": 0.0}  # no dispatch yet
         stream = executor.run(specs)
         grants = []
@@ -186,13 +190,13 @@ class TestCoordinatorProtocol:
         assert executor.lease_payload("w") == {"done": True}
 
     def test_held_lease_is_answered_by_the_next_wave(self, specs):
-        executor = LeaseExecutor()
+        executor = lease_executor()
         threading.Timer(0.1, executor.run, [specs[:2]]).start()
         grant = executor.lease_payload("w")  # held up to LEASE_POLL
         assert granted(grant, specs) == specs[:2]
 
     def test_submit_validation(self, specs, quick_polls):
-        executor = LeaseExecutor(batch_size=4)
+        executor = lease_executor(batch_size=4)
         executor.run(specs)
         grant = executor.lease_payload("w")
         leased = granted(grant, specs)
@@ -221,7 +225,7 @@ class TestCoordinatorProtocol:
         """A well-formed submission attaches its metrics snapshot and
         trace events; a malformed observation rejects the result, which
         stays missing."""
-        executor = LeaseExecutor(batch_size=4)
+        executor = lease_executor(batch_size=4)
         stream = executor.run(specs[:4])
         grant = executor.lease_payload("w")
         leased = granted(grant, specs)
@@ -258,7 +262,7 @@ class TestCoordinatorProtocol:
 
     def test_requeued_batch_counts_once(self, specs, quick_polls):
         now = [0.0]
-        executor = LeaseExecutor(
+        executor = lease_executor(
             batch_size=4, lease_timeout=5.0, clock=lambda: now[0]
         )
         stream = executor.run(specs[:4])
@@ -280,7 +284,7 @@ class TestCoordinatorProtocol:
         while every lease expires at once, so batches are regranted and
         delivered more than once: each result still arrives once, in
         order."""
-        executor = LeaseExecutor(
+        executor = lease_executor(
             batch_size=1, lease_timeout=1.0, clock=itertools.count().__next__
         )
         accepted, errors = [], []
@@ -319,10 +323,8 @@ class TestCoordinatorProtocol:
 
     def test_manifest_carries_execution_identity(self):
         hub = TelemetryHub()
-        service = CoordinatorService(
-            small_campaign(), LeaseExecutor(), hub, [RecordingSink(), hub]
-        )
-        assert service.manifest() == {
+        executor = lease_executor([RecordingSink(), hub])
+        assert executor.manifest == {
             "schema_version": WORK_SCHEMA_VERSION,
             "app": "wavetoy",
             "nprocs": SMALL_NPROCS,
@@ -332,10 +334,9 @@ class TestCoordinatorProtocol:
             "lease_timeout": coordination.DEFAULT_LEASE_TIMEOUT,
             "observations": ["metrics"],
         }
-        traced = CoordinatorService(
-            small_campaign(), LeaseExecutor(), hub, [TraceCollector(), hub]
-        )
-        assert traced.manifest()["observations"] == ["metrics", "trace_events"]
+        assert executor.route("GET", "/manifest", b"") == executor.manifest
+        traced = lease_executor([TraceCollector(), hub])
+        assert traced.manifest["observations"] == ["metrics", "trace_events"]
 
     def test_worker_collects_what_the_manifest_lists(self):
         hub = TelemetryHub()
@@ -344,10 +345,7 @@ class TestCoordinatorProtocol:
             ((hub,), (True, False)),
             ((TraceCollector(), hub), (True, True)),
         ):
-            service = CoordinatorService(
-                small_campaign(), LeaseExecutor(), hub, sinks
-            )
-            manifest = json.loads(json.dumps(service.manifest()))
+            manifest = json.loads(json.dumps(lease_executor(sinks).manifest))
             with WorkerClient("127.0.0.1:9")._build_engine(manifest) as engine:
                 ctx = engine.context
                 assert (ctx.collect_metrics, ctx.trace) == flags
@@ -361,21 +359,34 @@ class TestCoordinatorProtocol:
         ids=["wavetoy-float-str", "moldyn-bool-float"],
     )
     def test_worker_samples_exactly_the_coordinators_specs(self, app, params):
-        """A worker's engine, built from a ``/manifest`` that went
-        through JSON, makes the coordinator's spec from every leased
-        pair: the same key, fault and RNG state, in every region."""
-        campaign = Campaign.from_registry(app, nprocs=SMALL_NPROCS, app_params=params)
-        service = CoordinatorService(campaign, LeaseExecutor(), TelemetryHub())
-        manifest = json.loads(json.dumps(service.manifest()))
+        """A campaign rebuilt from its manifest after a trip through
+        JSON - the registry call a worker makes - and a worker's engine
+        built from ``/manifest`` both have the campaign's identity and
+        make its spec from every leased pair: the same key, fault and
+        RNG state, in every region."""
+        campaign = Campaign.from_registry(
+            app, nprocs=SMALL_NPROCS, app_params=params, seed=11, config_seed=5
+        )
+        rebuilt = Campaign.from_registry(**json.loads(json.dumps(campaign.manifest())))
+        assert rebuilt.identity == campaign.identity
+        manifest = json.loads(json.dumps(LeaseExecutor(campaign).manifest))
         worker = WorkerClient("127.0.0.1:9")
-        with campaign.engine() as mine, worker._build_engine(manifest) as theirs:
+        with (
+            campaign.engine() as mine,
+            rebuilt.engine() as again,
+            worker._build_engine(manifest) as theirs,
+        ):
+            assert theirs.campaign.identity == campaign.identity
             for region in Region:
                 for index in (0, 1, 7, 300):
                     want = mine.make_spec(region, index)
-                    got = theirs.make_spec(region, index)
-                    assert got.key == want.key
-                    assert got.fault == want.fault
-                    assert got.rng_state == want.rng_state
+                    for got in (
+                        again.make_spec(region, index),
+                        theirs.make_spec(region, index),
+                    ):
+                        assert got.key == want.key
+                        assert got.fault == want.fault
+                        assert got.rng_state == want.rng_state
 
     def test_worker_of_another_campaign_stops_at_its_first_rejection(
         self, specs, monkeypatch
@@ -383,22 +394,20 @@ class TestCoordinatorProtocol:
         """A worker whose manifest-built campaign differs (here: its
         seed) makes other keys from the leased pairs; the coordinator
         rejects them and the worker stops instead of retrying."""
-        executor = LeaseExecutor()
+        executor = lease_executor()
         executor.run(specs[:2])
-        service = CoordinatorService(small_campaign(), executor, TelemetryHub())
-        with TelemetryServer(service) as server:
+        with TelemetryServer(TelemetryHub(), routes=executor.route) as server:
             worker = WorkerClient(server.url, max_batches=1)
-            other = dict(service.manifest(), seed=1)
+            other = dict(executor.manifest, seed=1)
             monkeypatch.setattr(worker, "_get_json", lambda path: other)
             with pytest.raises(WorkerError, match="rejected 2 result"):
                 worker.run()
         assert executor._missing[0] == {s.key for s in specs[:2]}
 
     def test_lease_body_is_json(self, specs):
-        executor = LeaseExecutor()
+        executor = lease_executor()
         executor.run(specs[:3])
-        service = CoordinatorService(small_campaign(), executor, TelemetryHub())
-        with TelemetryServer(service) as server:
+        with TelemetryServer(TelemetryHub(), routes=executor.route) as server:
             request = urllib.request.Request(
                 server.url + "/lease", data=json.dumps({"worker": "w"}).encode()
             )
@@ -418,11 +427,15 @@ class TestCoordinatorProtocol:
             b'{"batch": 0, "trials": [["heap", 1.5]]}',
             b'{"batch": 0, "trials": [["heap", "1"]]}',
             b'{"batch": 0, "trials": {"heap": 0}}',
+            b'{"wait": "soon"}',
+            b'{"wait": -1}',
             b"\x80\x04\x95 not json",
+            b"[]",
         ],
         ids=[
             "unknown-region", "negative-index", "float-index", "str-index",
-            "trials-not-a-list", "not-json",
+            "trials-not-a-list", "wait-not-a-number", "negative-wait",
+            "not-json", "json-list",
         ],
     )
     def test_malformed_grant_refused_before_execution(self, monkeypatch, body):
@@ -444,17 +457,107 @@ class TestCoordinatorProtocol:
         monkeypatch.setattr(worker, "_get_json", lambda path: {"app": "wavetoy"})
         monkeypatch.setattr(worker, "_build_engine", lambda manifest: Untouchable())
         monkeypatch.setattr(worker, "_request", lambda *args, **kwargs: body)
-        with pytest.raises(WorkerError, match="malformed lease grant"):
+        with pytest.raises(WorkerError, match="malformed /lease reply"):
             worker.run()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            b"<html>not json</html>",
+            b'["wavetoy", 2]',
+            {"app": "nowhere"},
+            {"nprocs": None},
+            {"nprocs": 2.5},
+            {"nprocs": "2"},
+            {"nprocs": 0},
+            {"seed": 1.5},
+            {"config_seed": True},
+            {"app_params": [["nx", 32]]},
+            {"app_params": {"nowhere": 1}},
+            {"observations": "metrics"},
+            {"observations": ["metrics", "profile"]},
+        ],
+        ids=[
+            "not-json", "json-list", "unknown-app", "no-nprocs",
+            "float-nprocs", "str-nprocs", "zero-nprocs", "float-seed",
+            "bool-config-seed", "params-not-an-object", "unknown-param",
+            "observations-not-a-list", "unknown-observation",
+        ],
+    )
+    def test_malformed_manifest_refused_before_execution(self, monkeypatch, change):
+        """A ``/manifest`` that is not a JSON object, whose campaign
+        fields lack their JSON type, whose campaign the registry cannot
+        build, or whose observations are not known names ends the worker
+        in one :class:`WorkerError` before an engine exists.  ``change``
+        is the body, or fields replacing the good manifest's (``None``
+        leaves one out)."""
+        body = change
+        if isinstance(change, dict):
+            manifest = dict(lease_executor().manifest, **change)
+            body = json.dumps(
+                {k: v for k, v in manifest.items() if v is not None}
+            ).encode()
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine was built from a malformed manifest")
+
+        monkeypatch.setattr(Campaign, "engine", no_engine)
+        worker = WorkerClient("127.0.0.1:9")
+        monkeypatch.setattr(worker, "_request", lambda *args, **kwargs: body)
+        with pytest.raises(WorkerError, match="malformed /manifest reply") as exc:
+            worker.run()
+        assert "\n" not in str(exc.value)
+
+    def test_malformed_manifest_ends_the_work_command(self, capsys):
+        """``campaign work`` prints the refusal as one line, exit 1."""
+        from repro.__main__ import main
+
+        def routes(method, path, body):
+            return ["wavetoy", 2] if path == "/manifest" else None
+
+        with TelemetryServer(TelemetryHub(), routes=routes) as server:
+            assert main(["campaign", "work", server.url]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"malformed /manifest reply from {server.url}")
+
+    @pytest.mark.parametrize(
+        "body", [b"<html>not json</html>", b"[1]"], ids=["not-json", "json-list"]
+    )
+    def test_malformed_submit_reply_stops_the_worker(self, monkeypatch, body):
+        class Engine:
+            """Runs a leased batch without executing anything."""
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+            def make_spec(self, region, index):
+                return region, index
+
+            def run_trials(self, specs):
+                return []
+
+        replies = {
+            "/lease": b'{"batch": 0, "attempt": 1, "trials": [["heap", 0]]}',
+            "/submit": body,
+        }
+        worker = WorkerClient("127.0.0.1:9")
+        monkeypatch.setattr(worker, "_get_json", lambda path: {"app": "wavetoy"})
+        monkeypatch.setattr(worker, "_build_engine", lambda manifest: Engine())
+        monkeypatch.setattr(
+            worker, "_request", lambda path, *args, **kwargs: replies[path]
+        )
+        with pytest.raises(WorkerError, match="malformed /submit reply"):
+            worker.run()
+        assert worker.stats.batches == 0
 
     def test_stale_manifest_refused_before_engine_build(self, monkeypatch):
         """A version-2 manifest promises the whole campaign's regions,
         trials and batches up front; the worker must refuse it, not
         guess."""
-        service = CoordinatorService(
-            small_campaign(), LeaseExecutor(), TelemetryHub()
-        )
-        stale = dict(service.manifest(), schema_version=2)
+        stale = dict(lease_executor().manifest, schema_version=2)
         stale.update(regions=["message"], trials=6, batches=1)
         worker = WorkerClient("127.0.0.1:9")
         monkeypatch.setattr(worker, "_get_json", lambda path: stale)
@@ -479,7 +582,7 @@ class TestDistributedEquivalence:
 
     def _check(self, tmp_path, regions, run_options, **engine_options):
         """Run locally at ``jobs=1`` and ``jobs=2``, then with the engine
-        on a thread behind a coordinator service and two in-process
+        on a thread behind a coordinator server and two in-process
         workers taking turns (one batch, then the rest): trial execution
         scopes a per-process observability runtime, so concurrent
         workers belong in separate processes, as in the chaos test.  The
@@ -503,7 +606,7 @@ class TestDistributedEquivalence:
         dist_sink, hub, trace = RecordingSink(), TelemetryHub(), TraceCollector()
         sinks = [dist_sink, hub, trace]
         campaign = small_campaign()
-        executor = LeaseExecutor(batch_size=4)
+        executor = LeaseExecutor(campaign, sinks, batch_size=4)
         engine = campaign.engine(
             executor=executor,
             sinks=sinks,
@@ -518,8 +621,7 @@ class TestDistributedEquivalence:
                 outcome["result"] = engine.run(regions, **run_options)
 
         coordinator = threading.Thread(target=drive, daemon=True)
-        service = CoordinatorService(campaign, executor, hub, sinks)
-        with TelemetryServer(service) as server:
+        with TelemetryServer(hub, routes=executor.route) as server:
             coordinator.start()
             workers = [
                 WorkerClient(server.url, name="w0", max_batches=1),
@@ -596,7 +698,7 @@ class TestDistributedEquivalence:
     def test_resume_satisfies_everything_locally(self, tmp_path, reference):
         store = tmp_path / "full.jsonl"
         small_campaign().run(REGIONS, N, jobs=2, store=store)
-        executor = LeaseExecutor()
+        executor = lease_executor()
         result = small_campaign().run(
             REGIONS, N, resume=True, store=store, executor=executor
         )

@@ -138,6 +138,32 @@ class TestCampaignCli:
         assert main(args) == 2
         assert "--distribute requires --serve" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("store", [False, True], ids=["no-store", "store"])
+    def test_interrupted_distributed_run_names_only_its_store(
+        self, capsys, monkeypatch, tmp_path, store
+    ):
+        """An interrupted ``--distribute`` run points at the store for
+        ``--resume`` only when it was given one."""
+        from repro.injection.campaign import Campaign
+
+        def interrupted(self, *args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Campaign, "run", interrupted)
+        argv = [
+            "campaign", "run", "--app", "wavetoy", "--params", SMALL_PARAMS,
+            "--nprocs", "2", "-n", "1", "--log-interval", "0",
+            "--distribute", "--serve", "127.0.0.1:0",
+        ]
+        if store:
+            argv += ["--store", str(tmp_path / "out.sqlite")]
+        assert main(argv) == 1
+        (line,) = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("interrupted")
+        ]
+        assert ("completed trials are in the store" in line) == store
+
     def test_metrics_file_without_serving_loads_no_http_server(self, tmp_path):
         """``--metrics`` reads the telemetry hub, which never needs the
         HTTP half of its module."""
@@ -388,16 +414,23 @@ class TestServeAndArtifactsCli:
         assert sum(row["trials"] for row in summary["regions"]) == 3
 
     def test_manifest_records_params_once(self, tmp_path):
-        """The manifest's top-level ``params`` is the one record of the
-        ``--params`` a run was given."""
+        """The manifest's top-level ``app_params`` is the one record of
+        the ``--params`` a run was given: the manifest carries the
+        campaign's own, which names the campaign."""
+        from repro.injection.campaign import Campaign
+
         run_dir = tmp_path / "run"
         assert main(campaign_run_args(
             tmp_path / "out.jsonl", ["-n", "1", "--artifacts", str(run_dir)]
         )) == 0
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert manifest["params"] == dict(
+        assert manifest["app_params"] == dict(
             nx=32, ny=8, steps=6, cold_heap_factor=3, output_stride=1
         )
+        campaign = Campaign.from_registry(
+            "wavetoy", nprocs=4, app_params=manifest["app_params"]
+        )
+        assert {k: manifest[k] for k in campaign.manifest()} == campaign.manifest()
 
         def param_fields(obj, path=()):
             if isinstance(obj, dict):
@@ -406,7 +439,7 @@ class TestServeAndArtifactsCli:
                         yield (*path, key)
                     yield from param_fields(value, (*path, key))
 
-        assert list(param_fields(manifest)) == [("params",)]
+        assert list(param_fields(manifest)) == [("app_params",)]
 
     def test_report_regenerates_deleted_outputs(self, capsys, tmp_path):
         run_dir = tmp_path / "run"

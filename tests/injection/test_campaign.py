@@ -178,11 +178,7 @@ class TestOneOracle:
         import json
 
         from repro.__main__ import main
-        from repro.engine.coordination import (
-            CoordinatorService,
-            LeaseExecutor,
-            WorkerClient,
-        )
+        from repro.engine.coordination import LeaseExecutor, WorkerClient
 
         params = ",".join(f"{k}={v}" for k, v in SMALL_WAVETOY.items())
         assert main([
@@ -193,8 +189,7 @@ class TestOneOracle:
         campaign = Campaign.from_registry(
             "wavetoy", nprocs=SMALL_NPROCS, app_params=SMALL_WAVETOY
         )
-        service = CoordinatorService(campaign, LeaseExecutor(), hub=None)
-        manifest = json.loads(json.dumps(service.manifest()))
+        manifest = json.loads(json.dumps(LeaseExecutor(campaign).manifest))
         with WorkerClient("127.0.0.1:9")._build_engine(manifest) as engine:
             engine.run_trials([engine.make_spec(Region.TEXT, 0)])
         assert oracle_builds == []

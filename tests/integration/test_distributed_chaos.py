@@ -20,11 +20,7 @@ import time
 
 import pytest
 
-from repro.engine.coordination import (
-    HOLD_ENV,
-    CoordinatorService,
-    LeaseExecutor,
-)
+from repro.engine.coordination import HOLD_ENV, LeaseExecutor
 from repro.injection.campaign import Campaign
 from repro.injection.faults import Region
 from repro.observability.serve import TelemetryHub, TelemetryServer
@@ -72,8 +68,10 @@ def test_sigkilled_worker_batch_is_requeued_and_tallies_match(tmp_path):
         REGIONS, N, store=tmp_path / "serial.jsonl", sinks=[serial_hub]
     )
 
-    executor = LeaseExecutor(batch_size=2, lease_timeout=LEASE_TIMEOUT)
     hub = TelemetryHub()
+    executor = LeaseExecutor(
+        campaign, [hub], batch_size=2, lease_timeout=LEASE_TIMEOUT
+    )
     engine = campaign.engine(
         executor=executor,
         sinks=[hub],
@@ -86,8 +84,7 @@ def test_sigkilled_worker_batch_is_requeued_and_tallies_match(tmp_path):
             outcome["result"] = engine.run(REGIONS, N)
 
     coordinator = threading.Thread(target=drive, daemon=True)
-    service = CoordinatorService(campaign, executor, hub, [hub])
-    server = TelemetryServer(service).start()
+    server = TelemetryServer(hub, routes=executor.route).start()
     coordinator.start()
     victim = survivor = None
     try:

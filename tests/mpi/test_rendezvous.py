@@ -96,10 +96,10 @@ class TestRendezvousFlow:
     def test_eager_threshold_boundary(self):
         """Exactly-threshold payloads go eager; one byte more goes
         rendezvous."""
-        from repro.mpi.adi import AdiConfig
+        from repro.mpi.adi import EAGER_THRESHOLD
 
         def main(ctx):
-            n_eager = 2048 // 8
+            n_eager = EAGER_THRESHOLD // 8
             addr, _ = big_buffer(ctx)
             if ctx.rank == 0:
                 yield from ctx.comm.send(addr, n_eager, MPI_DOUBLE, 1, 1)

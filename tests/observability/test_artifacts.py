@@ -41,8 +41,7 @@ def run_dir(tmp_path_factory):
     artifacts = RunArtifacts(
         directory,
         {
-            "app": "wavetoy",
-            "seed": SEED,
+            **campaign.manifest(),
             "command": "python -m repro campaign run --app wavetoy",
         },
         metrics_interval=3,
@@ -77,6 +76,8 @@ class TestRunDirectory:
         assert manifest["schema_version"] == ARTIFACT_SCHEMA_VERSION
         assert manifest["app"] == "wavetoy"
         assert manifest["seed"] == SEED
+        assert manifest["app_params"] == SMALL_WAVETOY
+        assert manifest["nprocs"] == SMALL_NPROCS
 
     def test_event_lifecycle(self, run_dir):
         events = _events(run_dir)
