@@ -407,19 +407,13 @@ def _regions(text: str):
 
 
 def _param_value(kind: type, text: str):
-    """``text`` as a build parameter whose default is a ``kind``: an int
-    when it parses as one, else a ``kind`` - a float, ``true``/``false``
-    for a bool, or the text itself for a str.  Raises ValueError."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
+    """``text`` as a build parameter whose default is a ``kind``: an
+    int, a float, ``true``/``false`` for a bool, or the text itself for
+    a str.  Raises ValueError."""
     if kind is bool and text.lower() in ("true", "false"):
         return text.lower() == "true"
-    if kind is float:
-        return float(text)
-    if kind is str:
-        return text
+    if kind in (int, float, str):
+        return kind(text)
     raise ValueError(text)
 
 

@@ -126,10 +126,27 @@ class MPIApplication:
     _image_cache: dict[tuple, ProcessImage] = {}
 
     def __init__(self, **params):
+        """``params`` override :attr:`DEFAULTS`.  Each value must be an
+        instance of its default's type - a bool never passes as an int,
+        and an int may stand for a float, which it becomes - so a bad
+        value from the CLI, a worker's manifest or Python raises
+        ValueError here, before anything is built from it."""
         unknown = set(params) - set(self.DEFAULTS)
         if unknown:
             raise ValueError(f"unknown parameters for {self.name}: {sorted(unknown)}")
-        self.params = {**self.DEFAULTS, **params}
+        self.params = dict(self.DEFAULTS)
+        for key, value in params.items():
+            kind = type(self.DEFAULTS[key])
+            if kind is float and type(value) is int:
+                value = float(value)
+            elif not isinstance(value, kind) or (
+                isinstance(value, bool) and kind is not bool
+            ):
+                raise ValueError(
+                    f"parameter {key!r} of {self.name} must be "
+                    f"{kind.__name__}, not {type(value).__name__}: {value!r}"
+                )
+            self.params[key] = value
 
     # ------------------------------------------------------------------
     # subclass surface

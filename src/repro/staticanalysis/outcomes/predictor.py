@@ -100,6 +100,9 @@ class KernelOutcomes:
     intervals: IntervalAnalysis
     hangs: HangAnalysis
     weights: tuple[float, ...]
+    #: (insn_index, reg) -> site class of that register site's taint
+    #: cone, for every GPR the instruction writes.
+    site_classes: dict[tuple[int, int], SiteClass]
     #: (insn_index, bit64) pairs predicted hang-prone in the text image.
     hang_bits: frozenset[tuple[int, int]]
     #: Per-instruction, per-bit (64) stratum of the text word.
@@ -205,7 +208,14 @@ class OutcomePredictor:
             hangs = HangAnalysis(cfg)
             hang_bits = hangs.hang_prone_text_bits(self.block_limit)
             weights = tuple(block_weights(cfg))
-            text = self._text_strata(cfg, taint, hang_bits)
+            # One cone per register site, shared by the text strata and
+            # the register table.
+            site_classes = {
+                (i, r): classify_cone(taint.cone_after(i, r), self.coverage)
+                for i in range(len(cfg.insns))
+                for r in taint.written_gprs(i)
+            }
+            text = self._text_strata(cfg, taint, site_classes, hang_bits)
             self.kernels[name] = KernelOutcomes(
                 name=name,
                 cfg=cfg,
@@ -213,6 +223,7 @@ class OutcomePredictor:
                 intervals=intervals,
                 hangs=hangs,
                 weights=weights,
+                site_classes=site_classes,
                 hang_bits=hang_bits,
                 text_strata=text,
             )
@@ -221,6 +232,7 @@ class OutcomePredictor:
         self,
         cfg: ControlFlowGraph,
         taint: TaintAnalysis,
+        site_classes: dict[tuple[int, int], SiteClass],
         hang_bits: frozenset[tuple[int, int]],
     ) -> tuple[tuple[Stratum, ...], ...]:
         n = len(cfg.insns)
@@ -232,10 +244,7 @@ class OutcomePredictor:
             written = taint.written_gprs(i)
             if written:
                 propagated = _aggregate_site_classes(
-                    [
-                        classify_cone(taint.cone_after(i, r), self.coverage)
-                        for r in written
-                    ]
+                    [site_classes[(i, r)] for r in written]
                 )
             else:
                 # No GPR result: stores scribble memory, compares and
@@ -281,11 +290,7 @@ class OutcomePredictor:
                             proof_w[base][bit] += w
                 for reg in kernel.taint.written_gprs(i):
                     write_w[reg] += w
-                    classes[reg].append(
-                        classify_cone(
-                            kernel.taint.cone_after(i, reg), self.coverage
-                        )
-                    )
+                    classes[reg].append(kernel.site_classes[(i, reg)])
             for loop in kernel.hangs.loops:
                 if loop.exact_exit:
                     hang_regs |= loop.pure_counters

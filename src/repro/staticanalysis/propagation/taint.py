@@ -29,6 +29,9 @@ Two analyses cooperate:
 * the **taint fixpoint** itself, seeded mid-block at the injection site
   and run to convergence over the same worklist engine the liveness and
   reaching-definitions passes use (:func:`repro.staticanalysis.dataflow.solve`).
+  Its block walks go through memos that every query on one analysis
+  shares, so sweeping all of a function's sites evaluates each distinct
+  ``(taint state, instruction)`` step about once.
 
 Escape conditions (any one makes the site not-masked):
 
@@ -149,13 +152,27 @@ class TaintAnalysis:
         #: points-to state *before* each instruction: per-insn tuple of
         #: per-register frozensets of region tokens.
         self._pt_before = self._points_to()
-        #: (taint, insn) -> taint' memo.  The transfer is pure given the
-        #: points-to pre-pass, and per-site queries over one function
-        #: revisit the same states at the same instructions constantly
-        #: (every site's suffix walk converges to a handful of steady
-        #: states), so sharing steps across queries turns the all-sites
-        #: sweep from quadratic to near-linear on unrolled code.
-        self._step_memo: dict[tuple[frozenset[str], int], frozenset[str]] = {}
+        # Both memos below are sound because the step transfer is a pure
+        # function of (taint, insn) once the points-to pre-pass is fixed,
+        # and they are shared by every query on this analysis: the site
+        # queries of one function reach the same states at the same
+        # instructions over and over, because every site's walk soon
+        # converges to one of a few steady states.
+        #: ``(taint before insn i, i)`` -> ``(taint at the end of i's
+        #: block, union of every state from before i to there)``.  A walk
+        #: stops at the first state an earlier walk passed through.
+        self._walks: dict[
+            tuple[frozenset[str], int], tuple[frozenset[str], frozenset[str]]
+        ] = {}
+        #: ``(block-entry taint, block)`` -> ``(states, unions)``:
+        #: ``states[k]`` is the taint before the block's k-th instruction
+        #: (``states[-1]`` after its last) and ``unions[k]`` the union of
+        #: ``states[:k + 1]``.  A site seeds its block mid-way, so every
+        #: site in a block starts from one of these prefixes.
+        self._prefixes: dict[
+            tuple[frozenset[str], int],
+            tuple[tuple[frozenset[str], ...], tuple[frozenset[str], ...]],
+        ] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -258,16 +275,6 @@ class TaintAnalysis:
         return bool(base_regions & mem), False
 
     def _taint_step(self, taint: frozenset[str], i: int) -> frozenset[str]:
-        key = (taint, i)
-        out = self._step_memo.get(key)
-        if out is None:
-            out = self._taint_step_uncached(taint, i)
-            self._step_memo[key] = out
-        return out
-
-    def _taint_step_uncached(
-        self, taint: frozenset[str], i: int
-    ) -> frozenset[str]:
         insn: Insn = self.cfg.insns[i]
         op = insn.op
         eff = semantics.effects(insn)
@@ -328,6 +335,47 @@ class TaintAnalysis:
                 new.update((f"reg:{EAX}", "x87", "anymem"))
         return frozenset(new)
 
+    def _walk(
+        self, taint: frozenset[str], i: int
+    ) -> tuple[frozenset[str], frozenset[str]]:
+        """``(state at the end of i's block, union of every state on the
+        way)`` for ``taint`` before instruction ``i``, through
+        :attr:`_walks`."""
+        walks = self._walks
+        out = walks.get((taint, i))
+        if out is not None:
+            return out
+        end = self.cfg.blocks[self.cfg.block_of[i]].end
+        path = []
+        while out is None:
+            path.append((taint, i))
+            taint = self._taint_step(taint, i)
+            i += 1
+            out = (taint, taint) if i == end else walks.get((taint, i))
+        final, union = out
+        for key in reversed(path):
+            if not key[0] <= union:  # else the union is reused, not copied
+                union = union | key[0]
+            walks[key] = out = (final, union)
+        return out
+
+    def _prefix(
+        self, taint: frozenset[str], b: int
+    ) -> tuple[tuple[frozenset[str], ...], tuple[frozenset[str], ...]]:
+        """Block ``b``'s unseeded states and running unions from entry
+        state ``taint``, through :attr:`_prefixes`."""
+        key = (taint, b)
+        out = self._prefixes.get(key)
+        if out is None:
+            states, unions = [taint], [taint]
+            for i in self.cfg.blocks[b].insn_indices():
+                taint = self._taint_step(taint, i)
+                states.append(taint)
+                union = unions[-1]
+                unions.append(union if taint <= union else union | taint)
+            out = self._prefixes[key] = (tuple(states), tuple(unions))
+        return out
+
     def _run(
         self,
         seed_entry: frozenset[str],
@@ -335,40 +383,41 @@ class TaintAnalysis:
         site_label: str,
     ) -> PropagationCone:
         cfg = self.cfg
+        seeded = -1
+        if seed_site is not None:
+            site, reg = seed_site
+            seeded = cfg.block_of[site]
+            seed = frozenset({f"reg:{reg}"})
 
-        def transfer(b: int, taint: frozenset) -> frozenset:
-            for i in cfg.blocks[b].insn_indices():
-                taint = self._taint_step(taint, i)
-                if seed_site is not None and i == seed_site[0]:
-                    taint = taint | {f"reg:{seed_site[1]}"}
-            return taint
+        def walk(b: int, taint: frozenset) -> tuple[frozenset, frozenset]:
+            block = cfg.blocks[b]
+            if b != seeded:
+                return self._walk(taint, block.start)
+            states, unions = self._prefix(taint, b)
+            k = site - block.start
+            after = states[k + 1] | seed
+            final, union = (
+                self._walk(after, site + 1)
+                if site + 1 < block.end
+                else (after, after)
+            )
+            return final, unions[k] | union
 
         block_in, block_out = solve(
-            cfg, backward=False, boundary=seed_entry, transfer=transfer
+            cfg,
+            backward=False,
+            boundary=seed_entry,
+            transfer=lambda b, taint: walk(b, taint)[0],
         )
 
-        ever: set[str] = set()
-        exit_state: set[str] = set()
-        saw_exit = False
-        for block in cfg.blocks:
-            if block.index not in self._reachable:
-                continue
-            taint = block_in[block.index]
-            if block.index == 0:
-                taint = taint | seed_entry
-            for i in block.insn_indices():
-                ever |= taint
-                taint = self._taint_step(taint, i)
-                if seed_site is not None and i == seed_site[0]:
-                    taint = taint | {f"reg:{seed_site[1]}"}
-                ever |= taint
-            if not block.succs:
-                saw_exit = True
-                exit_state |= taint
-        if not saw_exit:  # infinite loop: every reachable point "exits"
-            for block in cfg.blocks:
-                if block.index in self._reachable:
-                    exit_state |= block_out[block.index]
+        ever: frozenset[str] = frozenset()
+        for b in self._reachable:
+            ever |= walk(b, block_in[b])[1]
+        exits = [b for b in self._reachable if not cfg.blocks[b].succs]
+        # An infinite loop has no exit block: every reachable point "exits".
+        exit_state = frozenset().union(
+            *(block_out[b] for b in exits or self._reachable)
+        )
 
         escapes: set[str] = set()
         for t in ever:
@@ -387,7 +436,7 @@ class TaintAnalysis:
         return PropagationCone(
             function=cfg.name,
             site=site_label,
-            tainted=frozenset(ever),
+            tainted=ever,
             escapes=frozenset(escapes),
         )
 

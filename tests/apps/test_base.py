@@ -82,6 +82,36 @@ class TestApplicationBase:
             App(b=2)
         assert App(a=5).params["a"] == 5
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n", "32"), ("n", 32.0), ("n", True), ("x", "0.5"), ("x", False),
+         ("on", 1), ("label", 5)],
+        ids=["str-int", "float-int", "bool-int", "str-float", "bool-float",
+             "int-bool", "int-str"],
+    )
+    def test_param_of_another_type_rejected(self, key, value):
+        class App(MPIApplication):
+            name = "typed"
+            DEFAULTS = {"n": 1, "x": 0.5, "on": True, "label": "a"}
+
+        with pytest.raises(ValueError, match=f"parameter '{key}' of typed must be"):
+            App(**{key: value})
+
+    def test_int_stands_for_float(self):
+        """An int given for a float default becomes that float, so
+        ``damping=1`` and ``damping=1.0`` name one program."""
+        from repro.apps import WavetoyApp
+
+        app = WavetoyApp(damping=1)
+        assert type(app.params["damping"]) is float
+        assert app.params == WavetoyApp(damping=1.0).params
+
+    def test_registry_campaign_checks_param_types(self):
+        from repro.injection.campaign import Campaign
+
+        with pytest.raises(ValueError, match="parameter 'nx' of wavetoy must be int"):
+            Campaign.from_registry("wavetoy", nprocs=2, app_params={"nx": "32"})
+
     def test_program_cache_keyed_by_codegen(self):
         from repro.apps import WavetoyApp
 

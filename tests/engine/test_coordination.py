@@ -474,6 +474,10 @@ class TestCoordinatorProtocol:
             {"config_seed": True},
             {"app_params": [["nx", 32]]},
             {"app_params": {"nowhere": 1}},
+            {"app_params": dict(SMALL_WAVETOY, nx="32")},
+            {"app_params": dict(SMALL_WAVETOY, nx=32.0)},
+            {"app_params": dict(SMALL_WAVETOY, nx=True)},
+            {"app_params": dict(SMALL_WAVETOY, damping="0.1")},
             {"observations": "metrics"},
             {"observations": ["metrics", "profile"]},
         ],
@@ -481,7 +485,9 @@ class TestCoordinatorProtocol:
             "not-json", "json-list", "unknown-app", "no-nprocs",
             "float-nprocs", "str-nprocs", "zero-nprocs", "float-seed",
             "bool-config-seed", "params-not-an-object", "unknown-param",
-            "observations-not-a-list", "unknown-observation",
+            "str-int-param", "float-int-param", "bool-int-param",
+            "str-float-param", "observations-not-a-list",
+            "unknown-observation",
         ],
     )
     def test_malformed_manifest_refused_before_execution(self, monkeypatch, change):
@@ -519,6 +525,28 @@ class TestCoordinatorProtocol:
             assert main(["campaign", "work", server.url]) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"malformed /manifest reply from {server.url}")
+
+    def test_badly_typed_param_ends_the_work_command(self, capsys):
+        """A param value of the wrong type is refused the same way,
+        naming the parameter, before the worker leases anything."""
+        from repro.__main__ import main
+
+        manifest = dict(
+            lease_executor().manifest, app_params=dict(SMALL_WAVETOY, nx="32")
+        )
+
+        asked = []
+
+        def routes(method, path, body):
+            asked.append(path)
+            return manifest if path == "/manifest" else None
+
+        with TelemetryServer(TelemetryHub(), routes=routes) as server:
+            assert main(["campaign", "work", server.url]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"malformed /manifest reply from {server.url}")
+        assert "parameter 'nx' of wavetoy must be int" in line
+        assert asked == ["/manifest"]
 
     @pytest.mark.parametrize(
         "body", [b"<html>not json</html>", b"[1]"], ids=["not-json", "json-list"]

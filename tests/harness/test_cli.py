@@ -319,12 +319,24 @@ class TestMalformedInput:
         (line,) = error_lines(capsys.readouterr().err)
         assert line == "bad --params value checksums='maybe'; expected true or false"
 
+    def test_int_text_is_not_a_bool(self, capsys):
+        """A bool param reads only ``true``/``false``: ``1`` is no
+        more a bool on the command line than in Python."""
+        argv = [
+            "campaign", "run", "--app", "moldyn", "-n", "1",
+            "--params", "checksums=1",
+        ]
+        assert main(argv) == 2
+        (line,) = error_lines(capsys.readouterr().err)
+        assert line == "bad --params value checksums='1'; expected true or false"
+
     @pytest.mark.parametrize(
         "text, value",
         [
             ("checksums=False", False),
             ("checksums=true", True),
             ("dt=0.04", 0.04),
+            ("dt=1", 1.0),
             ("energy_precision=3", 3),
         ],
     )
