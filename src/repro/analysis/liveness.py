@@ -91,10 +91,12 @@ def _build(source: str) -> tuple[ProcessImage, VM, Program]:
 
 
 def register_sensitivity(
-    source: str, trials: int, rng: np.random.Generator
+    source: str, trials: int, rng: np.random.Generator, reg: int | None = None
 ) -> float:
     """Fraction of single register bit flips that change the kernel's
-    outcome (wrong result, crash or hang)."""
+    outcome (wrong result, crash or hang).  Each trial draws its
+    register (unless ``reg`` fixes it), then its bit, then its time,
+    uniformly."""
     # Fault-free reference and block count.
     image, vm, _ = _build(source)
     reference = vm.call("kernel")
@@ -107,10 +109,10 @@ def register_sensitivity(
     for _ in range(trials):
         image, vm, _ = _build(source)
         vm.block_limit = total_blocks * 4 + 64
-        reg = int(rng.integers(8))
+        flipped = int(rng.integers(8)) if reg is None else reg
         bit = int(rng.integers(32))
         at = int(rng.integers(1, total_blocks + 1))
-        vm.schedule_hook(at, lambda v, r=reg, b=bit: v.regs.flip_bit(r, b))
+        vm.schedule_hook(at, lambda v, r=flipped, b=bit: v.regs.flip_bit(r, b))
         try:
             result = vm.call("kernel")
         except SimulationError:

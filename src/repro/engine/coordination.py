@@ -254,18 +254,20 @@ def _result_payload(result: TrialResult) -> dict:
 
 
 def _parse_result(obj: dict) -> TrialResult:
-    """Inverse of :func:`_result_payload`; raises ``KeyError``,
-    ``ValueError``, ``TypeError`` or ``AttributeError`` on a malformed
-    payload, observations included."""
+    """Inverse of :func:`_result_payload`; raises ``ValueError`` on a
+    malformed payload, observations included."""
     result = TrialResult.from_json(obj)
     if obj.get("metrics") is not None:
-        result.metrics = MetricsSnapshot.from_json(obj["metrics"])
+        try:
+            result.metrics = MetricsSnapshot.from_json(obj["metrics"])
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed metrics: {exc!r}") from exc
     events = obj.get("trace_events")
     if events is not None:
         if not isinstance(events, list) or not all(
             isinstance(event, dict) for event in events
         ):
-            raise TypeError("trace_events must be a list of objects")
+            raise ValueError("trace_events must be a list of objects")
         result.trace_events = events
     return result
 
@@ -386,7 +388,7 @@ class LeaseExecutor:
             for obj in payloads:
                 try:
                     result = _parse_result(obj)
-                except (KeyError, ValueError, TypeError, AttributeError):
+                except ValueError:
                     rejected += 1
                     continue
                 if result.key not in batch:

@@ -1,13 +1,10 @@
 """Result stores: resume, merge, status, incremental following.
 
-Two interchangeable backends sit behind one interface (``append``,
-``load``, ``iter_results``, ``status``, ``follower``, context-manager
-close):
+Two interchangeable backends share one read path, :class:`TrialStore`:
 
 * :class:`ResultStore` - append-only JSONL, one line per completed
   trial.  Appends are flushed per line so an interrupted campaign loses
-  at most the trial in flight; a partially written final line is
-  tolerated (and skipped) on load.
+  at most the trial in flight.
 * :class:`~repro.engine.store_sqlite.SQLiteResultStore` - a WAL-mode
   SQLite table keyed by the trial content hash, for several writer
   processes sharing one database (separate campaigns merging without
@@ -38,16 +35,51 @@ from repro.injection.outcomes import Manifestation
 from repro.sampling.theory import achieved_error
 
 
-def parse_result_line(line: str) -> TrialResult | None:
-    """One stored line -> a rehydrated result, or ``None`` for corrupt
-    records (truncated JSON, wrong shape, bad enum values) - the
-    interruption cases ``--resume`` exists to recover from."""
-    line = line.strip()
-    if not line:
-        return None
+#: What a store's ``records_after`` and :func:`read_jsonl` stream: each
+#: record with the position just past it, as a JSON object or ``None``.
+Records = Iterator[tuple[int, dict | None]]
+
+
+def parse_record(text: str | bytes) -> dict | None:
+    """One stored record's text as a JSON object, or ``None`` (JSON
+    nested too deep to parse raises ``RecursionError``)."""
     try:
-        return TrialResult.from_json(json.loads(line))
-    except (ValueError, KeyError, TypeError, AttributeError):
+        record = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    return record if isinstance(record, dict) else None
+
+
+def read_jsonl(path: str | os.PathLike, offset: int = 0) -> Records:
+    """Each complete line of the JSONL file ``path`` after byte
+    ``offset``, with the offset just past it.
+
+    The one reader of every JSONL file the program reads back: a result
+    store, and an artifact run's ``events.jsonl`` and ``metrics.jsonl``.
+    A last line without its newline is left unread, even when it parses:
+    it may be a write still in flight, and a reader that took it would
+    disagree with one that read a moment earlier.  A missing file reads
+    as empty.
+    """
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return
+    with fh:
+        fh.seek(offset)
+        for line in fh:
+            if not line.endswith(b"\n"):
+                return
+            offset += len(line)
+            yield offset, parse_record(line)
+
+
+def _decode(record: dict | None) -> TrialResult | None:
+    """A stored record as a result, or ``None`` for one to skip: a torn
+    line, or a field of the wrong type."""
+    try:
+        return TrialResult.from_json(record)
+    except ValueError:
         return None
 
 
@@ -198,16 +230,105 @@ class StoreSummary:
             mirror.count += hist.count
 
 
-class ResultStore:
+class TrialStore:
+    """The reads both result stores share, built on two primitives a
+    backend defines beside ``append`` and ``close``:
+
+    * ``records_after(position)`` - each record stored after
+      ``position`` (0 is the start), streamed in append order with the
+      position just past it (:data:`Records`): a byte offset for JSONL,
+      a rowid for SQLite;
+    * ``end()`` - the position of the store's end.
+
+    Every record decodes through
+    :meth:`~repro.engine.trial.TrialResult.from_json`, so every reader
+    skips a torn or mistyped record the same way.  Each read opens its
+    own handle, so a follower keeps working after its store is closed.
+    """
+
+    path: Path
+
+    def records_after(self, position: int) -> Records:
+        raise NotImplementedError
+
+    def end(self) -> int:
+        raise NotImplementedError
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def iter_results(self) -> Iterator[TrialResult]:
+        """Stream stored results in append order, the first of each key.
+
+        Only the keys seen so far stay resident, never the records, so
+        folding a million-trial store (see :class:`StoreSummary`) needs
+        memory for the key set.  Duplicate keys carry identical payloads,
+        because trial execution is deterministic.
+        """
+        seen: set[str] = set()
+        for _, record in self.records_after(0):
+            result = _decode(record)
+            if result is not None and result.key not in seen:
+                seen.add(result.key)
+                yield result
+
+    def load(self) -> dict[str, TrialResult]:
+        """All stored results, keyed by trial key."""
+        return {result.key: result for result in self.iter_results()}
+
+    def status(self) -> list[StoreStatus]:
+        """Stored-trial summaries grouped by (app, region), sorted:
+        streamed, so ``campaign status`` and ``/status`` stay
+        bounded-memory on arbitrarily large stores."""
+        return StoreSummary.from_results(self.iter_results()).rows()
+
+    def follower(self) -> "StoreFollower":
+        """An incremental reader over this store (see
+        :class:`StoreFollower`)."""
+        return StoreFollower(self)
+
+
+class StoreFollower:
+    """Incremental reader over a result store of either backend.
+
+    ``poll`` decodes only the records stored since the previous call
+    and reports whether the store's end fell below the position it had
+    reached, which means the store was rewritten and any fold over
+    previous polls must restart from zero.  Results are *not*
+    key-deduplicated here; the consumer owns the seen set so it can
+    clear it on reset.
+    """
+
+    def __init__(self, store: TrialStore) -> None:
+        self.store = store
+        #: The position just past the last record read.
+        self.position = 0
+
+    def poll(self) -> tuple[list[TrialResult], bool]:
+        """``(newly stored results in append order, reset_flag)``.  A
+        read that raises moves nothing: the next poll reads the same
+        records."""
+        reset = self.store.end() < self.position
+        position = 0 if reset else self.position
+        results = []
+        for position, record in self.store.records_after(position):
+            result = _decode(record)
+            if result is not None:
+                results.append(result)
+        self.position = position
+        return results, reset
+
+
+class ResultStore(TrialStore):
     """Append-only JSONL store of :class:`TrialResult` records."""
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
         self._fh: IO[str] | None = None
 
-    # ------------------------------------------------------------------
-    # writing
-    # ------------------------------------------------------------------
     def append(self, result: TrialResult) -> None:
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -231,109 +352,16 @@ class ResultStore:
             self._fh.close()
             self._fh = None
 
-    def __enter__(self) -> "ResultStore":
-        return self
+    def records_after(self, position: int) -> Records:
+        """The complete lines after byte ``position``."""
+        return read_jsonl(self.path, position)
 
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # reading
-    # ------------------------------------------------------------------
-    def load(self) -> dict[str, TrialResult]:
-        """All stored results, deduplicated by trial key.
-
-        Unparseable lines (e.g. a write cut short by the interruption
-        that ``--resume`` exists to recover from) are skipped.
-        """
-        results: dict[str, TrialResult] = {}
-        if not self.path.exists():
-            return results
-        with open(self.path) as fh:
-            for line in fh:
-                result = parse_result_line(line)
-                if result is not None:
-                    results[result.key] = result
-        return results
-
-    def iter_results(self) -> Iterator[TrialResult]:
-        """Stream stored results one at a time, deduplicated by key.
-
-        Unlike :meth:`load`, only the *keys* of already-seen trials stay
-        resident - never the parsed records - so folding a million-trial
-        store (see :class:`StoreSummary`) runs in memory bounded by the
-        key set, not the result set.  Duplicate keys always carry
-        identical payloads (trial execution is deterministic), so
-        first-wins streaming dedup and :meth:`load`'s last-wins dict
-        produce identical tallies.
-        """
-        if not self.path.exists():
-            return
-        seen: set[str] = set()
-        with open(self.path) as fh:
-            for line in fh:
-                result = parse_result_line(line)
-                if result is None or result.key in seen:
-                    continue
-                seen.add(result.key)
-                yield result
-
-    def status(self) -> list[StoreStatus]:
-        """Stored-trial summaries grouped by (app, region), sorted.
-
-        Streams through :meth:`iter_results`: the full store is never
-        loaded, so ``campaign status`` (and the live ``/status``
-        endpoint) stay bounded-memory on arbitrarily large stores.
-        """
-        return StoreSummary.from_results(self.iter_results()).rows()
-
-    def follower(self) -> "JSONLFollower":
-        """An incremental reader over this store's path (see
-        :class:`JSONLFollower`)."""
-        return JSONLFollower(self.path)
-
-
-class JSONLFollower:
-    """Incremental reader over an append-only JSONL store.
-
-    ``poll`` parses only the bytes appended since the previous call
-    (complete lines only - a partial trailing write is left for the
-    next poll, the same tolerance the store's readers apply) and
-    reports whether the file shrank, which means the store was
-    rewritten and any fold over previous polls must restart from zero.
-    Results are *not* key-deduplicated here; the consumer owns the seen
-    set so it can clear it on reset.
-    """
-
-    def __init__(self, path: str | os.PathLike) -> None:
-        self.path = Path(path)
-        self._offset = 0
-
-    def poll(self) -> tuple[list[TrialResult], bool]:
-        """``(newly appended results in file order, reset_flag)``."""
-        reset = False
+    def end(self) -> int:
+        """The file's size; a missing file ends at 0."""
         try:
-            size = self.path.stat().st_size
+            return self.path.stat().st_size
         except OSError:
-            size = 0
-        if size < self._offset:  # truncated/rewritten: start over
-            self._offset = 0
-            reset = True
-        if size == self._offset:
-            return [], reset
-        with open(self.path, "rb") as fh:
-            fh.seek(self._offset)
-            data = fh.read()
-        last_newline = data.rfind(b"\n")
-        if last_newline < 0:
-            return [], reset
-        self._offset += last_newline + 1
-        results = []
-        for raw in data[: last_newline + 1].splitlines():
-            result = parse_result_line(raw.decode("utf-8", "replace"))
-            if result is not None:
-                results.append(result)
-        return results, reset
+            return 0
 
 
 #: Path suffixes that select the SQLite backend in :func:`open_store`.
@@ -362,7 +390,7 @@ def open_store(store):
     result-store backend.  The one factory every store consumer - the
     campaign engine, ``campaign status``/``merge``, ``repro serve``,
     the distributed coordinator - resolves paths through."""
-    if isinstance(store, ResultStore) or hasattr(store, "iter_results"):
+    if isinstance(store, TrialStore):
         return store
     if is_sqlite_path(store):
         from repro.engine.store_sqlite import SQLiteResultStore

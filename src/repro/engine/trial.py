@@ -156,25 +156,43 @@ class TrialResult:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "TrialResult":
-        def _opt_int(name: str) -> int | None:
+    def from_json(cls, obj) -> "TrialResult":
+        """The one decoder of a trial record: a store line, a
+        ``/submit`` result or an artifact trial event.  Every field
+        must have its JSON type (a bool is not an int, ``"false"`` is
+        not a bool); anything else raises ``ValueError``, and only
+        that, so every reader skips or rejects a bad record the same
+        way."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"not a JSON object: {obj!r:.60}")
+        fields = {}
+        for name, kinds in _RECORD_FIELDS.items():
             value = obj.get(name)
-            return int(value) if value is not None else None
+            if type(value) not in kinds:
+                raise ValueError(f"{name} has the wrong type: {value!r:.60}")
+            if value is not None:
+                fields[name] = value
+        fields["region"] = Region(fields["region"])
+        fields["manifestation"] = Manifestation(fields["manifestation"])
+        return cls(**fields, resumed=True)
 
-        return cls(
-            key=obj["key"],
-            app=obj["app"],
-            region=Region(obj["region"]),
-            index=int(obj["index"]),
-            manifestation=Manifestation(obj["manifestation"]),
-            delivered=bool(obj["delivered"]),
-            detail=obj.get("detail", ""),
-            record=None,
-            resumed=True,
-            injected_at_blocks=_opt_int("injected_at_blocks"),
-            injected_at_insns=_opt_int("injected_at_insns"),
-            injected_byte=_opt_int("injected_byte"),
-            diverged_at_blocks=_opt_int("diverged_at_blocks"),
-            divergence_kind=obj.get("divergence_kind"),
-            latency_blocks=_opt_int("latency_blocks"),
-        )
+
+_NULL = type(None)
+
+#: The JSON types each field of a trial record may take.  A field that
+#: may be null may also be absent; ``detail`` then reads ``""``.
+_RECORD_FIELDS = {
+    "key": (str,),
+    "app": (str,),
+    "region": (str,),
+    "index": (int,),
+    "manifestation": (str,),
+    "delivered": (bool,),
+    "detail": (str, _NULL),
+    "injected_at_blocks": (int, _NULL),
+    "injected_at_insns": (int, _NULL),
+    "injected_byte": (int, _NULL),
+    "diverged_at_blocks": (int, _NULL),
+    "divergence_kind": (str, _NULL),
+    "latency_blocks": (int, _NULL),
+}

@@ -172,7 +172,7 @@ class Campaign:
             if key not in defaults or value != defaults[key]
         }
         #: What names this campaign's trials: every trial key starts with
-        #: it, and it keys the predictor cache.
+        #: it.
         self.identity = (
             self.app_name,
             canonical_params(self.app_params),
@@ -324,36 +324,15 @@ class Campaign:
             self._oracle = MaskingOracle.from_campaign(self)
         return self._oracle
 
-    #: Cross-campaign predictor cache, keyed by ``identity``.  The
-    #: predictor is a pure function of the linked program and reference
-    #: profile, so campaigns of one program with the same ranks and
-    #: seeds - successive regions, CLI reruns, benchmark repetitions -
-    #: share one build (about 0.7 s for wavetoy on a 2-vCPU x86-64
-    #: host: 0.3 s of interval analysis, 0.2 s of per-bit text strata
-    #: and 0.13 s of taint cones).
-    _predictor_cache: dict = {}
-
     def outcome_predictor(self):
         """The static outcome predictor for this campaign's application
-        (see :mod:`repro.staticanalysis.outcomes`), built once and
-        cached: the stratifier classifies thousands of pool specs.  A
-        predictor this campaign builds takes its masking oracle; one
-        taken from the cache lends the campaign its own."""
+        (see :mod:`repro.staticanalysis.outcomes`), built once, from
+        this campaign's masking oracle: the stratifier classifies
+        thousands of pool specs."""
         if self._predictor is None:
             from repro.staticanalysis.outcomes.predictor import OutcomePredictor
 
-            key = self.identity
-            try:
-                cached = Campaign._predictor_cache.get(key)
-            except TypeError:  # unhashable app param: build uncached
-                cached = key = None
-            if cached is not None:
-                self._predictor = cached
-                self._oracle = cached.oracle
-            else:
-                self._predictor = OutcomePredictor.from_campaign(self)
-                if key is not None:
-                    Campaign._predictor_cache[key] = self._predictor
+            self._predictor = OutcomePredictor.from_campaign(self)
         return self._predictor
 
     def engine(self, **options):

@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import IO
 
 from repro.engine.progress import TrialSink
-from repro.engine.store import StoreSummary
+from repro.engine.store import StoreSummary, read_jsonl
 from repro.engine.trial import TrialResult
 
 #: Version of the run-directory layout and of every JSON payload in it.
@@ -284,20 +284,9 @@ def reproduce_command(argv: list[str] | None = None) -> str:
 # ----------------------------------------------------------------------
 # summary derivation (the pure-function half)
 # ----------------------------------------------------------------------
-def _iter_jsonl(path: Path):
-    if not path.exists():
-        return
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError:
-                continue  # partial trailing write of an interrupted run
-            if isinstance(obj, dict):
-                yield obj
+def _objects(path: Path):
+    """The JSON objects of a run log, its torn tail left unread."""
+    return (obj for _, obj in read_jsonl(path) if obj is not None)
 
 
 def build_summary(directory: str | os.PathLike) -> dict:
@@ -317,7 +306,7 @@ def build_summary(directory: str | os.PathLike) -> dict:
     progress_events = 0
     resumed = 0
     t_start = t_end = None
-    for obj in _iter_jsonl(directory / EVENTS_NAME):
+    for obj in _objects(directory / EVENTS_NAME):
         kind = obj.get("type")
         if kind == "campaign_start":
             t_start = obj.get("t")
@@ -331,7 +320,7 @@ def build_summary(directory: str | os.PathLike) -> dict:
         elif kind == "trial":
             try:
                 result = TrialResult.from_json(obj)
-            except (ValueError, KeyError, TypeError):
+            except ValueError:
                 continue
             fold.add(result)
             if obj.get("resumed"):
@@ -339,7 +328,7 @@ def build_summary(directory: str | os.PathLike) -> dict:
 
     last_metrics = None
     metrics_flushes = 0
-    for obj in _iter_jsonl(directory / METRICS_NAME):
+    for obj in _objects(directory / METRICS_NAME):
         metrics_flushes += 1
         last_metrics = obj
     final_snapshot = (

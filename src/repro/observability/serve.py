@@ -195,9 +195,8 @@ class StoreTelemetry(TelemetryHub):
     """Store-backed telemetry source: the standalone ``serve`` mode.
 
     A hub fed by a result store of either backend, followed
-    incrementally through the store's follower (byte offset for JSONL,
-    rowid high-water mark for SQLite): each refresh hands the hub only
-    the trials appended since the last one, once per key.  A
+    incrementally through the store's follower: each refresh hands the
+    hub only the trials stored since the last one, once per key.  A
     follower-reported reset (the store was rewritten) restarts the fold
     from zero.  No region announces a plan, so ``/progress`` reports no
     total, and ``/metrics`` holds the campaign families only.

@@ -161,7 +161,7 @@ class OutcomePredictor:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_campaign(cls, campaign, *, with_messages: bool = True) -> "OutcomePredictor":
+    def from_campaign(cls, campaign) -> "OutcomePredictor":
         """Build from a campaign's reference profile, oracle and
         coverage join - the same authorities the pruning path uses."""
         from repro.staticanalysis.mpicheck import extract_skeleton
@@ -169,15 +169,12 @@ class OutcomePredictor:
 
         ref = campaign.reference()
         app = campaign.app_factory()
-        packets = None
-        if with_messages:
-            skeleton = extract_skeleton(
-                campaign.app_factory(),
-                campaign.config.nprocs,
-                seed=campaign.config.seed,
-                round_limit=ref.round_limit,
-            )
-            packets = skeleton.packets
+        skeleton = extract_skeleton(
+            campaign.app_factory(),
+            campaign.config.nprocs,
+            seed=campaign.config.seed,
+            round_limit=ref.round_limit,
+        )
         return cls(
             app_name=campaign.app_name,
             program=app.program(),
@@ -185,7 +182,7 @@ class OutcomePredictor:
             oracle=campaign.masking_oracle(),
             coverage=coverage_for(campaign.app_name, campaign.app_params),
             block_limit=ref.block_limit,
-            packets=packets,
+            packets=skeleton.packets,
             received_bytes_per_rank=list(ref.received_bytes_per_rank),
             message_classes=dict(app.message_classes()),
         )

@@ -39,6 +39,18 @@ from repro.staticanalysis.propagation.model import (
 AUDIT_NPROCS = 2
 
 
+def hot_symbols(program, model: PropagationModel) -> frozenset[str]:
+    """The user symbols some kernel can address: those a kernel
+    relocation references, the kernels themselves and the model's
+    declared reads, less the symbols the model declares cold."""
+    referenced = {
+        r.symbol for fn in program.functions.values() for r in fn.relocations
+    }
+    return frozenset(
+        referenced | set(program.functions) | set(model.app_read_symbols)
+    ) - model.cold_symbols
+
+
 @dataclass(frozen=True)
 class OutputPath:
     """One route from a tainted token to the app's observable output."""
@@ -101,15 +113,7 @@ class AppCoverage:
 
         kernel_names = frozenset(program.functions)
         model: PropagationModel = app.propagation_model()
-        referenced = {
-            r.symbol
-            for fn in program.functions.values()
-            for r in fn.relocations
-        }
-        hot = frozenset(
-            (referenced | kernel_names | model.app_read_symbols)
-            - model.cold_symbols
-        )
+        hot = hot_symbols(program, model)
         all_user = frozenset().union(*by_section.values())
         cold = all_user - hot
 

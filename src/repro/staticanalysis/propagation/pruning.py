@@ -52,10 +52,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cpu.isa import INSN_SIZE, decode
+from repro.cpu.decoder import decode_stream
+from repro.cpu.isa import INSN_SIZE
 from repro.injection.faults import FaultSpec, Region
 from repro.memory.symbols import SymbolTable
 from repro.staticanalysis.avf import Predicted, classify_bit
+from repro.staticanalysis.propagation.coverage import hot_symbols
 from repro.staticanalysis.propagation.model import PropagationModel
 
 #: x87 bookkeeping words: written by the FPU on every operation, read
@@ -88,25 +90,13 @@ class MaskingOracle:
         #: Function name -> (decoded insns, relocated indices).
         self._functions = {
             name: (
-                [
-                    decode(fn.code[o : o + INSN_SIZE])
-                    for o in range(0, len(fn.code), INSN_SIZE)
-                ],
+                decode_stream(fn.code),
                 frozenset(r.insn_index for r in fn.relocations),
             )
             for name, fn in program.functions.items()
         }
-        referenced = {
-            r.symbol
-            for fn in program.functions.values()
-            for r in fn.relocations
-        }
         #: Symbols some kernel can actually address.
-        self._hot_symbols = frozenset(
-            referenced
-            | set(program.functions)
-            | set(model.app_read_symbols)
-        ) - model.cold_symbols
+        self._hot_symbols = hot_symbols(program, model)
 
     @classmethod
     def from_campaign(cls, campaign) -> "MaskingOracle":

@@ -7,9 +7,9 @@ both and reports the agreement:
 * **per-register rank correlation** - for each ablation kernel
   (:mod:`repro.analysis.liveness`'s optimized / unoptimized pair) and
   each GPR, the static AVF score is paired with the dynamically measured
-  flip error rate (the same uniform time x bit sampling the campaigns
-  use, driven through ``VM.schedule_hook`` exactly like
-  ``register_sensitivity``), and Spearman's rho is computed over all
+  flip error rate (``register_sensitivity`` with the register fixed:
+  the same uniform time x bit sampling the campaigns use, driven
+  through ``VM.schedule_hook``), and Spearman's rho is computed over all
   (kernel, register) points;
 * **live-register count agreement** - the static analysis must reproduce
   the Springer-style section-6.1.1 ablation result: the optimized kernel
@@ -27,14 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.liveness import (
-    _EXPECTED,
     OPTIMIZED_SOURCE,
     UNOPTIMIZED_SOURCE,
-    _build,
+    register_sensitivity,
 )
 from repro.cpu.assembler import assemble_function
 from repro.cpu.registers import REG_NAMES
-from repro.errors import SimulationError
 from repro.staticanalysis.avf import register_avf
 from repro.staticanalysis.cfg import ControlFlowGraph
 from repro.staticanalysis.dataflow import liveness
@@ -82,33 +80,6 @@ def static_live_register_count(source: str) -> int:
     return len(liveness(cfg).live_registers())
 
 
-def dynamic_register_sensitivity(
-    source: str, reg: int, trials: int, rng: np.random.Generator
-) -> float:
-    """Measured fraction of single bit flips of ``reg`` (uniform over
-    time and bit position) that change the kernel's outcome."""
-    image, vm, _ = _build(source)
-    reference = vm.call("kernel")
-    total_blocks = image.clock.blocks
-    if reference != _EXPECTED:  # pragma: no cover - kernel is test-pinned
-        raise AssertionError("ablation kernel broken")
-    errors = 0
-    for _ in range(trials):
-        _, vm, _ = _build(source)
-        vm.block_limit = total_blocks * 4 + 64
-        bit = int(rng.integers(32))
-        at = int(rng.integers(1, total_blocks + 1))
-        vm.schedule_hook(at, lambda v, r=reg, b=bit: v.regs.flip_bit(r, b))
-        try:
-            result = vm.call("kernel")
-        except SimulationError:
-            errors += 1
-            continue
-        if result != _EXPECTED:
-            errors += 1
-    return errors / trials
-
-
 # ----------------------------------------------------------------------
 # the report
 # ----------------------------------------------------------------------
@@ -142,8 +113,8 @@ def validate(trials: int = 60, seed: int = 17) -> ValidationReport:
         scores = static_register_scores(source)
         for reg_index, reg_name in enumerate(REG_NAMES):
             static[(kname, reg_name)] = scores[reg_name]
-            dynamic[(kname, reg_name)] = dynamic_register_sensitivity(
-                source, reg_index, trials, rng
+            dynamic[(kname, reg_name)] = register_sensitivity(
+                source, trials, rng, reg=reg_index
             )
     keys = sorted(static)
     rho = spearman([static[k] for k in keys], [dynamic[k] for k in keys])

@@ -37,6 +37,7 @@ from repro.observability.export import TraceCollector
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.serve import TelemetryHub, TelemetryServer
 from tests.conftest import SMALL_MOLDYN, SMALL_NPROCS, SMALL_WAVETOY, RecordingSink
+from tests.engine.test_store_reads import MISTYPED, mistyped
 
 REGIONS = (Region.MESSAGE, Region.STACK)
 N = 6
@@ -218,6 +219,20 @@ class TestCoordinatorProtocol:
         # Partial batch: not acknowledged yet.
         assert executor.book.state(grant["batch"]) == "leased"
         assert "error" in executor.submit("w", 999, [])
+
+    @pytest.mark.parametrize("field", sorted(MISTYPED))
+    def test_mistyped_result_is_rejected(self, specs, quick_polls, field):
+        """A result whose field has the wrong JSON type is rejected
+        whole, as a torn one is, and its trial stays missing."""
+        executor = lease_executor(batch_size=4)
+        executor.run(specs[:4])
+        grant = executor.lease_payload("w")
+        leased = granted(grant, specs)
+        assert leased[3].index == 3  # so a coerced 3.7 would match it
+        payload = mistyped(field, correct(leased[3]))
+        reply = executor.submit("w", grant["batch"], [payload])
+        assert (reply["accepted"], reply["rejected"]) == (0, 1)
+        assert executor._missing[grant["batch"]] == {s.key for s in leased}
 
     def test_submitted_observations_are_parsed_or_rejected(
         self, specs, quick_polls

@@ -123,13 +123,15 @@ class TestResultStore:
 
     def test_load_skips_valid_json_of_wrong_shape(self, tmp_path):
         """Lines that parse as JSON but are not trial records (a bare
-        number, a list, a string, an empty object) are corrupt records:
-        skip them, never crash, never double-count."""
+        number, a list, a string, an empty object, an array nested too
+        deep for the parser) are corrupt records: skip them, never
+        crash, never double-count."""
         path = tmp_path / "s.jsonl"
         with ResultStore(path) as store:
             store.append(make_result(0))
+        deep = "[" * 100_000 + "]" * 100_000
         with open(path, "a") as fh:
-            for junk in ("123", "[1, 2]", '"x"', "{}", "null"):
+            for junk in ("123", "[1, 2]", '"x"', "{}", "null", deep):
                 fh.write(junk + "\n")
         loaded = ResultStore(path).load()
         assert len(loaded) == 1
@@ -197,26 +199,29 @@ class TestStreamingStatus:
         ).rows()
         assert [s.to_json() for s in streaming] == [s.to_json() for s in full]
 
-    def test_streaming_memory_bounded(self, tmp_path):
+    @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"], ids=["jsonl", "sqlite"])
+    def test_streaming_memory_bounded(self, tmp_path, suffix):
         """Peak memory of the streaming fold must not scale with the
-        per-record payload the way ``load()`` does."""
+        per-record payload the way ``load()`` does, on either backend."""
         import dataclasses
         import tracemalloc
 
-        path = tmp_path / "big.jsonl"
-        with ResultStore(path) as store:
+        from repro.engine.store import open_store
+
+        path = tmp_path / f"big{suffix}"
+        with open_store(path) as store:
             for i in range(1500):
                 store.append(
                     dataclasses.replace(make_result(i), detail="x" * 2048)
                 )
 
         tracemalloc.start()
-        ResultStore(path).status()
+        open_store(path).status()
         _, stream_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
         tracemalloc.start()
-        loaded = ResultStore(path).load()
+        loaded = open_store(path).load()
         _, load_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert len(loaded) == 1500

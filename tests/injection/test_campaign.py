@@ -113,8 +113,7 @@ class TestExecution:
 
 @pytest.fixture
 def oracle_builds(monkeypatch):
-    """Every ``MaskingOracle`` built while the test runs, with an empty
-    predictor cache (a cached predictor would lend its oracle)."""
+    """Every ``MaskingOracle`` built while the test runs."""
     from repro.staticanalysis.propagation.pruning import MaskingOracle
 
     builds = []
@@ -125,7 +124,6 @@ def oracle_builds(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(MaskingOracle, "__init__", counted)
-    monkeypatch.setattr(Campaign, "_predictor_cache", {})
     return builds
 
 
@@ -163,14 +161,14 @@ class TestOneOracle:
         with first.engine() as eng:
             eng.run_trials([eng.make_spec(Region.HEAP, 0)])
         assert builds == [first.masking_oracle()]
-        # A second campaign takes the predictor from the cache, and the
-        # predictor lends it its oracle.
+        # A second campaign builds its own oracle, and its predictor
+        # uses that oracle.
         second = campaign()
         with second.engine(stratify=True):
             pass
         second.run_region(Region.TEXT, 2)
         assert second.masking_oracle() is second.outcome_predictor().oracle
-        assert len(builds) == 1
+        assert builds == [first.masking_oracle(), second.masking_oracle()]
 
     def test_explicit_trials_build_no_oracle(self, oracle_builds, tmp_path):
         """``trace run`` and a distributed worker's engine only run
@@ -193,64 +191,6 @@ class TestOneOracle:
         with WorkerClient("127.0.0.1:9")._build_engine(manifest) as engine:
             engine.run_trials([engine.make_spec(Region.TEXT, 0)])
         assert oracle_builds == []
-
-
-class TestPredictorCache:
-    """Campaigns share a cached predictor only when they link the same
-    program with the same ranks and seeds."""
-
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        from types import SimpleNamespace
-
-        from repro.staticanalysis.outcomes.predictor import OutcomePredictor
-
-        built = []
-
-        def build(cls, campaign):
-            built.append(campaign)
-            return SimpleNamespace(oracle=None)
-
-        monkeypatch.setattr(OutcomePredictor, "from_campaign", classmethod(build))
-        monkeypatch.setattr(Campaign, "_predictor_cache", {})
-        return built
-
-    def test_only_one_program_shares_a_predictor(self, builds):
-        from repro.apps import WavetoyApp
-
-        def registry(**params):
-            return Campaign.from_registry(
-                "wavetoy", nprocs=2, app_params=params, seed=9
-            )
-
-        # The app the factory builds names the program, however the
-        # factory is written.
-        small = Campaign(
-            lambda: WavetoyApp(**SMALL_WAVETOY), JobConfig(nprocs=2), seed=9
-        )
-        assert small.outcome_predictor() is not registry().outcome_predictor()
-        assert registry().outcome_predictor() is registry().outcome_predictor()
-        assert registry(damping=0.15).outcome_predictor() is registry().outcome_predictor()
-        assert registry(**SMALL_WAVETOY).outcome_predictor() is small.outcome_predictor()
-        assert len(builds) == 2
-
-    def test_unhashable_params_build_uncached(self, builds):
-        import functools
-
-        from repro.apps import WavetoyApp
-
-        class ListParamWavetoy(WavetoyApp):
-            DEFAULTS = {**WavetoyApp.DEFAULTS, "labels": []}
-
-        params = dict(SMALL_WAVETOY, labels=["a"])
-        campaigns = [
-            Campaign(functools.partial(ListParamWavetoy, **params), JobConfig(nprocs=2))
-            for _ in range(2)
-        ]
-        for campaign in campaigns:
-            campaign.outcome_predictor()
-        assert builds == campaigns
-        assert Campaign._predictor_cache == {}
 
 
 class TestIdentity:

@@ -25,6 +25,7 @@ from repro.observability.artifacts import (
 from repro.observability.metrics import MetricsSnapshot
 from repro.observability.serve import TelemetryHub
 from tests.conftest import SMALL_NPROCS, SMALL_WAVETOY
+from tests.engine.test_store_reads import MISTYPED, mistyped
 
 SEED = 20260808
 N = 4
@@ -160,6 +161,39 @@ class TestRegeneration:
         with open(clone / "events.jsonl", "a") as fh:
             fh.write('{"type": "trial", "key": "torn')
         assert build_summary(clone)["trials"] == 2 * N
+
+    def test_unterminated_last_event_left_unread(self, run_dir, tmp_path):
+        """A whole trial event without its newline may be a write still
+        in flight: left unread until a newline ends it."""
+        import shutil
+
+        clone = tmp_path / "unterminated"
+        shutil.copytree(run_dir, clone)
+        trial = next(e for e in _events(run_dir) if e["type"] == "trial")
+        with open(clone / "events.jsonl", "a") as fh:
+            fh.write(json.dumps(dict(trial, key="one-more"), sort_keys=True))
+        assert build_summary(clone)["trials"] == 2 * N
+        with open(clone / "events.jsonl", "a") as fh:
+            fh.write("\n")
+        assert build_summary(clone)["trials"] == 2 * N + 1
+
+    @pytest.mark.parametrize("field", sorted(MISTYPED))
+    def test_mistyped_trial_event_skipped(self, run_dir, tmp_path, capsys, field):
+        """``report DIR`` skips a trial event whose field has the wrong
+        JSON type, as the store readers skip such a line."""
+        import shutil
+
+        from repro.__main__ import main
+
+        clone = tmp_path / "mistyped"
+        shutil.copytree(run_dir, clone)
+        trial = next(e for e in _events(run_dir) if e["type"] == "trial")
+        event = mistyped(field, dict(trial, key="one-more"))
+        with open(clone / "events.jsonl", "a") as fh:
+            fh.write(json.dumps(event, sort_keys=True) + "\n")
+        assert build_summary(clone)["trials"] == 2 * N
+        assert main(["report", str(clone)]) == 0
+        assert f"({2 * N} trials," in capsys.readouterr().out
 
 
 class TestReport:

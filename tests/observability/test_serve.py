@@ -193,7 +193,7 @@ class TestStoreTelemetry:
         path = self._store_with(tmp_path, [make_result(index=i) for i in range(3)])
         telemetry = StoreTelemetry(path)
         assert telemetry.status_payload()["regions"][0]["trials"] == 3
-        offset_after_first = telemetry._follower._offset
+        offset_after_first = telemetry._follower.position
 
         store = ResultStore(path)
         store.append(make_result(index=7))
@@ -201,7 +201,7 @@ class TestStoreTelemetry:
         payload = telemetry.status_payload()
         assert payload["regions"][0]["trials"] == 4
         # Only the appended bytes were parsed.
-        assert telemetry._follower._offset > offset_after_first
+        assert telemetry._follower.position > offset_after_first
 
     def test_follows_a_store_not_yet_written(self, tmp_path):
         from tests.engine.test_trial_store import make_result

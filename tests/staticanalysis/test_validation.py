@@ -12,11 +12,11 @@ import pytest
 from repro.analysis.liveness import (
     OPTIMIZED_SOURCE,
     UNOPTIMIZED_SOURCE,
+    register_sensitivity,
     register_usage_report,
 )
 from repro.cpu.registers import EAX, EBX, REG_INDEX
 from repro.staticanalysis.validation import (
-    dynamic_register_sensitivity,
     spearman,
     static_live_register_count,
     static_register_scores,
@@ -82,12 +82,12 @@ class TestStaticScores:
 class TestDynamicSmoke:
     def test_unused_register_is_insensitive(self):
         rng = np.random.default_rng(2)
-        rate = dynamic_register_sensitivity(OPTIMIZED_SOURCE, EBX, 10, rng)
+        rate = register_sensitivity(OPTIMIZED_SOURCE, 10, rng, reg=EBX)
         assert rate == 0.0
 
     def test_accumulator_is_sensitive(self):
         rng = np.random.default_rng(2)
-        rate = dynamic_register_sensitivity(OPTIMIZED_SOURCE, EAX, 10, rng)
+        rate = register_sensitivity(OPTIMIZED_SOURCE, 10, rng, reg=EAX)
         assert rate > 0.5
 
     def test_index_lookup_matches_names(self):
