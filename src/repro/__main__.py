@@ -485,6 +485,7 @@ _non_negative = _checked(int, lambda n: n >= 0, "an integer >= 0")
 def cmd_campaign_run(args) -> int:
     from repro.engine.executors import resolve_jobs
     from repro.engine.progress import ProgressPrinter
+    from repro.engine.store import open_store
     from repro.harness.tables import render_campaign_table
 
     if args.resume and not args.store:
@@ -496,6 +497,8 @@ def cmd_campaign_run(args) -> int:
               file=sys.stderr)
         return 2
     try:
+        if args.store:
+            open_store(args.store)  # refuse an unreadable store before any trial
         campaign = _campaign(args)
     except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
@@ -652,7 +655,11 @@ def cmd_campaign_status(args) -> int:
     # fold - memory stays bounded by the number of distinct trial keys,
     # never by full parsed results.  ``open_store`` picks the backend
     # (JSONL or SQLite) from the path, so either store reads the same.
-    statuses = open_store(args.store).status()
+    try:
+        statuses = open_store(args.store).status()
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if args.json:
         payload = {
             "store": str(args.store),
@@ -787,7 +794,7 @@ def cmd_campaign_merge(args) -> int:
 
     try:
         count = merge_stores(args.stores, args.out)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 2
     print(f"wrote {count} unique trials to {args.out}")

@@ -24,6 +24,7 @@ Faithful to the features that mattered in the paper's experiments
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -32,6 +33,8 @@ FPU_SPECIAL_REGS = ("cwd", "swd", "twd", "fip", "fcs", "foo", "fos")
 
 #: Bits of one 80-bit extended-precision data register.
 EXTENDED_BITS = 80
+
+_F64 = struct.Struct("<d")
 
 
 class TagValue:
@@ -238,6 +241,27 @@ class FPU:
             self.depth,
             self.max_depth,
         )
+
+    def readable_state(self) -> tuple:
+        """The state an instruction can read, and nothing else: ``top``,
+        the tag word, each VALID slot's value (read from the shadow) and
+        each SPECIAL slot's raw bytes (read through the 80-bit
+        encoding).  EMPTY and ZERO slots read back as NaN and 0.0
+        whatever their payload; CWD, SWD, FIP, FCS, FOO, FOS, ``depth``
+        and ``max_depth`` are written but never read by an
+        instruction.  Equal readable states make every later
+        instruction behave the same."""
+        twd = self.twd
+        state = [self.top, twd]
+        for phys in range(8):
+            tag = (twd >> (2 * phys)) & 0b11
+            if tag == TagValue.VALID:
+                state.append(_F64.pack(self._vals[phys]))
+            elif tag == TagValue.SPECIAL:
+                self._sync()
+                raw = self._phys[phys : phys + 1].tobytes()
+                state.append(raw[: self._sig_bytes])
+        return tuple(state)
 
     def restore_state(self, state: tuple) -> None:
         phys, top, twd, cwd, swd, fip, fcs, foo, fos, depth, max_depth = state

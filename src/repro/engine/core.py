@@ -1,7 +1,7 @@
 """The single-trial execution authority.
 
 Everything that runs one faulty job flows through this module: golden
-prefix replay, injector install, execution, and outcome classification,
+replay, injector install, execution, and outcome classification,
 under the :class:`ExecutionContext` that
 :meth:`~repro.injection.campaign.Campaign.execution_context` builds.
 The executors call :func:`execute_trial`; ``Campaign.run_injection``
@@ -52,11 +52,14 @@ class ExecutionContext:
     trace: bool = False
     collect_metrics: bool = False
     #: The :class:`~repro.engine.checkpoint.GoldenRecording` of the
-    #: campaign's reference run, whose prefix every trial replays
-    #: (``None``: trials run from block 0, the differential tests'
-    #: oracle).  Every fork worker receives the one recording exactly
-    #: once, inside the context.
+    #: campaign's reference run, which every trial replays around the
+    #: calls its fault can reach (``None``: trials run from block 0,
+    #: the differential tests' oracle).  Every fork worker receives the
+    #: one recording exactly once, inside the context.
     checkpoint: object | None = field(default=None, repr=False, compare=False)
+    #: The :class:`~repro.engine.checkpoint.TextIndex` TEXT trials read,
+    #: built by the first one in each process (``None`` until then).
+    text_index: object | None = field(default=None, repr=False, compare=False)
 
     def observe(self, fields) -> None:
         """Collect exactly the optional result fields named in

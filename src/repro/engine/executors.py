@@ -10,6 +10,7 @@ completion order.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
@@ -36,6 +37,19 @@ def resolve_jobs(jobs: int | None) -> int:
     return default_jobs() if jobs is None else max(1, int(jobs))
 
 
+def _collect_finished_job() -> None:
+    """Free the job of a trial whose result was handed over.
+
+    A trial's ``Job`` sits in reference cycles (``RankContext.job``,
+    the ADI router's bound ``Job._route``, the error handler closure,
+    generator frames), so its buffers, about 1 MB per rank, would wait
+    for the cyclic collector while the next trials build theirs.  Its
+    ``JobResult`` is gone by now (a crashed job's traceback holds the
+    job), so collecting the young generations frees it.
+    """
+    gc.collect(1)
+
+
 class SerialExecutor:
     """In-process execution: no pickling constraints, deterministic
     completion order (trial index order)."""
@@ -46,6 +60,7 @@ class SerialExecutor:
     def run(self, specs: Iterable[TrialSpec]) -> Iterator[TrialResult]:
         for spec in specs:
             yield execute_trial(self.context, spec)
+            _collect_finished_job()
 
     def close(self) -> None:  # symmetry with ParallelExecutor
         pass
@@ -64,7 +79,9 @@ def _init_worker(context: ExecutionContext) -> None:
 
 def _worker_execute(spec: TrialSpec) -> TrialResult:
     assert _WORKER_CONTEXT is not None, "worker initialized without context"
-    return execute_trial(_WORKER_CONTEXT, spec)
+    result = execute_trial(_WORKER_CONTEXT, spec)
+    _collect_finished_job()
+    return result
 
 
 class ParallelExecutor:

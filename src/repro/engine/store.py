@@ -407,8 +407,9 @@ def merge_stores(
     trials written.  The output is rewritten from scratch in sorted
     ``(app, region, index)`` order, so merging the same inputs always
     produces byte-identical output, and exists even when empty.  A
-    missing input raises :class:`FileNotFoundError` before the output
-    is touched."""
+    missing input raises :class:`FileNotFoundError`, and a SQLite input
+    that is not a database :class:`ValueError`, before the output is
+    touched."""
     merged: dict[str, TrialResult] = {}
     for path in inputs:
         if not Path(path).exists():

@@ -33,7 +33,7 @@ import sqlite3
 from pathlib import Path
 from typing import Iterator
 
-from repro.engine.store import Records, TrialStore, parse_record
+from repro.engine.store import SQLITE_MAGIC, Records, TrialStore, parse_record
 from repro.engine.trial import TrialResult
 
 #: Writers wait this long (ms) for a competing writer's transaction.
@@ -68,12 +68,30 @@ def _query(path: Path, sql: str, args: tuple = ()) -> Iterator[tuple]:
         conn.close()
 
 
+def _is_database(path: Path) -> bool:
+    """A missing or empty file becomes a new database; any other file
+    must carry the SQLite magic."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(len(SQLITE_MAGIC))
+    except FileNotFoundError:
+        return True
+    return not head or head == SQLITE_MAGIC
+
+
 class SQLiteResultStore(TrialStore):
-    """Content-hash-keyed SQLite store of :class:`TrialResult` records."""
+    """Content-hash-keyed SQLite store of :class:`TrialResult` records.
+
+    A path whose file exists but is not a database is refused here
+    (``ValueError``), so every consumer fails before it reads or runs
+    anything.
+    """
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
         self._conn: sqlite3.Connection | None = None
+        if not _is_database(self.path):
+            raise ValueError(f"{self.path}: not a SQLite database")
 
     def append(self, result: TrialResult) -> None:
         if self._conn is None:

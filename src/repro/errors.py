@@ -114,7 +114,7 @@ class InvalidFaultSpec(SimulationError):
 
 
 class CheckpointDesync(Exception):
-    """Replay of a recorded golden prefix diverged from live execution.
+    """Replay of a recorded golden run diverged from live execution.
 
     Deliberately *not* a :class:`SimulationError`: a desync means the
     checkpoint machinery itself is broken (the recording no longer

@@ -3,13 +3,13 @@
 A campaign (1) runs the application once fault-free to obtain the
 reference outputs, the per-rank basic-block totals (the injection time
 axis), the per-rank received message volume (the message-byte axis),
-the hang budgets and the golden recording whose prefix every trial
-replays (:mod:`repro.engine.checkpoint`); (2) samples fault
-specifications uniformly over the paper's three-axis injection space
-for each region; (3) executes one fresh job per injection with the
-fault armed; and (4) classifies every outcome into the six
-manifestation classes, reporting the same columns as the paper's
-tables together with the sampling-theory estimation error.
+the hang budgets and the golden recording every trial replays
+around the calls its fault can reach (:mod:`repro.engine.checkpoint`);
+(2) samples fault specifications uniformly over the paper's three-axis
+injection space for each region; (3) executes one fresh job per
+injection with the fault armed; and (4) classifies every outcome into
+the six manifestation classes, reporting the same columns as the
+paper's tables together with the sampling-theory estimation error.
 """
 
 from __future__ import annotations
@@ -348,7 +348,7 @@ class Campaign:
     def run_injection(
         self, spec: FaultSpec, rng: np.random.Generator
     ) -> tuple[Manifestation, InjectionRecord, JobResult]:
-        """Run one job with ``spec`` armed, replaying the golden prefix,
+        """Run one job with ``spec`` armed, replaying the golden run,
         and classify it against the reference run; ``rng`` drives the
         injector's draws."""
         from repro.engine.core import run_observed

@@ -135,9 +135,10 @@ def note_injection(
 def note_checkpoint_restore(
     *, switch_round: int, blocks_skipped: int, calls_skipped: int = 0
 ) -> None:
-    """A trial resumed from the golden recording: count the restore and
-    the interpreter work it avoided, and stamp a tracer instant at the
-    start of the trial (the replayed prefix begins at block 0)."""
+    """A trial replays the golden recording: count the restore and the
+    interpreter work its plan skips before the natural switch round,
+    and stamp a tracer instant at the start of the trial (replay begins
+    at block 0)."""
     metrics = METRICS
     if metrics is not None:
         metrics.counter("repro_checkpoint_restore_total").inc()
@@ -156,6 +157,18 @@ def note_checkpoint_restore(
                 "calls_skipped": calls_skipped,
             },
         )
+
+
+def note_checkpoint_rejoin(*, rank: int, blocks: int) -> None:
+    """The faulted rank's state matched the golden run again after a
+    real call: count the rejoin and stamp a tracer instant at the
+    call's end clock on that rank (every later call replays)."""
+    metrics = METRICS
+    if metrics is not None:
+        metrics.counter("repro_checkpoint_rejoin_total").inc()
+    tracer = TRACER
+    if tracer is not None:
+        tracer.instant("checkpoint:rejoin", "checkpoint", blocks, tid=rank)
 
 
 def note_termination(kind: str, *, rank: int | None, blocks: int | None, detail: str = "") -> None:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -224,6 +225,42 @@ class TestCampaignCli:
         (line,) = err.splitlines()
         assert str(missing) in line
         assert merged.read_text() == "earlier\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["campaign", "status", "--store", "{store}"],
+            ["campaign", "merge", "{store}", "--out", "{out}"],
+            ["serve", "--store", "{store}", "--endpoint", "127.0.0.1:0"],
+            campaign_run_args("{store}", ["-n", "1"]),
+        ],
+        ids=["status", "merge", "serve", "run"],
+    )
+    def test_sqlite_store_that_is_not_a_database(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        """Each store consumer exits 2 with one line naming the file,
+        before it serves, writes or runs anything."""
+        from repro.engine import executors
+
+        store = tmp_path / "x.sqlite"
+        store.write_text("not a database")
+        out = tmp_path / "merged.jsonl"
+        monkeypatch.setattr(
+            executors, "execute_trial", lambda *a: pytest.fail("a trial ran")
+        )
+
+        def interrupt(seconds):
+            raise KeyboardInterrupt  # a serve loop that started stops
+
+        monkeypatch.setattr(time, "sleep", interrupt)
+        argv = [arg.format(store=store, out=out) for arg in command]
+        assert main(argv) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.splitlines() == [f"{store}: not a SQLite database"]
+        assert store.read_text() == "not a database"
+        assert not out.exists()
 
     @pytest.mark.parametrize("suffix", ["jsonl", "sqlite"])
     def test_empty_merge_leaves_its_output(self, capsys, tmp_path, suffix):

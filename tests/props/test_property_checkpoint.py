@@ -130,7 +130,13 @@ class TestNaturalSwitchOnRealRecording:
         rec = self.recording()
         fault = FaultSpec(Region.STACK, rank=0, time_blocks=0)
         assert natural_switch_round(rec, fault) == 0
-        assert plan_replay(rec, fault) is None
+        # The faulted rank's first call delivers the fault: it replays
+        # none of its own calls and no call is skipped up front, while
+        # the other ranks replay around it until it rejoins or diverges.
+        plan = plan_replay(rec, fault)
+        assert (plan.probe, plan.delivery) == (0, 0)
+        assert (plan.calls_skipped, plan.blocks_skipped, plan.insns_skipped) == (0, 0, 0)
+        assert plan.records == rec.calls
 
     def test_fault_beyond_activity_replays_everything(self):
         rec = self.recording()
